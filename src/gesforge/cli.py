@@ -157,6 +157,21 @@ def _summary_lines(params: ConstructionParams) -> list[str]:
     ]
 
 
+def _verdict(exact, numeric) -> tuple[bool, str]:
+    """(certified, numeric summary line) for one family.
+
+    An exact stage that ran is a proof and decides alone; the numeric
+    minimum is then only a margin, an upper bound on the true minimum found
+    by search.  When the exact stage is skipped (floating scales) the
+    numeric threshold is the gate.
+    """
+    value = f"min biproduct value {numeric.min_value:.3e} (threshold {numeric.threshold:.1e})"
+    if exact.skipped:
+        return bool(numeric.passed), f"numeric: {value} -> {'pass' if numeric.passed else 'FAIL'}"
+    tight = "" if numeric.passed else ", below threshold (tight)"
+    return bool(exact.passed), f"numeric margin: {value}{tight}"
+
+
 def cmd_construct(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from_args(args)
@@ -185,8 +200,7 @@ def cmd_verify(args) -> int:
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),
     }
-    exact_ok = exact.passed is not False  # a recorded skip does not fail the run
-    passed = exact_ok and numeric.passed
+    passed, numeric_line = _verdict(exact, numeric)
     doc["passed"] = passed
     if args.out:
         _write_json(args.out, doc)
@@ -202,8 +216,7 @@ def cmd_verify(args) -> int:
                     print(f"  cut {cut.members}|{cut.complement}: "
                           + ("count below requirement" if not cut.count_ok else
                              f"witness {(cut.left.witness if cut.left and not cut.left.ok else cut.right.witness)}"))
-    print(f"numeric: min biproduct value {numeric.min_value:.3e} "
-          f"(threshold {numeric.threshold:.1e}) -> {'pass' if numeric.passed else 'FAIL'}")
+    print(numeric_line)
     print(f"verdict: {'certified' if passed else 'not certified'}")
     return EXIT_OK if passed else EXIT_FAILED
 
@@ -280,8 +293,7 @@ def cmd_report(args) -> int:
     numeric = certify_ges_numeric(vectors, options)
     exact_rank = exact.matrix_rank if not exact.skipped else None
     basis = ges_basis(vectors, exact_rank=exact_rank) if exact_rank is not None else None
-    exact_ok = exact.passed is not False
-    passed = exact_ok and numeric.passed
+    passed, numeric_line = _verdict(exact, numeric)
     doc = {
         "schema": "gesforge/full-report",
         "schema_version": SCHEMA_VERSION,
@@ -296,6 +308,7 @@ def cmd_report(args) -> int:
     _write_json(out, doc)
     for line in _summary_lines(params):
         print(line)
+    print(numeric_line)
     print(f"verdict: {'certified' if passed else 'not certified'}")
     print(f"wrote {out}")
     return EXIT_OK if passed else EXIT_FAILED

@@ -6,7 +6,15 @@ have full rank.  No structural theorem is assumed on the way in; the
 matrices are checked as given, so user-supplied exponent tables and scaled
 columns get the same treatment as the standard recipe.  All verdicts are
 exact; floating point never participates (floating scales route the whole
-exact stage into a recorded skip).
+exact stage into a recorded skip).  Nonzero column scales change neither a
+rank nor a minor's zero-ness, so the exact verdicts read the exponent
+table alone.
+
+Rank deficiency is proved without field elimination: a modular echelon
+form names pivot rows P and columns C with M[P, C] nonsingular, and the
+rank is exactly |P| when every bordered minor M[P + i, C + j] is proven
+zero by the multimodular test of `minors`, because those minors are the
+entries of the Schur complement of M[P, C] up to its nonzero determinant.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cyclo, minors
-from .construct import ConstructionParams, exponent_table, validate_exponent_table, validate_params
+from .construct import ConstructionParams, validate_exponent_table, validate_params
 from .cyclo import CycMatrix, is_prime, power_counts_are_zero, power_counts_value
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
@@ -131,7 +139,6 @@ class ExactReport:
     full_rank: bool | None = None
     rank_method: str | None = None
     bipartitions: list = field(default_factory=list)
-    chebotarev_scans: list = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
@@ -153,55 +160,64 @@ class ExactReport:
             "rank_method": self.rank_method,
             "passed": self.passed,
             "bipartitions": [b.to_doc() for b in self.bipartitions],
-            "chebotarev_scans": [s.to_doc() for s in self.chebotarev_scans],
             "elapsed_seconds": self.elapsed,
         }
 
 
-def _modular_rank(values: np.ndarray, q: int) -> int:
-    """Row rank of an integer matrix over F_q, division-free."""
+def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int]]:
+    """Pivot rows and pivot columns of a row echelon form over F_q.
+
+    Division-free elimination with row swaps; the submatrix on the returned
+    rows and columns is nonsingular mod q, and its size is the rank mod q.
+    """
     a = (np.array(values, dtype=np.int64) % q).tolist()
     rows, cols = len(a), len(a[0]) if a else 0
+    origin = list(range(rows))
+    pivot_cols = []
     r = 0
     for c in range(cols):
         piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        origin[r], origin[piv] = origin[piv], origin[r]
         pr = a[r]
         for i in range(r + 1, rows):
             f = a[i][c]
             if f:
                 a[i] = [(pr[c] * x - f * y) % q for x, y in zip(a[i], pr)]
+        pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return r
+    return sorted(origin[:r]), pivot_cols
 
 
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     """(has full row rank, exact rank, deciding method) for a FlatMatrix.
 
-    A modular image of full rank certifies the exact rank; otherwise the
-    field elimination settles it.
+    A modular image of full rank certifies the exact rank ("modular").
+    Otherwise the image's pivot block gives rank >= r, and r is exact when
+    every bordered minor is proven zero ("bordered"); a nonzero bordered
+    minor means the image lost rank, and the next prime field is tried.
     """
     if not flat.scales_exact:
         raise ValueError("exact rank needs exact column scales")
-    k = flat.num_vectors
-    if is_prime(flat.root_order):
-        for index in (0, 1):
-            ctx = minors.modular_context(flat.root_order, index)
-            values = ctx.power_table()[flat.exponents]
-            if flat.column_scales is not None:
-                smod = minors.scales_mod(flat.column_scales, ctx)
-                if smod is None:
-                    continue
-                values = values * smod[None, :] % ctx.modulus
-            r = _modular_rank(values, ctx.modulus)
-            if r == k:
-                return True, k, "modular"
-    r = cyclo.rank(flat.to_cyc_matrix())
-    return r == k, r, "elimination"
+    order = flat.root_order
+    if not is_prime(order):
+        raise ValueError(f"exact rank needs a prime root order, got {order}")
+    k, dim = flat.exponents.shape
+    for index in itertools.count():
+        ctx = minors.modular_context(order, index)
+        rows, cols = _modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)
+        r = len(rows)
+        if r == k or r == dim:
+            return r == k, r, "modular"
+        row_sets = np.array([rows + [i] for i in range(k) if i not in rows], dtype=np.int64)
+        col_sets = np.array([cols + [j] for j in range(dim) if j not in cols], dtype=np.int64)
+        bordered = flat.exponents[row_sets[:, None, :, None], col_sets[None, :, None, :]]
+        if minors.multimodular_zero(bordered.reshape(-1, r + 1, r + 1), order).all():
+            return False, r, "bordered"
 
 
 def _spanning_flat(flat: FlatMatrix, chunk: int) -> SpanningCheck:
@@ -219,9 +235,7 @@ def _spanning_flat(flat: FlatMatrix, chunk: int) -> SpanningCheck:
     failures = 0
     for rows in minors.iter_index_combinations(k, dim, chunk):
         exps = flat.exponents[rows]
-        verdicts = minors.decide_nonzero(
-            exps, flat.root_order, flat.column_scales, stats=methods
-        )
+        verdicts = minors.decide_nonzero(exps, flat.root_order, stats=methods)
         if not verdicts.all():
             bad = np.nonzero(~verdicts)[0]
             failures += int(bad.size)
@@ -330,12 +344,32 @@ def verify_all_bipartitions(
     return report
 
 
+def _check_zero_images(counts: np.ndarray, order: int) -> None:
+    """Raise unless each count vector vanishes at every primitive root mod q.
+
+    A ring map Z[w] -> F_q may send w to any primitive order-th root of
+    unity, so an exactly zero sum_t counts[t] * w**t has only zero images.
+    """
+    ctx = minors.modular_context(order)
+    q = ctx.modulus
+    units = [a for a in range(1, order) if math.gcd(a, order) == 1]
+    powers = ctx.power_table()[np.outer(np.arange(order), units) % order]
+    images = (counts % q) @ powers % q
+    if images.any():
+        bad = int(np.nonzero(images.any(axis=1))[0][0])
+        raise RuntimeError(
+            f"reduction claims zero but the image mod {q} is nonzero "
+            f"for counts {counts[bad].tolist()}"
+        )
+
+
 def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> ChebotarevScan:
     """Enumerate all square minors of the order-p Fourier matrix up to a size.
 
     For prime order the expected witness list is empty (total
     nonsingularity); composite orders surface exactly-zero minors.  Every
-    zero claimed for a composite order is double-checked at high precision.
+    zero claimed for a composite order is cross-checked in a prime field,
+    and every recorded witness also at high precision.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -361,19 +395,19 @@ def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> Chebo
             else:
                 counts = minors.det_power_counts(exps, order)
                 zero_idx = np.nonzero(power_counts_are_zero(counts, order))[0]
-            for t in zero_idx:
-                b, c = divmod(int(t), n_combo)
-                rowset = tuple(int(x) for x in rows[b])
-                colset = tuple(int(x) for x in combos[c])
+                _check_zero_images(counts[zero_idx], order)
+            zero_total += zero_idx.size
+            for t in zero_idx[: _WITNESS_CAP - len(witnesses)]:
                 if not prime:
                     value = power_counts_value(counts[t], order)
                     if abs(value) > 1e-30:
                         raise RuntimeError(
                             f"reduction claims zero but high-precision value is {value}"
                         )
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append((rowset, colset))
-                zero_total += 1
+                b, c = divmod(int(t), n_combo)
+                witnesses.append(
+                    (tuple(int(x) for x in rows[b]), tuple(int(x) for x in combos[c]))
+                )
     return ChebotarevScan(
         order=order,
         max_size=max_size,

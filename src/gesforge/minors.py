@@ -1,59 +1,57 @@
-"""Batched exact nonzero tests for minors of root-power matrices.
+"""Batched exact zero and nonzero tests for minors of root-power matrices.
 
 Every matrix handled here has entries of the form scale_j * w**e[i, j]
-where w is a root of unity of a fixed order and scale_j is an exact
-per-column constant.  Two exact routes are combined:
+where w is a root of unity of a fixed order and scale_j is a nonzero
+per-column constant.  A nonzero column scale multiplies each minor by a
+nonzero factor, so every verdict depends on the exponents alone and the
+scales are ignored.
 
-* modular certificates: entries are pushed through a ring homomorphism
-  into a prime field F_q, q = 1 (mod 4 * order), chosen deterministically;
-  a determinant that is nonzero mod q is nonzero, full stop.  The converse
-  does not hold, so a zero image only escalates the minor.
-* integer reduction: the determinant is expanded into an integer count
-  vector over the powers of w and reduced modulo the cyclotomic
-  polynomial, which decides zero exactly.
+Prime orders are decided by one modular engine.  Entries are pushed
+through ring homomorphisms Z[w] -> F_q, w -> root**a, with root of exact
+order p in F_q for deterministically chosen primes q = 1 (mod p):
 
-Nonzero verdicts may come from either route; zero verdicts only ever come
-from the exact reduction route (or from field elimination when column
-scales are present).  The homomorphism is sound because the subring
-Z[i, w] is isomorphic to Z[i][x] modulo the cyclotomic polynomial, which
-stays irreducible over Q(i) for odd prime orders, and the chosen q admits
-images for both i and w.
+* certificates: a determinant that is nonzero mod q is nonzero, full stop.
+  The converse does not hold, so a zero image only escalates the minor.
+* multimodular zero proofs (von zur Gathen & Gerhard, Modern Computer
+  Algebra, ch. 5): an m x m minor is sum_t c_t w**t with
+  sum_t |c_t| <= m!, and it is zero exactly when every
+  d_t = c_t - c_{p-1} (t < p-1) is zero.  If its images under all p - 1
+  embeddings a = 1..p-1 vanish mod q, then d = 0 (mod q), because the
+  Vandermonde matrix on the distinct root**a is invertible.  Vanishing
+  modulo primes whose product exceeds m! >= |d_t| therefore proves zero,
+  and a single nonzero image proves nonzero.
+
+Composite orders only occur in negative controls; their determinants are
+expanded into integer count vectors over the powers of w and reduced
+modulo the cyclotomic polynomial, which decides zero exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import (
-    CycMatrix,
-    GaussianRational,
-    det,
-    is_prime,
-    power_counts_are_zero,
-    root_power,
-)
+from .cyclo import is_prime, power_counts_are_zero
 
 # Large moduli keep spurious zero images rare (about size/q per minor), so
-# escalations to the slower exact routes stay exceptional.
+# escalations to the zero proof stay exceptional.
 _MODULUS_FLOOR = 1_000_000
 
-# Subset dynamic programming is exponential in the minor size; above this
-# the generic field elimination takes over.
+# Subset dynamic programming is exponential in the minor size.
 _DP_SIZE_LIMIT = 14
 
 
 @dataclass(frozen=True)
 class ModularContext:
-    """A prime field together with images of w and i."""
+    """A prime field together with an image of w of exact order `order`."""
 
     order: int
     modulus: int
     root: int
-    quartic: int
 
     def power_table(self) -> np.ndarray:
         return _power_table(self.order, self.modulus, self.root)
@@ -74,78 +72,92 @@ def _power_table(order: int, modulus: int, root: int) -> np.ndarray:
 def modular_context(order: int, index: int = 0) -> ModularContext:
     """Deterministic choice of the (index+1)-th usable prime field.
 
-    q runs over primes with q = 1 (mod 4 * order) starting at a fixed
-    floor; the root image is h**((q-1)/order) for the smallest h giving a
-    nontrivial image (exact multiplicative order for prime `order`), and
-    likewise a fourth root of unity for the image of i.
+    q runs over primes with q = 1 (mod order) starting at a fixed floor;
+    the root image is h**((q-1)/order) for the smallest h that gives an
+    element of exact multiplicative order `order`.
     """
-    if not is_prime(order):
-        raise ValueError("modular certificates require a prime order")
-    step = 4 * order
-    q = _MODULUS_FLOOR - (_MODULUS_FLOOR % step) + 1
+    if order < 2:
+        raise ValueError("root order must be at least 2")
+    q = _MODULUS_FLOOR - (_MODULUS_FLOOR % order) + 1
     while q < _MODULUS_FLOOR:
-        q += step
+        q += order
     found = 0
     while True:
         if is_prime(q):
             if found == index:
                 break
             found += 1
-        q += step
-    root = 0
+        q += order
+    factors = [f for f in range(2, order + 1) if order % f == 0 and is_prime(f)]
     for h in range(2, q):
-        g = pow(h, (q - 1) // order, q)
-        if g != 1:
-            root = g
-            break
-    quartic = 0
-    for h in range(2, q):
-        g = pow(h, (q - 1) // 4, q)
-        if g * g % q == q - 1:
-            quartic = g
-            break
-    return ModularContext(order=order, modulus=q, root=root, quartic=quartic)
+        root = pow(h, (q - 1) // order, q)
+        if all(pow(root, order // f, q) != 1 for f in factors):
+            return ModularContext(order=order, modulus=q, root=root)
+    raise RuntimeError(f"no element of order {order} mod {q}")
 
 
-def scales_mod(scales, ctx: ModularContext):
-    """Images of exact column scales in F_q, or None on a denominator hit."""
-    q = ctx.modulus
-    out = np.empty(len(scales), dtype=np.int64)
-    for j, s in enumerate(scales):
-        s = GaussianRational.coerce(s)
-        parts = 0
-        for frac, unit in ((s.re, 1), (s.im, ctx.quartic)):
-            den = frac.denominator % q
-            if den == 0:
-                return None
-            num = frac.numerator % q
-            parts += num * pow(den, q - 2, q) % q * unit
-        out[j] = parts % q
-    return out
-
-
-def certify_nonzero_mod(exponents: np.ndarray, ctx: ModularContext, column_scales=None) -> np.ndarray:
-    """True where the minor is certified nonzero via F_q.
+def certify_nonzero_mod(exponents: np.ndarray, ctx: ModularContext) -> np.ndarray:
+    """True where the minor's image in F_q is nonzero, which certifies it.
 
     exponents: (N, k, k) integers modulo the order.  Division-free
     elimination: rows below the pivot are replaced by piv*row - c*pivrow,
     which scales the determinant by nonzero factors mod q.  A zero pivot is
-    not swapped away; it simply withholds the certificate for that minor.
+    swapped for the first nonzero entry below it, so False means the image
+    is zero, not merely that the certificate was withheld.
     """
     q = ctx.modulus
     a = ctx.power_table()[exponents]
-    if column_scales is not None:
-        a = a * column_scales[None, None, :] % q
     n, k, _ = a.shape
     alive = np.ones(n, dtype=bool)
-    for r in range(k - 1):
-        piv = a[:, r, r]
-        alive &= piv != 0
+    for r in range(k):
+        stuck = np.nonzero(alive & (a[:, r, r] == 0))[0]
+        if stuck.size:
+            below = a[stuck, r:, r] != 0
+            found = below.any(axis=1)
+            alive[stuck[~found]] = False
+            swap = stuck[found]
+            at = r + below[found].argmax(axis=1)
+            pivot_rows = a[swap, at]
+            a[swap, at] = a[swap, r]
+            a[swap, r] = pivot_rows
+        if r == k - 1:
+            break
+        piv = a[:, r, r][:, None, None]
         coeff = a[:, r + 1 :, r][:, :, None]
-        block = a[:, r + 1 :, r:]
-        np.remainder(piv[:, None, None] * block - coeff * a[:, r : r + 1, r:], q, out=block)
-    alive &= a[:, k - 1, k - 1] != 0
+        block = a[:, r + 1 :, r + 1 :]
+        np.remainder(piv * block - coeff * a[:, r : r + 1, r + 1 :], q, out=block)
     return alive
+
+
+def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
+    """True where a prime-order minor is exactly zero (see module docstring).
+
+    exponents: (N, m, m) integers modulo the prime `order`.  The batch runs
+    through the embeddings w -> root**a one at a time, over successive
+    fields until their moduli multiply past m!; each image drops the minors
+    it proves nonzero, so work and memory shrink to the zero survivors.
+    """
+    if not is_prime(order):
+        raise ValueError("multimodular zero proofs require a prime order")
+    exponents = np.asarray(exponents, dtype=np.int64)
+    n, m = exponents.shape[:2]
+    zero = np.ones(n, dtype=bool)
+    todo = np.arange(n)
+    batch = exponents
+    bound = math.factorial(m)
+    product = 1
+    index = 0
+    while product <= bound and todo.size:
+        ctx = modular_context(order, index)
+        for a in range(1, order):
+            nonzero = certify_nonzero_mod(batch if a == 1 else batch * a % order, ctx)
+            zero[todo[nonzero]] = False
+            todo, batch = todo[~nonzero], batch[~nonzero]
+            if todo.size == 0:
+                break
+        product *= ctx.modulus
+        index += 1
+    return zero
 
 
 def det_power_counts(exponents: np.ndarray, order: int) -> np.ndarray:
@@ -183,71 +195,28 @@ def det_power_counts(exponents: np.ndarray, order: int) -> np.ndarray:
     return prev[tuple(range(k))]
 
 
-def _det_scaled_exact(expmat: np.ndarray, order: int, column_scales) -> bool:
-    """Nonzero test via field elimination with the scales multiplied in."""
-    k = expmat.shape[0]
-    rows = []
-    for i in range(k):
-        rows.append([root_power(int(expmat[i, j]), order) * GaussianRational.coerce(column_scales[j]) for j in range(k)])
-    return not det(CycMatrix.from_rows(rows)).is_zero
-
-
 def decide_nonzero(
-    exponents: np.ndarray,
-    order: int,
-    column_scales=None,
-    stats: dict | None = None,
+    exponents: np.ndarray, order: int, stats: dict | None = None
 ) -> np.ndarray:
     """Exact nonzero verdicts for a batch of minors.
 
-    exponents: (N, k, k) integers modulo `order`; column_scales: optional
-    exact per-column constants shared by the whole batch.  Chains two
-    modular certificates and settles survivors with the exact reduction
-    route (or field elimination when scales are present).  Every returned
-    verdict is exact.
+    exponents: (N, k, k) integers modulo `order`.  Prime orders are decided
+    by the multimodular zero proof, whose first image settles almost every
+    nonzero minor; composite orders use the integer reduction route.
+    Column scales are not taken: nonzero scales cannot change a verdict.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     n = exponents.shape[0]
-    verdict = np.zeros(n, dtype=bool)
     if n == 0:
-        return verdict
-    todo = np.arange(n)
+        return np.zeros(0, dtype=bool)
     if is_prime(order):
-        for index in (0, 1):
-            ctx = modular_context(order, index)
-            smod = None
-            if column_scales is not None:
-                smod = scales_mod(column_scales, ctx)
-                if smod is None:
-                    continue
-            ok = certify_nonzero_mod(exponents[todo], ctx, smod)
-            if stats is not None:
-                stats["modular"] = stats.get("modular", 0) + int(ok.sum())
-            verdict[todo[ok]] = True
-            todo = todo[~ok]
-            if todo.size == 0:
-                return verdict
-    elif column_scales is not None:
-        raise ValueError("composite orders with column scales are not supported")
-    if column_scales is None:
-        k = exponents.shape[1]
-        if k <= _DP_SIZE_LIMIT:
-            counts = det_power_counts(exponents[todo], order)
-            nonzero = ~power_counts_are_zero(counts, order)
-            if stats is not None:
-                stats["reduction"] = stats.get("reduction", 0) + int(todo.size)
-            verdict[todo] = nonzero
-            return verdict
-        column_scales = [GaussianRational(1)] * exponents.shape[1]
-    settled = np.fromiter(
-        (_det_scaled_exact(exponents[t], order, column_scales) for t in todo),
-        dtype=bool,
-        count=todo.size,
-    )
+        method, zero = "modular", multimodular_zero(exponents, order)
+    else:
+        method = "reduction"
+        zero = power_counts_are_zero(det_power_counts(exponents, order), order)
     if stats is not None:
-        stats["elimination"] = stats.get("elimination", 0) + int(todo.size)
-    verdict[todo] = settled
-    return verdict
+        stats[method] = stats.get(method, 0) + n
+    return ~zero
 
 
 def iter_index_combinations(n: int, size: int, chunk: int):

@@ -87,6 +87,8 @@ class FlatMatrix:
     the given prime root order; exponents are the exact content, the
     complex view is derived.  column_flat_indices embeds each column into
     the full-family flat index space (absent parties sit at level 0).
+    Column scales must be nonzero, so they never change a rank or the
+    zero-ness of a minor.
     """
 
     root_order: int
@@ -100,6 +102,8 @@ class FlatMatrix:
         exps = np.ascontiguousarray(np.asarray(self.exponents, dtype=np.int64))
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
+        if self.column_scales is not None and any(s == 0 for s in self.column_scales):
+            raise ValueError("column scales must be nonzero")
 
     @property
     def num_vectors(self) -> int:

@@ -1,3 +1,4 @@
+import pytest
 import hypothesis
 
 hypothesis.settings.register_profile(
@@ -7,3 +8,19 @@ hypothesis.settings.register_profile(
     derandomize=False,
 )
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture
+def small_fields(monkeypatch):
+    """Modular fields of size about 100, where spurious zero images and
+    spurious modular rank drops are common instead of one in a million."""
+    from gesforge import minors
+
+    def clear():
+        minors.modular_context.cache_clear()
+        minors._power_table.cache_clear()
+
+    monkeypatch.setattr(minors, "_MODULUS_FLOOR", 100)
+    clear()
+    yield
+    clear()

@@ -236,3 +236,26 @@ def test_verify_reruns_reproduce_verdict(tmp_path):
     b = read_json(tmp_path / "b.json")
     assert a["numeric"] == b["numeric"]
     assert a["exact"]["passed"] == b["exact"]["passed"]
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+def test_exact_proof_decides_below_numeric_threshold(tmp_path, capsys, command):
+    # three qutrits at eleven vectors: the exact stage proves the family,
+    # while the numeric minimum (about 2e-12) sits below the 1e-6 threshold
+    code = run([command, "--n", "3", "--d", "3", "--k", "11", "--out", "r.json"], tmp_path)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "verdict: certified" in out
+    assert "below threshold (tight)" in out
+    doc = read_json(tmp_path / "r.json")
+    assert doc["passed"] is True
+    assert doc["exact"]["passed"] is True
+    assert doc["numeric"]["passed"] is False
+
+
+def test_float_scales_keep_the_numeric_gate(tmp_path, capsys):
+    h = [[[1.0, 0.0], [0.5, 0.5]], ["1", "1"], ["1", "1"]]
+    (tmp_path / "h.json").write_text(json.dumps(h))
+    argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json", "--out", "r.json"]
+    assert run(argv + ["--threshold", "10"], tmp_path) == EXIT_FAILED
+    assert "-> FAIL" in capsys.readouterr().out
+    assert read_json(tmp_path / "r.json")["passed"] is False

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesforge import cyclo, minors
 from gesforge.construct import ConstructionParams, exponent_table, make_params
 from gesforge.cyclo import GaussianRational
 from gesforge.exactverify import (
+    _check_zero_images,
+    _modular_echelon,
     chebotarev_scan,
     rank_full,
     spanning_property,
     verify_all_bipartitions,
 )
-from gesforge.partition import Bipartition, coefficient_matrix, factor_matrices
+from gesforge.partition import Bipartition, FlatMatrix, coefficient_matrix, factor_matrices
 
 
 def duplicated_table(params):
@@ -40,7 +43,7 @@ def test_rank_deficiency_settled_exactly():
     ok, rank, method = rank_full(flat)
     assert not ok
     assert rank == 4
-    assert method == "elimination"
+    assert method == "bordered"
 
 
 def test_rank_full_with_exact_scales():
@@ -52,6 +55,65 @@ def test_rank_full_with_exact_scales():
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
     ok, rank, _ = rank_full(coefficient_matrix(p))
     assert ok and rank == 5
+
+
+def test_rank_full_matches_field_elimination_past_size_fourteen():
+    # rank 14 needs bordered minors of size 15, past the subset expansion limit
+    p = make_params(dims=(2, 2, 2, 2), num_vectors=15)
+    table = [[list(loc) for loc in row] for row in exponent_table(p)]
+    table[14] = [list(loc) for loc in table[0]]
+    flat = coefficient_matrix(p, table)
+    assert rank_full(flat) == (False, 14, "bordered")
+    assert cyclo.rank(flat.to_cyc_matrix()) == 14
+
+
+def test_rank_full_matches_field_elimination_on_scaled_tampered_table():
+    scales = (
+        (GaussianRational(Fraction(-3, 2)), GaussianRational(Fraction(2, 3), 1)),
+        (GaussianRational(0, Fraction(1, 7)), GaussianRational(5)),
+        (GaussianRational(1, -1), GaussianRational(Fraction(4, 9))),
+    )
+    p = make_params(n=3, d=2, num_vectors=5, scales=scales)
+    flat = coefficient_matrix(p, duplicated_table(p))
+    ok, rank, method = rank_full(flat)
+    assert (ok, method) == (False, "bordered")
+    assert rank == cyclo.rank(flat.to_cyc_matrix()) == 4
+
+
+def test_rank_full_retries_after_spurious_rank_drops(small_fields):
+    # square tables whose determinant is nonzero but vanishes mod the first
+    # field, found by the integer reduction, plus a sample of the rest
+    order = 7
+    ctx = minors.modular_context(order, 0)
+    assert ctx.modulus < 200
+    rng = np.random.default_rng(2)
+    exps = rng.integers(0, order, size=(2000, 4, 4))
+    exps[1::3, 3] = (exps[1::3, 0] + 3) % order
+    nonzero = ~cyclo.power_counts_are_zero(minors.det_power_counts(exps, order), order)
+    drops = [
+        t for t in np.nonzero(nonzero)[0]
+        if len(_modular_echelon(ctx.power_table()[exps[t]], ctx.modulus)[0]) < 4
+    ]
+    assert drops, "no modular image lost rank; the retry loop did not run"
+    for t in drops + list(range(0, 2000, 97)):
+        flat = FlatMatrix(order, (0,), (4,), exps[t], tuple(range(4)))
+        exact = cyclo.rank(flat.to_cyc_matrix())
+        assert rank_full(flat)[:2] == (exact == 4, exact)
+
+
+def test_modular_echelon_pivot_block_is_nonsingular():
+    q = 101
+    values = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 5]])
+    rows, cols = _modular_echelon(values, q)
+    assert len(rows) == len(cols) == 2
+    block = values[np.ix_(rows, cols)] % q
+    assert (block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]) % q
+
+
+def test_flat_matrix_rejects_zero_scale():
+    with pytest.raises(ValueError, match="nonzero"):
+        scales = (GaussianRational(1), GaussianRational(0))
+        FlatMatrix(5, (0,), (2,), np.zeros((1, 2)), (0, 1), scales)
 
 
 # -- spanning -----------------------------------------------------------------
@@ -237,6 +299,15 @@ def test_scan_counts_all_minors():
 
     scan = chebotarev_scan(5, 3)
     assert scan.checked == {1: 25, 2: comb(5, 2) ** 2, 3: comb(5, 3) ** 2}
+
+
+def test_scan_zero_claims_are_checked_in_a_prime_field():
+    # w**0 - w**6 = 2 is not zero for order 12; a claim that it is must raise
+    counts = np.zeros((2, 12), dtype=np.int64)
+    counts[1, 0], counts[1, 6] = 1, -1
+    _check_zero_images(counts[:1], 12)
+    with pytest.raises(RuntimeError, match="image mod"):
+        _check_zero_images(counts, 12)
 
 
 def test_scan_rejects_tiny_order():

@@ -1,7 +1,8 @@
-"""Batched exact minor engines: modular certificates, subset expansion,
-field elimination, and their mutual agreement."""
+"""Batched exact minor engines: modular certificates, multimodular zero
+proofs, subset expansion, and their agreement with field elimination."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,10 @@ from gesforge.minors import (
     det_power_counts,
     iter_index_combinations,
     modular_context,
-    scales_mod,
+    multimodular_zero,
 )
+
+from .oracles import det_permutation_sum
 
 
 def exact_nonzero(expmat, order, scales=None):
@@ -48,10 +51,9 @@ def exact_nonzero(expmat, order, scales=None):
 def test_modular_context_structure(order):
     ctx = modular_context(order, 0)
     assert ctx.modulus > 1_000_000
-    assert (ctx.modulus - 1) % (4 * order) == 0
+    assert (ctx.modulus - 1) % order == 0
     assert pow(ctx.root, order, ctx.modulus) == 1
     assert pow(ctx.root, 1, ctx.modulus) != 1 or order == 1
-    assert pow(ctx.quartic, 2, ctx.modulus) == ctx.modulus - 1
     # deterministic: same call, same context
     assert modular_context(order, 0) is ctx
     assert modular_context(order, 1).modulus != ctx.modulus
@@ -65,12 +67,12 @@ def test_power_table_cycles():
     assert table[1] * table[4] % ctx.modulus == 1
 
 
-def test_scales_mod_gaussian():
-    ctx = modular_context(5, 0)
+def test_modular_context_composite_root_has_exact_order():
+    ctx = modular_context(12, 0)
     q = ctx.modulus
-    vals = scales_mod([GaussianRational(Fraction(3, 4), Fraction(-1, 2))], ctx)
-    expected = (3 * pow(4, q - 2, q) - pow(2, q - 2, q) * ctx.quartic) % q
-    assert vals[0] == expected
+    assert (q - 1) % 12 == 0
+    assert pow(ctx.root, 12, q) == 1
+    assert pow(ctx.root, 6, q) != 1 and pow(ctx.root, 4, q) != 1
 
 
 # -- modular certificates ----------------------------------------------------
@@ -82,6 +84,13 @@ def test_certify_fourier_minors_nonzero():
     exps = rows[:, :, None] * rows[:, None, :] % p  # symmetric 3x3 minors
     ctx = modular_context(p, 0)
     assert certify_nonzero_mod(exps, ctx).all()
+
+
+def test_certificate_survives_a_zero_pivot():
+    # the first elimination step zeroes the (1, 1) entry; a row swap finds
+    # the pivot below it, and the determinant -(w - 1)**2 is nonzero
+    exps = np.array([[[0, 0, 0], [0, 0, 1], [0, 1, 0]]], dtype=np.int64)
+    assert certify_nonzero_mod(exps, modular_context(5, 0)).all()
 
 
 def test_certificate_withheld_for_singular():
@@ -173,11 +182,9 @@ def test_scaling_preserves_verdicts(ss):
     order = 5
     rng = np.random.default_rng(3)
     exps = rng.integers(0, order, size=(6, 3, 3))
-    plain = decide_nonzero(exps, order)
-    scaled = decide_nonzero(exps, order, column_scales=scales)
-    np.testing.assert_array_equal(plain, scaled)
+    verdicts = decide_nonzero(exps, order)
     for t in range(exps.shape[0]):
-        assert scaled[t] == exact_nonzero(exps[t], order, scales)
+        assert verdicts[t] == exact_nonzero(exps[t], order, scales)
 
 
 def test_decide_nonzero_detects_exact_zeros():
@@ -193,8 +200,6 @@ def test_decide_nonzero_composite_order():
     cols = np.array([0, 2])
     exps = (rows[:, None] * cols[None, :] % 4)[None, :, :]
     assert not decide_nonzero(exps, 4)[0]
-    with pytest.raises(ValueError):
-        decide_nonzero(exps, 4, column_scales=[GaussianRational(1), GaussianRational(2)])
 
 
 def test_decide_nonzero_stats_accounting():
@@ -221,3 +226,96 @@ def test_iter_index_combinations_matches_itertools():
 
 def test_iter_index_combinations_empty():
     assert list(iter_index_combinations(3, 4, chunk=10)) == []
+
+
+# -- multimodular zero proofs ------------------------------------------------
+
+
+def test_zero_proof_beyond_subset_expansion():
+    # 16 x 16 minors of the order-17 Fourier matrix: one intact, one with a
+    # repeated row; both are past the size limit of the subset expansion
+    p = 17
+    fourier = np.outer(np.arange(16), np.arange(1, 17)) % p
+    singular = fourier.copy()
+    singular[9] = singular[4]
+    exps = np.stack([fourier, singular])
+    assert math.factorial(16) > modular_context(p, 0).modulus
+    np.testing.assert_array_equal(multimodular_zero(exps, p), [False, True])
+    np.testing.assert_array_equal(decide_nonzero(exps, p), [True, False])
+
+
+def test_zero_proof_rejects_composite_order():
+    with pytest.raises(ValueError, match="prime order"):
+        multimodular_zero(np.zeros((1, 2, 2), dtype=np.int64), 6)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.sampled_from((2, 3, 5, 7, 11)),
+            st.lists(
+                st.lists(st.integers(0, 10), min_size=k, max_size=k), min_size=k, max_size=k
+            ),
+            st.sampled_from(("none", "row", "column")),
+            st.integers(0, k - 1),
+            st.integers(0, k - 1),
+            st.integers(0, 10),
+        )
+    )
+)
+@settings(max_examples=60)
+def test_zero_proof_matches_reduction_on_planted_zeros(case):
+    order, rows, plant, src, dst, shift = case
+    exps = np.array(rows, dtype=np.int64) % order
+    planted = plant != "none" and src != dst
+    # a row (column) equal to another one times w**shift makes the minor zero
+    if planted and plant == "row":
+        exps[dst] = (exps[src] + shift) % order
+    if planted and plant == "column":
+        exps[:, dst] = (exps[:, src] + shift) % order
+    expected = power_counts_are_zero(det_power_counts(exps[None], order), order)[0]
+    assert multimodular_zero(exps[None], order)[0] == expected
+    assert expected or not planted
+
+
+# -- rare paths, made common by fields of size about 100 ---------------------
+
+
+def det_mod(values, q):
+    """Leibniz determinant of an integer matrix, reduced mod q."""
+    return det_permutation_sum([[int(v) for v in row] for row in values]) % q
+
+
+def test_small_fields_make_spurious_zero_images(small_fields):
+    order = 7
+    ctx = modular_context(order, 0)
+    assert ctx.modulus < 200
+    rng = np.random.default_rng(5)
+    exps = rng.integers(0, order, size=(600, 4, 4))
+    verdicts = decide_nonzero(exps, order)
+    reduction = ~power_counts_are_zero(det_power_counts(exps, order), order)
+    np.testing.assert_array_equal(verdicts, reduction)
+    table = ctx.power_table()
+    image_zero = np.array([det_mod(table[e], ctx.modulus) == 0 for e in exps])
+    # with row pivoting, a withheld certificate means a zero image
+    np.testing.assert_array_equal(certify_nonzero_mod(exps, ctx), ~image_zero)
+    spurious = list(np.nonzero(reduction & image_zero)[0])
+    assert spurious, "no nonzero minor vanished mod q; the escalation path did not run"
+    for t in spurious + list(range(0, 600, 60)):
+        assert verdicts[t] == exact_nonzero(exps[t], order)
+
+
+def test_small_fields_need_several_primes(small_fields):
+    # 5! = 120 exceeds the first modulus (101), so a zero proof of a 5 x 5
+    # minor has to vanish under every embedding modulo two primes
+    order = 5
+    assert math.factorial(5) > modular_context(order, 0).modulus
+    rng = np.random.default_rng(8)
+    exps = rng.integers(0, order, size=(200, 5, 5))
+    exps[::2, 4] = (exps[::2, 0] + 2) % order
+    zero = multimodular_zero(exps, order)
+    expected = power_counts_are_zero(det_power_counts(exps, order), order)
+    np.testing.assert_array_equal(zero, expected)
+    assert zero[::2].all() and not zero[1::2].all()
+    for t in range(0, 200, 37):
+        assert decide_nonzero(exps[t : t + 1], order)[0] == exact_nonzero(exps[t], order)
