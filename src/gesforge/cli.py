@@ -24,7 +24,8 @@ from .construct import (
     vectors_to_doc,
     SCHEMA_VERSION,
 )
-from .exactverify import chebotarev_scan, verify_all_bipartitions
+from .exactverify import chebotarev_scan, rank_full, verify_all_bipartitions
+from .partition import coefficient_matrix
 from .numcert import OptimizerOptions, certify_ges_numeric, ges_basis
 from .construct import build_nupb, exponent_table
 
@@ -160,14 +161,10 @@ def _summary_lines(params: ConstructionParams) -> list[str]:
 def _verdict(exact, numeric) -> tuple[bool, str]:
     """(certified, numeric summary line) for one family.
 
-    An exact stage that ran is a proof and decides alone; the numeric
-    minimum is then only a margin, an upper bound on the true minimum found
-    by search.  When the exact stage is skipped (floating scales) the
-    numeric threshold is the gate.
+    The exact stage is a proof and decides alone; the numeric minimum is
+    only a margin, an upper bound on the true minimum found by search.
     """
     value = f"min biproduct value {numeric.min_value:.3e} (threshold {numeric.threshold:.1e})"
-    if exact.skipped:
-        return bool(numeric.passed), f"numeric: {value} -> {'pass' if numeric.passed else 'FAIL'}"
     tight = "" if numeric.passed else ", below threshold (tight)"
     return bool(exact.passed), f"numeric margin: {value}{tight}"
 
@@ -205,17 +202,14 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_json(args.out, doc)
     print(f"provenance: {provenance}")
-    if exact.skipped:
-        print(f"exact: skipped ({exact.skip_reason})")
-    else:
-        print(f"exact: rank {exact.matrix_rank}/{exact.num_vectors}, " +
-              ("all cuts span" if exact.passed else "FAILED"))
-        if not exact.passed:
-            for cut in exact.bipartitions:
-                if not cut.ok:
-                    print(f"  cut {cut.members}|{cut.complement}: "
-                          + ("count below requirement" if not cut.count_ok else
-                             f"witness {(cut.left.witness if cut.left and not cut.left.ok else cut.right.witness)}"))
+    print(f"exact: rank {exact.matrix_rank}/{exact.num_vectors}, " +
+          ("all cuts span" if exact.passed else "FAILED"))
+    if not exact.passed:
+        for cut in exact.bipartitions:
+            if not cut.ok:
+                print(f"  cut {cut.members}|{cut.complement}: "
+                      + ("count below requirement" if not cut.count_ok else
+                         f"witness {(cut.left.witness if cut.left and not cut.left.ok else cut.right.witness)}"))
     print(numeric_line)
     print(f"verdict: {'certified' if passed else 'not certified'}")
     return EXIT_OK if passed else EXIT_FAILED
@@ -259,13 +253,7 @@ def cmd_basis(args) -> int:
         raise InputError("--in is required")
     params, table, provenance = _family_from_args(args)
     vectors = build_nupb(params, table)
-    exact_rank = None
-    if params.scales_exact:
-        from .exactverify import rank_full
-        from .partition import coefficient_matrix
-
-        ok, rank, _ = rank_full(coefficient_matrix(params, table))
-        exact_rank = rank
+    _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
     basis = ges_basis(vectors, exact_rank=exact_rank)
     doc = {
         "schema": "gesforge/basis",
@@ -291,8 +279,7 @@ def cmd_report(args) -> int:
     exact = verify_all_bipartitions(params, table)
     vectors = build_nupb(params, table)
     numeric = certify_ges_numeric(vectors, options)
-    exact_rank = exact.matrix_rank if not exact.skipped else None
-    basis = ges_basis(vectors, exact_rank=exact_rank) if exact_rank is not None else None
+    basis = ges_basis(vectors, exact_rank=exact.matrix_rank)
     passed, numeric_line = _verdict(exact, numeric)
     doc = {
         "schema": "gesforge/full-report",
@@ -301,7 +288,7 @@ def cmd_report(args) -> int:
         "vectors": vectors_doc,
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),
-        "basis": basis.to_doc() if basis is not None else None,
+        "basis": basis.to_doc(),
         "passed": passed,
     }
     out = args.out or "report.json"

@@ -180,6 +180,8 @@ def validate_params(params: ConstructionParams) -> list[str]:
                     if isinstance(value, GaussianRational):
                         if value.is_zero:
                             problems.append(f"scale for party {m} level {s} is zero")
+                    elif not cmath.isfinite(value):
+                        problems.append(f"scale for party {m} level {s} is not finite")
                     elif value == 0:
                         problems.append(f"scale for party {m} level {s} is zero")
     return problems

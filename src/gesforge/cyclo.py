@@ -9,10 +9,9 @@ coefficient ring lets column scale factors with rational real/imaginary
 parts live in the same field as the roots of unity.
 
 Composite orders are not field elements here and only occur in negative
-controls.  For those, an integer count vector over the powers of
-exp(2*pi*1j/n) is reduced exactly modulo the n-th cyclotomic polynomial
-(`power_counts_are_zero`), optionally cross-checked at high precision
-(`power_counts_value`).
+controls.  For any order n, `power_reduction_matrix` reduces the powers of
+exp(2*pi*1j/n) modulo the n-th cyclotomic polynomial; the multimodular
+zero proofs of `minors` take their coefficient bound from it.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "is_prime",
     "cyclotomic_polynomial",
     "power_reduction_matrix",
-    "power_counts_are_zero",
-    "power_counts_value",
 ]
 
 
@@ -484,23 +481,3 @@ def power_reduction_matrix(n: int) -> np.ndarray:
     out.setflags(write=False)
     return out
 
-
-def power_counts_are_zero(counts: np.ndarray, order: int) -> np.ndarray:
-    """Exact zero test for integer combinations sum_t counts[..., t] * w**t."""
-    counts = np.asarray(counts, dtype=np.int64)
-    reduced = counts @ power_reduction_matrix(order)
-    return (reduced == 0).all(axis=-1)
-
-
-def power_counts_value(counts, order: int, dps: int = 50):
-    """High-precision complex value of sum_t counts[t] * exp(2*pi*1j*t/order)."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        w = mpmath.exp(2j * mpmath.pi / order)
-        total = mpmath.mpc(0)
-        for t, c in enumerate(counts):
-            c = int(c)
-            if c:
-                total += c * w**t
-        return total

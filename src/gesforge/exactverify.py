@@ -5,16 +5,20 @@ exhaustive enumeration: every subset of rows of the side's dimension must
 have full rank.  No structural theorem is assumed on the way in; the
 matrices are checked as given, so user-supplied exponent tables and scaled
 columns get the same treatment as the standard recipe.  All verdicts are
-exact; floating point never participates (floating scales route the whole
-exact stage into a recorded skip).  Nonzero column scales change neither a
-rank nor a minor's zero-ness, so the exact verdicts read the exponent
-table alone.
+exact; floating point never participates.  Nonzero column scales, exact or
+floating, change neither a rank nor a minor's zero-ness, so the exact
+verdicts read the exponent table alone.
 
 Rank deficiency is proved without field elimination: a modular echelon
 form names pivot rows P and columns C with M[P, C] nonsingular, and the
 rank is exactly |P| when every bordered minor M[P + i, C + j] is proven
 zero by the multimodular test of `minors`, because those minors are the
 entries of the Schur complement of M[P, C] up to its nonzero determinant.
+
+The Fourier-minor scan (`chebotarev_scan`) takes every minor's image mod q
+from one depth-first Laplace expansion over row sets, and escalates only
+the zero images to the same multimodular proof, for prime and composite
+orders alike.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import cyclo, minors
 from .construct import ConstructionParams, validate_exponent_table, validate_params
-from .cyclo import CycMatrix, is_prime, power_counts_are_zero, power_counts_value
+from .cyclo import CycMatrix, is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
@@ -133,18 +137,17 @@ class ExactReport:
     num_vectors: int
     root_order: int
     scales_exact: bool
-    skipped: bool = False
-    skip_reason: str | None = None
     matrix_rank: int | None = None
     full_rank: bool | None = None
     rank_method: str | None = None
     bipartitions: list = field(default_factory=list)
     elapsed: float = 0.0
+    # the exact stage always runs; these stay in the report schema
+    skipped = False
+    skip_reason = None
 
     @property
-    def passed(self) -> bool | None:
-        if self.skipped:
-            return None
+    def passed(self) -> bool:
         return bool(self.full_rank) and all(b.ok for b in self.bipartitions)
 
     def to_doc(self) -> dict:
@@ -201,8 +204,6 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     every bordered minor is proven zero ("bordered"); a nonzero bordered
     minor means the image lost rank, and the next prime field is tried.
     """
-    if not flat.scales_exact:
-        raise ValueError("exact rank needs exact column scales")
     order = flat.root_order
     if not is_prime(order):
         raise ValueError(f"exact rank needs a prime root order, got {order}")
@@ -227,8 +228,6 @@ def _spanning_flat(flat: FlatMatrix, chunk: int) -> SpanningCheck:
         raise ValueError(
             f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
         )
-    if not flat.scales_exact:
-        raise ValueError("exact spanning needs exact column scales")
     total = math.comb(k, dim)
     methods: dict = {}
     witness = None
@@ -310,13 +309,6 @@ def verify_all_bipartitions(
         root_order=params.root_order,
         scales_exact=params.scales_exact,
     )
-    if not params.scales_exact:
-        report.skipped = True
-        report.skip_reason = (
-            "column scales are floating point; exact verification needs exact scales"
-        )
-        report.elapsed = time.perf_counter() - start
-        return report
     flat = coefficient_matrix(params, table)
     ok, r, method = rank_full(flat)
     report.matrix_rank = r
@@ -344,75 +336,118 @@ def verify_all_bipartitions(
     return report
 
 
-def _check_zero_images(counts: np.ndarray, order: int) -> None:
-    """Raise unless each count vector vanishes at every primitive root mod q.
+def _lex_keys(combos: np.ndarray, order: int) -> np.ndarray:
+    """Integer keys that sort equal-size index tuples in lexicographic order."""
+    return combos @ order ** np.arange(combos.shape[1] - 1, -1, -1, dtype=np.int64)
 
-    A ring map Z[w] -> F_q may send w to any primitive order-th root of
-    unity, so an exactly zero sum_t counts[t] * w**t has only zero images.
-    """
-    ctx = minors.modular_context(order)
-    q = ctx.modulus
-    units = [a for a in range(1, order) if math.gcd(a, order) == 1]
-    powers = ctx.power_table()[np.outer(np.arange(order), units) % order]
-    images = (counts % q) @ powers % q
-    if images.any():
-        bad = int(np.nonzero(images.any(axis=1))[0][0])
-        raise RuntimeError(
-            f"reduction claims zero but the image mod {q} is nonzero "
-            f"for counts {counts[bad].tolist()}"
-        )
+
+def _check_witness(rows, cols, order: int) -> None:
+    """Raise unless the minor is below 1e-30 at 50 digits (an independent check)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w = mpmath.exp(2j * mpmath.pi / order)
+        value = mpmath.det(mpmath.matrix([[w ** (r * c % order) for c in cols] for r in rows]))
+        if abs(value) > 1e-30:
+            raise RuntimeError(
+                f"minor rows {rows} cols {cols} proved zero but its value is {value}"
+            )
 
 
 def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> ChebotarevScan:
-    """Enumerate all square minors of the order-p Fourier matrix up to a size.
+    """Enumerate all square minors of the order-n Fourier matrix up to a size.
 
     For prime order the expected witness list is empty (total
-    nonsingularity); composite orders surface exactly-zero minors.  Every
-    zero claimed for a composite order is cross-checked in a prime field,
-    and every recorded witness also at high precision.
+    nonsingularity); composite orders surface exactly-zero minors.
+
+    One depth-first Laplace pass mod q visits the row sets R in
+    lexicographic order and keeps the images det F[R, C] mod q over every
+    column set C with |C| = |R|.  Each child R + x (x > max R) takes its
+    images from the parent's by expansion along the new row, so a minor
+    costs |C| multiply-adds, and memory stays near max_size * n *
+    C(n, max_size) residues.  A nonzero image proves a minor nonzero; the
+    zero images, per size and in lexicographic order, escalate in batches
+    of at most `chunk` to the multimodular zero proof of `minors`, which
+    clears spurious ones.  Every recorded witness is re-evaluated with
+    mpmath at 50 digits and must fall below 1e-30.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     requested = max_size
     max_size = min(max_size, order)
-    prime = is_prime(order)
     start = time.perf_counter()
-    checked = {}
-    witnesses = []
+    ctx = minors.modular_context(order)
+    q = ctx.modulus
+    fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
+    combos = [
+        np.array(list(itertools.combinations(range(order), s)), dtype=np.int64)
+        .reshape(math.comb(order, s), s)
+        for s in range(max_size + 1)
+    ]
+    keys = [_lex_keys(c, order) for c in combos]
+    # per size and expansion position: the parent's image index of C minus
+    # its pos-th column, and the signed entries F[x, C[pos]] for every row x
+    drops, entries = [None], [None]
+    for s in range(1, max_size + 1):
+        drops.append([
+            np.searchsorted(keys[s - 1], _lex_keys(np.delete(combos[s], pos, axis=1), order))
+            for pos in range(s)
+        ])
+        entries.append([
+            fourier[:, combos[s][:, pos]] if (s - 1 + pos) % 2 == 0
+            else q - fourier[:, combos[s][:, pos]]
+            for pos in range(s)
+        ])
+    checked = {s: len(combos[s]) ** 2 for s in range(1, max_size + 1)}
+    pending = {s: [] for s in checked}
+    waiting = dict.fromkeys(checked, 0)
+    zeros = {s: [] for s in checked}
     zero_total = 0
-    for size in range(1, max_size + 1):
-        combos = np.array(list(itertools.combinations(range(order), size)), dtype=np.int64)
-        n_combo = combos.shape[0]
-        checked[size] = n_combo * n_combo
-        block_rows = max(1, chunk // max(1, n_combo))
-        for lo in range(0, n_combo, block_rows):
-            rows = combos[lo : lo + block_rows]
-            exps = rows[:, None, :, None] * combos[None, :, None, :] % order
-            exps = exps.reshape(-1, size, size)
-            if prime:
-                verdicts = minors.decide_nonzero(exps, order)
-                zero_idx = np.nonzero(~verdicts)[0]
-            else:
-                counts = minors.det_power_counts(exps, order)
-                zero_idx = np.nonzero(power_counts_are_zero(counts, order))[0]
-                _check_zero_images(counts[zero_idx], order)
-            zero_total += zero_idx.size
-            for t in zero_idx[: _WITNESS_CAP - len(witnesses)]:
-                if not prime:
-                    value = power_counts_value(counts[t], order)
-                    if abs(value) > 1e-30:
-                        raise RuntimeError(
-                            f"reduction claims zero but high-precision value is {value}"
-                        )
-                b, c = divmod(int(t), n_combo)
-                witnesses.append(
-                    (tuple(int(x) for x in rows[b]), tuple(int(x) for x in combos[c]))
-                )
+
+    def escalate(size: int) -> None:
+        nonlocal zero_total
+        rows = np.concatenate([r for r, _ in pending[size]])
+        cols = np.concatenate([c for _, c in pending[size]])
+        pending[size].clear()
+        waiting[size] = 0
+        for lo in range(0, len(rows), chunk):
+            r, c = rows[lo : lo + chunk], cols[lo : lo + chunk]
+            zero = minors.multimodular_zero(r[:, :, None] * c[:, None, :] % order, order)
+            zero_total += int(zero.sum())
+            keep = _WITNESS_CAP - len(zeros[size])
+            zeros[size].extend(zip(r[zero][:keep].tolist(), c[zero][:keep].tolist()))
+
+    def expand(rows: tuple, images: np.ndarray) -> None:
+        size = len(rows) + 1
+        first = rows[-1] + 1 if rows else 0
+        acc = sum(e[first:] * images[d] for e, d in zip(entries[size], drops[size])) % q
+        xs, cs = np.nonzero(acc == 0)
+        if xs.size:
+            block = np.empty((xs.size, size), dtype=np.int64)
+            block[:, :-1] = rows
+            block[:, -1] = xs + first
+            pending[size].append((block, combos[size][cs]))
+            waiting[size] += xs.size
+            if waiting[size] >= chunk:
+                escalate(size)
+        if size < max_size:
+            for x in range(first, order - 1):
+                expand(rows + (x,), acc[x - first])
+
+    expand((), np.ones(1, dtype=np.int64))
+    for size in checked:
+        if pending[size]:
+            escalate(size)
+    witnesses = [
+        (tuple(rows), tuple(cols)) for size in checked for rows, cols in zeros[size]
+    ][:_WITNESS_CAP]
+    for rows, cols in witnesses:
+        _check_witness(rows, cols, order)
     return ChebotarevScan(
         order=order,
         max_size=max_size,
         requested_size=requested,
-        prime=prime,
+        prime=is_prime(order),
         checked=checked,
         witnesses=witnesses,
         zero_count=zero_total,

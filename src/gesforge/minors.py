@@ -1,29 +1,29 @@
 """Batched exact zero and nonzero tests for minors of root-power matrices.
 
 Every matrix handled here has entries of the form scale_j * w**e[i, j]
-where w is a root of unity of a fixed order and scale_j is a nonzero
-per-column constant.  A nonzero column scale multiplies each minor by a
-nonzero factor, so every verdict depends on the exponents alone and the
-scales are ignored.
+where w is a primitive root of unity of a fixed order n and scale_j is a
+nonzero per-column constant.  A nonzero column scale multiplies each minor
+by a nonzero factor, so every verdict depends on the exponents alone and
+the scales are ignored.
 
-Prime orders are decided by one modular engine.  Entries are pushed
-through ring homomorphisms Z[w] -> F_q, w -> root**a, with root of exact
-order p in F_q for deterministically chosen primes q = 1 (mod p):
+Every order, prime or composite, is decided by one modular engine.  Entries
+are pushed through ring homomorphisms Z[w] -> F_q, w -> root**a, with root
+of exact order n in F_q for deterministically chosen primes q = 1 (mod n)
+and a running over the phi(n) units mod n:
 
 * certificates: a determinant that is nonzero mod q is nonzero, full stop.
   The converse does not hold, so a zero image only escalates the minor.
 * multimodular zero proofs (von zur Gathen & Gerhard, Modern Computer
   Algebra, ch. 5): an m x m minor is sum_t c_t w**t with
-  sum_t |c_t| <= m!, and it is zero exactly when every
-  d_t = c_t - c_{p-1} (t < p-1) is zero.  If its images under all p - 1
-  embeddings a = 1..p-1 vanish mod q, then d = 0 (mod q), because the
-  Vandermonde matrix on the distinct root**a is invertible.  Vanishing
-  modulo primes whose product exceeds m! >= |d_t| therefore proves zero,
-  and a single nonzero image proves nonzero.
-
-Composite orders only occur in negative controls; their determinants are
-expanded into integer count vectors over the powers of w and reduced
-modulo the cyclotomic polynomial, which decides zero exactly.
+  sum_t |c_t| <= m!.  Reduced modulo the cyclotomic polynomial Phi_n it
+  is sum_i r_i w**i (i < phi(n)) with |r_i| <= m! * max|R|, R the
+  reduction matrix of `cyclo.power_reduction_matrix`, and it is zero
+  exactly when r = 0.  Phi_n splits into the distinct linear factors
+  x - root**a mod q, so if the images under all phi(n) embeddings vanish,
+  then r = 0 (mod q) by the invertible Vandermonde matrix on the root**a.
+  Vanishing modulo primes whose product exceeds m! * max|R| therefore
+  proves zero, and a single nonzero image proves nonzero.  For a prime
+  order max|R| = 1 and the units are 1..p-1.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import is_prime, power_counts_are_zero
+from .cyclo import is_prime, power_reduction_matrix
 
 # Large moduli keep spurious zero images rare (about size/q per minor), so
 # escalations to the zero proof stay exceptional.
 _MODULUS_FLOOR = 1_000_000
-
-# Subset dynamic programming is exponential in the minor size.
-_DP_SIZE_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,34 @@ def certify_nonzero_mod(exponents: np.ndarray, ctx: ModularContext) -> np.ndarra
     return alive
 
 
-def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
-    """True where a prime-order minor is exactly zero (see module docstring).
+@lru_cache(maxsize=None)
+def _embeddings(order: int) -> tuple[tuple[int, ...], int]:
+    """(units a mod order, max|R|): the embeddings w -> root**a onto the
+    primitive roots, and the bound factor of the reduction matrix R."""
+    units = tuple(a for a in range(1, order) if math.gcd(a, order) == 1)
+    return units, int(np.abs(power_reduction_matrix(order)).max())
 
-    exponents: (N, m, m) integers modulo the prime `order`.  The batch runs
-    through the embeddings w -> root**a one at a time, over successive
-    fields until their moduli multiply past m!; each image drops the minors
-    it proves nonzero, so work and memory shrink to the zero survivors.
+
+def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
+    """True where a minor is exactly zero (see module docstring).
+
+    exponents: (N, m, m) integers modulo `order`.  The batch runs through
+    the embeddings w -> root**a one at a time, over successive fields until
+    their moduli multiply past m! * max|R|; each image drops the minors it
+    proves nonzero, so work and memory shrink to the zero survivors.
     """
-    if not is_prime(order):
-        raise ValueError("multimodular zero proofs require a prime order")
     exponents = np.asarray(exponents, dtype=np.int64)
     n, m = exponents.shape[:2]
+    units, reduction_max = _embeddings(order)
     zero = np.ones(n, dtype=bool)
     todo = np.arange(n)
     batch = exponents
-    bound = math.factorial(m)
+    bound = math.factorial(m) * reduction_max
     product = 1
     index = 0
     while product <= bound and todo.size:
         ctx = modular_context(order, index)
-        for a in range(1, order):
+        for a in units:
             nonzero = certify_nonzero_mod(batch if a == 1 else batch * a % order, ctx)
             zero[todo[nonzero]] = False
             todo, batch = todo[~nonzero], batch[~nonzero]
@@ -160,62 +164,19 @@ def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
     return zero
 
 
-def det_power_counts(exponents: np.ndarray, order: int) -> np.ndarray:
-    """Exact determinants of root-power matrices as integer count vectors.
-
-    exponents: (N, k, k) integers modulo `order`.  Returns (N, order) int64
-    counts c with det = sum_t c[t] * w**t, built by Laplace expansion with
-    dynamic programming over column subsets; multiplying by w**e is a
-    cyclic index shift, so only integer additions occur.
-    """
-    exponents = np.asarray(exponents, dtype=np.int64)
-    n, k, _ = exponents.shape
-    base = np.zeros((n, order), dtype=np.int64)
-    base[:, 0] = 1
-    if k == 0:
-        return base
-    if k > _DP_SIZE_LIMIT:
-        raise ValueError(f"subset expansion limited to size {_DP_SIZE_LIMIT}")
-    wheel = np.arange(order)[None, :]
-    prev = {(): base}
-    for r in range(1, k + 1):
-        cur = {}
-        for subset in itertools.combinations(range(k), r):
-            acc = np.zeros((n, order), dtype=np.int64)
-            for pos, j in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1 :]
-                idx = (wheel - exponents[:, r - 1, j][:, None]) % order
-                shifted = np.take_along_axis(prev[rest], idx, axis=1)
-                if (r - 1 + pos) % 2:
-                    acc -= shifted
-                else:
-                    acc += shifted
-            cur[subset] = acc
-        prev = cur
-    return prev[tuple(range(k))]
-
-
 def decide_nonzero(
     exponents: np.ndarray, order: int, stats: dict | None = None
 ) -> np.ndarray:
-    """Exact nonzero verdicts for a batch of minors.
+    """Exact nonzero verdicts for a batch of minors, counted as "modular".
 
-    exponents: (N, k, k) integers modulo `order`.  Prime orders are decided
-    by the multimodular zero proof, whose first image settles almost every
-    nonzero minor; composite orders use the integer reduction route.
-    Column scales are not taken: nonzero scales cannot change a verdict.
+    exponents: (N, k, k) integers modulo `order`.  Decided by the
+    multimodular zero proof, whose first image settles almost every nonzero
+    minor.  Column scales are not taken: nonzero scales cannot change a
+    verdict.
     """
-    exponents = np.asarray(exponents, dtype=np.int64)
-    n = exponents.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if is_prime(order):
-        method, zero = "modular", multimodular_zero(exponents, order)
-    else:
-        method = "reduction"
-        zero = power_counts_are_zero(det_power_counts(exponents, order), order)
+    zero = multimodular_zero(exponents, order)
     if stats is not None:
-        stats[method] = stats.get(method, 0) + n
+        stats["modular"] = stats.get("modular", 0) + zero.size
     return ~zero
 
 

@@ -1,8 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: permutation-expansion determinants,
-dense grid searches, reduced-density Schmidt coefficients.  None of it
-shares code with the package, so agreement is meaningful evidence.
+integer subset expansion of determinants over the powers of a root of
+unity, dense grid searches, reduced-density Schmidt coefficients.  None of
+it shares code with the package, so agreement is meaningful evidence; the
+one exception is the cyclotomic reduction matrix that `power_counts_are_zero`
+reads, which `test_cyclo` checks against numeric roots of unity.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
+
+from gesforge.cyclo import power_reduction_matrix
+
+# Subset expansion is exponential in the minor size.
+DP_SIZE_LIMIT = 14
 
 
 def det_permutation_sum(rows):
@@ -34,6 +42,48 @@ def det_permutation_sum(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def det_power_counts(exponents, order: int) -> np.ndarray:
+    """Exact determinants of root-power matrices as integer count vectors.
+
+    exponents: (N, k, k) integers modulo `order`.  Returns (N, order) int64
+    counts c with det = sum_t c[t] * w**t, built by Laplace expansion with
+    dynamic programming over column subsets; multiplying by w**e is a
+    cyclic index shift, so only integer additions occur.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    n, k, _ = exponents.shape
+    base = np.zeros((n, order), dtype=np.int64)
+    base[:, 0] = 1
+    if k == 0:
+        return base
+    if k > DP_SIZE_LIMIT:
+        raise ValueError(f"subset expansion limited to size {DP_SIZE_LIMIT}")
+    wheel = np.arange(order)[None, :]
+    prev = {(): base}
+    for r in range(1, k + 1):
+        cur = {}
+        for subset in itertools.combinations(range(k), r):
+            acc = np.zeros((n, order), dtype=np.int64)
+            for pos, j in enumerate(subset):
+                rest = subset[:pos] + subset[pos + 1 :]
+                idx = (wheel - exponents[:, r - 1, j][:, None]) % order
+                shifted = np.take_along_axis(prev[rest], idx, axis=1)
+                if (r - 1 + pos) % 2:
+                    acc -= shifted
+                else:
+                    acc += shifted
+            cur[subset] = acc
+        prev = cur
+    return prev[tuple(range(k))]
+
+
+def power_counts_are_zero(counts, order: int) -> np.ndarray:
+    """Exact zero test for integer combinations sum_t counts[..., t] * w**t."""
+    counts = np.asarray(counts, dtype=np.int64)
+    reduced = counts @ power_reduction_matrix(order)
+    return (reduced == 0).all(axis=-1)
 
 
 def _qubit_state(theta: float, phi: float) -> np.ndarray:

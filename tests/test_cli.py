@@ -116,7 +116,7 @@ def test_verify_exact_scales_via_h_file(tmp_path):
     assert doc["exact"]["scales_exact"] is True
 
 
-def test_verify_float_scales_skip_exact(tmp_path, capsys):
+def test_verify_float_scales_get_exact_verdict(tmp_path, capsys):
     h = [[[1.0, 0.0], [0.5, 0.5]], ["1", "1"], ["1", "1"]]
     (tmp_path / "h.json").write_text(json.dumps(h))
     code = run(
@@ -124,10 +124,21 @@ def test_verify_float_scales_skip_exact(tmp_path, capsys):
         tmp_path,
     )
     assert code == EXIT_OK
-    assert "exact: skipped" in capsys.readouterr().out
+    assert "exact: rank 5/5, all cuts span" in capsys.readouterr().out
     doc = read_json(tmp_path / "r.json")
-    assert doc["exact"]["skipped"] is True
-    assert doc["exact"]["skip_reason"]
+    assert doc["exact"]["scales_exact"] is False
+    assert doc["exact"]["skipped"] is False
+    assert doc["exact"]["skip_reason"] is None
+    assert doc["exact"]["passed"] is True
+
+
+@pytest.mark.parametrize("entry", ("NaN", "Infinity", "-Infinity"))
+def test_verify_non_finite_scale_rejected(tmp_path, capsys, entry):
+    # json reads NaN and Infinity; such a scale would void the exact verdict
+    (tmp_path / "h.json").write_text(f'[["1", "1"], ["1", [0.5, {entry}]], ["1", "1"]]')
+    code = run(["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json"], tmp_path)
+    assert code == EXIT_INVALID
+    assert "scale for party 1 level 1 is not finite" in capsys.readouterr().err
 
 
 def test_verify_zero_scale_rejected(tmp_path, capsys):
@@ -252,10 +263,13 @@ def test_exact_proof_decides_below_numeric_threshold(tmp_path, capsys, command):
     assert doc["numeric"]["passed"] is False
 
 
-def test_float_scales_keep_the_numeric_gate(tmp_path, capsys):
+def test_float_scales_take_the_exact_verdict_below_threshold(tmp_path, capsys):
+    # a numeric minimum under the threshold is only a margin, also with float scales
     h = [[[1.0, 0.0], [0.5, 0.5]], ["1", "1"], ["1", "1"]]
     (tmp_path / "h.json").write_text(json.dumps(h))
     argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json", "--out", "r.json"]
-    assert run(argv + ["--threshold", "10"], tmp_path) == EXIT_FAILED
-    assert "-> FAIL" in capsys.readouterr().out
-    assert read_json(tmp_path / "r.json")["passed"] is False
+    assert run(argv + ["--threshold", "10"], tmp_path) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "below threshold (tight)" in out and "verdict: certified" in out
+    doc = read_json(tmp_path / "r.json")
+    assert doc["passed"] is True and doc["numeric"]["passed"] is False

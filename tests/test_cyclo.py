@@ -14,14 +14,12 @@ from gesforge.cyclo import (
     cyclotomic_polynomial,
     det,
     is_prime,
-    power_counts_are_zero,
-    power_counts_value,
     power_reduction_matrix,
     rank,
     root_power,
 )
 
-from .oracles import det_permutation_sum
+from .oracles import det_permutation_sum, power_counts_are_zero
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -239,13 +237,6 @@ def test_power_counts_zero_detection():
     counts = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [2, 0, 0, 0]])
     flags = power_counts_are_zero(counts, 4)
     np.testing.assert_array_equal(flags, [True, False, False])
-
-
-def test_power_counts_value_high_precision():
-    value = power_counts_value(np.array([1, 0, 1, 0]), 4)
-    assert abs(complex(value)) < 1e-40
-    value = power_counts_value(np.array([2, 0, 0, 0]), 4)
-    assert abs(complex(value) - 2) < 1e-40
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 9, 12))

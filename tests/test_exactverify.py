@@ -1,5 +1,7 @@
 """Exact certification: rank, spanning, bipartition reports, minor scans."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +13,21 @@ from gesforge import cyclo, minors
 from gesforge.construct import ConstructionParams, exponent_table, make_params
 from gesforge.cyclo import GaussianRational
 from gesforge.exactverify import (
-    _check_zero_images,
     _modular_echelon,
     chebotarev_scan,
     rank_full,
     spanning_property,
     verify_all_bipartitions,
 )
-from gesforge.partition import Bipartition, FlatMatrix, coefficient_matrix, factor_matrices
+from gesforge.partition import (
+    Bipartition,
+    FlatMatrix,
+    coefficient_matrix,
+    enumerate_bipartitions,
+    factor_matrices,
+)
+
+from .oracles import det_power_counts, power_counts_are_zero
 
 
 def duplicated_table(params):
@@ -89,7 +98,7 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
     rng = np.random.default_rng(2)
     exps = rng.integers(0, order, size=(2000, 4, 4))
     exps[1::3, 3] = (exps[1::3, 0] + 3) % order
-    nonzero = ~cyclo.power_counts_are_zero(minors.det_power_counts(exps, order), order)
+    nonzero = ~power_counts_are_zero(det_power_counts(exps, order), order)
     drops = [
         t for t in np.nonzero(nonzero)[0]
         if len(_modular_echelon(ctx.power_table()[exps[t]], ctx.modulus)[0]) < 4
@@ -228,14 +237,61 @@ def test_verify_rejects_malformed_table():
         verify_all_bipartitions(p, exponent_table(p)[:-1])
 
 
-def test_float_scales_skip_exact_stage():
+def test_float_scales_get_exact_verdict():
+    # nonzero float scales multiply each minor by a nonzero factor, so the
+    # exact verdicts read the exponents alone
     scales = ((1 + 0j, 0.3 + 0.4j), (1 + 0j, 1 + 0j), (1 + 0j, 1 + 0j))
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
     report = verify_all_bipartitions(p)
-    assert report.skipped
-    assert report.passed is None
-    assert "floating point" in report.skip_reason
-    assert report.bipartitions == []
+    assert not report.skipped and report.skip_reason is None
+    assert report.passed is True
+    assert report.matrix_rank == 5 and len(report.bipartitions) == 3
+    tampered = verify_all_bipartitions(p, duplicated_table(p))
+    assert tampered.passed is False
+    assert (tampered.matrix_rank, tampered.rank_method) == (4, "bordered")
+
+
+def test_non_finite_scales_rejected():
+    for bad in (float("nan"), complex(float("inf"), 0), complex(0, float("-inf"))):
+        scales = ((1 + 0j, bad), (1 + 0j, 1 + 0j), (1 + 0j, 1 + 0j))
+        p = make_params(n=3, d=2, num_vectors=5, scales=scales)
+        with pytest.raises(ValueError, match="party 0 level 1 is not finite"):
+            verify_all_bipartitions(p)
+
+
+def svd_ranks(matrices: np.ndarray) -> np.ndarray:
+    """Ranks by singular values with a margin: a value between the zero
+    floor 1e-13 and the margin 1e-11 fails the test instead."""
+    values = np.linalg.svd(matrices, compute_uv=False)
+    assert not ((values > 1e-13) & (values < 1e-11)).any(), "no clear SVD margin"
+    return (values >= 1e-11).sum(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "dims, k, order",
+    (
+        ((2, 2, 2, 2, 2), 17, None),  # five parties, 16-dimensional sides
+        ((2, 3, 5), 16, None),  # mixed local dimensions
+        ((2, 2, 2), 7, 13),  # a non-minimal prime (11 is the smallest for 8)
+    ),
+)
+def test_edge_families_match_svd(dims, k, order):
+    params = make_params(dims=dims, num_vectors=k, root_order=order)
+    tampered = [[list(loc) for loc in row] for row in exponent_table(params)]
+    tampered[k - 1] = [list(loc) for loc in tampered[0]]
+    for table in (None, tampered):
+        report = verify_all_bipartitions(params, table)
+        assert report.passed is (table is None)
+        assert report.matrix_rank == svd_ranks(coefficient_matrix(params, table).to_complex())
+        cuts = enumerate_bipartitions(len(dims))
+        for cut, check in zip(cuts, report.bipartitions):
+            sides = factor_matrices(params, cut, table)
+            for side, spanning in zip(sides, (check.left, check.right)):
+                rows = list(itertools.combinations(range(k), side.dimension))
+                ok = svd_ranks(side.to_complex()[np.array(rows)]) == side.dimension
+                assert spanning.failures == int((~ok).sum())
+                first = None if ok.all() else rows[int(np.argmin(ok))]
+                assert spanning.witness == first
 
 
 @given(
@@ -301,13 +357,86 @@ def test_scan_counts_all_minors():
     assert scan.checked == {1: 25, 2: comb(5, 2) ** 2, 3: comb(5, 3) ** 2}
 
 
-def test_scan_zero_claims_are_checked_in_a_prime_field():
-    # w**0 - w**6 = 2 is not zero for order 12; a claim that it is must raise
-    counts = np.zeros((2, 12), dtype=np.int64)
-    counts[1, 0], counts[1, 6] = 1, -1
-    _check_zero_images(counts[:1], 12)
-    with pytest.raises(RuntimeError, match="image mod"):
-        _check_zero_images(counts, 12)
+@pytest.mark.parametrize("order", range(2, 13))
+def test_scan_matches_per_minor_enumeration(order):
+    # every minor decided on its own by the integer subset expansion, in the
+    # order rows-then-columns, lexicographic within each size
+    max_size = min(order, 4)
+    scan = chebotarev_scan(order, max_size)
+    checked, zero_count, witnesses = {}, 0, []
+    for size in range(1, max_size + 1):
+        combos = np.array(list(itertools.combinations(range(order), size)))
+        checked[size] = len(combos) ** 2
+        pairs = np.array(list(itertools.product(range(len(combos)), repeat=2)))
+        for lo in range(0, len(pairs), 20_000):
+            rows, cols = combos[pairs[lo : lo + 20_000, 0]], combos[pairs[lo : lo + 20_000, 1]]
+            exps = rows[:, :, None] * cols[:, None, :] % order
+            zero = power_counts_are_zero(det_power_counts(exps, order), order)
+            zero_count += int(zero.sum())
+            witnesses += [
+                (tuple(map(int, r)), tuple(map(int, c))) for r, c in zip(rows[zero], cols[zero])
+            ]
+    assert scan.checked == checked
+    assert scan.zero_count == zero_count
+    assert scan.witnesses == witnesses[:20]
+
+
+def test_scan_memory_stays_small():
+    # the Laplace pass keeps about max_size * n * C(n, max_size) residues,
+    # not a batch of materialised minors
+    tracemalloc.start()
+    try:
+        scan = chebotarev_scan(13, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.clean and scan.checked[6] == 1716**2
+    assert peak < 16 * 2**20
+
+
+def spy_on_zero_proofs(monkeypatch, claim=None):
+    """Record (batch, answer) of each multimodular_zero call; with `claim`,
+    replace its answer."""
+    calls = []
+    real = minors.multimodular_zero
+
+    def spy(exponents, order):
+        zero = real(exponents, order) if claim is None else claim(exponents)
+        calls.append((exponents, zero))
+        return zero
+
+    monkeypatch.setattr(minors, "multimodular_zero", spy)
+    return calls
+
+
+def test_scan_escalates_spurious_zero_images(small_fields, monkeypatch):
+    # with q = 199 thousands of order-11 minors have a zero image mod q;
+    # the zero proof clears every one of them
+    assert minors.modular_context(11).modulus < 200
+    calls = spy_on_zero_proofs(monkeypatch)
+    scan = chebotarev_scan(11, 6)
+    assert sum(len(e) for e, _ in calls) > 0, "no zero image; escalation did not run"
+    assert not any(zero.any() for _, zero in calls)
+    assert scan.clean and scan.witnesses == []
+
+
+def test_scan_zero_claims_are_checked_in_a_prime_field(monkeypatch):
+    # every zero of a composite scan is one that the multimodular proof
+    # confirmed, and only minors with a zero image mod q reach that proof
+    calls = spy_on_zero_proofs(monkeypatch)
+    scan = chebotarev_scan(12, 4)
+    assert scan.zero_count == sum(int(zero.sum()) for _, zero in calls) > 0
+    ctx = minors.modular_context(12)
+    for exps, _ in calls:
+        assert not minors.certify_nonzero_mod(exps, ctx).any()
+
+
+def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch):
+    # a zero proof that wrongly confirmed the spurious zero images of order
+    # 11 is caught by the 50-digit re-evaluation of the witnesses
+    spy_on_zero_proofs(monkeypatch, claim=lambda e: np.ones(len(e), dtype=bool))
+    with pytest.raises(RuntimeError, match="proved zero but its value"):
+        chebotarev_scan(11, 6)
 
 
 def test_scan_rejects_tiny_order():

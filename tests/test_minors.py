@@ -1,5 +1,6 @@
-"""Batched exact minor engines: modular certificates, multimodular zero
-proofs, subset expansion, and their agreement with field elimination."""
+"""Batched exact minor engines: modular certificates and multimodular zero
+proofs for prime and composite orders, checked against field elimination,
+the Leibniz formula and the integer subset expansion of `oracles`."""
 
 import itertools
 import math
@@ -10,23 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge.cyclo import (
-    CycMatrix,
-    GaussianRational,
-    det,
-    power_counts_are_zero,
-    root_power,
-)
+from gesforge.cyclo import CycMatrix, GaussianRational, det, root_power
 from gesforge.minors import (
     certify_nonzero_mod,
     decide_nonzero,
-    det_power_counts,
     iter_index_combinations,
     modular_context,
     multimodular_zero,
 )
 
-from .oracles import det_permutation_sum
+from .oracles import det_permutation_sum, det_power_counts, power_counts_are_zero
 
 
 def exact_nonzero(expmat, order, scales=None):
@@ -101,7 +95,7 @@ def test_certificate_withheld_for_singular():
         assert not certify_nonzero_mod(exps, ctx).any()
 
 
-# -- subset expansion --------------------------------------------------------
+# -- subset expansion (the reference in oracles) ------------------------------
 
 
 def test_det_power_counts_two_by_two():
@@ -202,6 +196,29 @@ def test_decide_nonzero_composite_order():
     assert not decide_nonzero(exps, 4)[0]
 
 
+@given(
+    st.sampled_from((5, 7, 11, 13)),
+    st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    st.lists(
+        st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2), min_size=2, max_size=2),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=40)
+def test_planted_two_by_two_zeros_match_leibniz(order, abc, others):
+    # [[w**a, w**b], [w**c, w**d]] vanishes exactly when a + d = b + c (mod p)
+    a, b, c = abc
+    planted = [[a, b], [c, (b + c - a) % order]]
+    exps = np.array([planted] + others, dtype=np.int64) % order
+    verdicts = decide_nonzero(exps, order)
+    assert not verdicts[0]
+    for t, m in enumerate(exps):
+        entries = [[root_power(int(e), order) for e in row] for row in m]
+        assert verdicts[t] == (not det_permutation_sum(entries).is_zero)
+        assert verdicts[t] == ((m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0]) % order != 0)
+
+
 def test_decide_nonzero_stats_accounting():
     p = 7
     rows = np.array(list(itertools.combinations(range(p), 2)), dtype=np.int64)
@@ -232,49 +249,51 @@ def test_iter_index_combinations_empty():
 
 
 def test_zero_proof_beyond_subset_expansion():
-    # 16 x 16 minors of the order-17 Fourier matrix: one intact, one with a
-    # repeated row; both are past the size limit of the subset expansion
-    p = 17
-    fourier = np.outer(np.arange(16), np.arange(1, 17)) % p
-    singular = fourier.copy()
-    singular[9] = singular[4]
-    exps = np.stack([fourier, singular])
-    assert math.factorial(16) > modular_context(p, 0).modulus
-    np.testing.assert_array_equal(multimodular_zero(exps, p), [False, True])
-    np.testing.assert_array_equal(decide_nonzero(exps, p), [True, False])
-
-
-def test_zero_proof_rejects_composite_order():
-    with pytest.raises(ValueError, match="prime order"):
-        multimodular_zero(np.zeros((1, 2, 2), dtype=np.int64), 6)
+    # 16 x 16 minors of the order-17 and order-18 Fourier matrices: one
+    # intact, one with a repeated row; both are past the size limit of the
+    # subset expansion, and 16! needs several primes of about 10**6
+    for order in (17, 18):
+        fourier = np.outer(np.arange(16), np.arange(1, 17)) % order
+        singular = fourier.copy()
+        singular[9] = singular[4]
+        exps = np.stack([fourier, singular])
+        assert math.factorial(16) > modular_context(order, 0).modulus ** 2
+        assert abs(np.linalg.det(np.exp(2j * np.pi * fourier / order))) > 1.0
+        np.testing.assert_array_equal(multimodular_zero(exps, order), [False, True])
+        np.testing.assert_array_equal(decide_nonzero(exps, order), [True, False])
 
 
 @given(
     st.integers(1, 6).flatmap(
         lambda k: st.tuples(
-            st.sampled_from((2, 3, 5, 7, 11)),
+            st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15)),
             st.lists(
-                st.lists(st.integers(0, 10), min_size=k, max_size=k), min_size=k, max_size=k
+                st.lists(st.integers(0, 14), min_size=k, max_size=k), min_size=k, max_size=k
             ),
-            st.sampled_from(("none", "row", "column")),
+            st.sampled_from(("none", "row", "column", "fourier")),
             st.integers(0, k - 1),
             st.integers(0, k - 1),
-            st.integers(0, 10),
+            st.integers(0, 14),
         )
     )
 )
-@settings(max_examples=60)
+@settings(max_examples=150)
 def test_zero_proof_matches_reduction_on_planted_zeros(case):
     order, rows, plant, src, dst, shift = case
     exps = np.array(rows, dtype=np.int64) % order
-    planted = plant != "none" and src != dst
+    planted = plant in ("row", "column") and src != dst
     # a row (column) equal to another one times w**shift makes the minor zero
     if planted and plant == "row":
         exps[dst] = (exps[src] + shift) % order
     if planted and plant == "column":
         exps[:, dst] = (exps[:, src] + shift) % order
+    if plant == "fourier":
+        # a Fourier minor: composite orders have many zero ones, such as
+        # rows {0, 2} and columns {0, 2} at order 4
+        exps = np.outer(exps[:, 0], exps[0]) % order
     expected = power_counts_are_zero(det_power_counts(exps[None], order), order)[0]
     assert multimodular_zero(exps[None], order)[0] == expected
+    assert decide_nonzero(exps[None], order)[0] == (not expected)
     assert expected or not planted
 
 
@@ -306,16 +325,16 @@ def test_small_fields_make_spurious_zero_images(small_fields):
 
 
 def test_small_fields_need_several_primes(small_fields):
-    # 5! = 120 exceeds the first modulus (101), so a zero proof of a 5 x 5
-    # minor has to vanish under every embedding modulo two primes
-    order = 5
-    assert math.factorial(5) > modular_context(order, 0).modulus
-    rng = np.random.default_rng(8)
-    exps = rng.integers(0, order, size=(200, 5, 5))
-    exps[::2, 4] = (exps[::2, 0] + 2) % order
-    zero = multimodular_zero(exps, order)
-    expected = power_counts_are_zero(det_power_counts(exps, order), order)
-    np.testing.assert_array_equal(zero, expected)
-    assert zero[::2].all() and not zero[1::2].all()
-    for t in range(0, 200, 37):
-        assert decide_nonzero(exps[t : t + 1], order)[0] == exact_nonzero(exps[t], order)
+    # 5! * max|R| = 120 exceeds the first modulus (101 for order 5, 103 for
+    # order 6), so a zero proof of a 5 x 5 minor has to vanish under every
+    # embedding modulo two primes
+    for order in (5, 6):
+        assert math.factorial(5) > modular_context(order, 0).modulus
+        rng = np.random.default_rng(8)
+        exps = rng.integers(0, order, size=(200, 5, 5))
+        exps[::2, 4] = (exps[::2, 0] + 2) % order
+        zero = multimodular_zero(exps, order)
+        expected = power_counts_are_zero(det_power_counts(exps, order), order)
+        np.testing.assert_array_equal(zero, expected)
+        assert zero[::2].all() and not zero[1::2].all()
+        np.testing.assert_array_equal(decide_nonzero(exps, order), ~expected)
