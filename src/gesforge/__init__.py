@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .construct import (
     ConstructionParams,
+    GaussianRational,
     ProductVector,
     build_nupb,
     exponent_table,
@@ -15,7 +16,6 @@ from .construct import (
     vectors_from_doc,
     vectors_to_doc,
 )
-from .cyclo import CycMatrix, CycNum, GaussianRational, det, rank, root_power
 from .exactverify import (
     ExactReport,
     chebotarev_scan,
@@ -39,8 +39,6 @@ from .partition import Bipartition, coefficient_matrix, enumerate_bipartitions, 
 __all__ = [
     "Bipartition",
     "ConstructionParams",
-    "CycMatrix",
-    "CycNum",
     "ExactReport",
     "GaussianRational",
     "GesBasis",
@@ -51,7 +49,6 @@ __all__ = [
     "certify_ges_numeric",
     "chebotarev_scan",
     "coefficient_matrix",
-    "det",
     "enumerate_bipartitions",
     "exponent_table",
     "factor_matrices",
@@ -61,8 +58,6 @@ __all__ = [
     "max_product_overlap",
     "min_biproduct_value",
     "mixed_radix_weights",
-    "rank",
-    "root_power",
     "sample_ges_state",
     "schmidt_coefficients",
     "smallest_prime_geq",

@@ -128,7 +128,7 @@ def _family_from_args(args):
         doc = _load_json(path)
         try:
             params, table, provenance = vectors_from_doc(doc)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad vectors document: {exc}")
         problems = validate_params(params)
         if problems:

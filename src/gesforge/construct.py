@@ -20,7 +20,43 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import GaussianRational, is_prime
+from .cyclo import is_prime
+
+
+class GaussianRational:
+    """Exact complex scale a + b*i with rational a and b, as read from JSON.
+
+    Scales are parsed, validated and echoed; no exact verdict reads them,
+    because a nonzero column scale cannot change a rank or a minor's
+    zero-ness.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("GaussianRational parts must be exact (int, Fraction, str)")
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({str(self.re)!r}, {str(self.im)!r})"
+
 
 Scale = GaussianRational | complex
 
@@ -66,9 +102,8 @@ def _min_vectors(dims) -> int:
 class ConstructionParams:
     """Family shape: local dimensions, member count, root order, scales.
 
-    scales, when present, holds one exact or floating complex factor per
-    party and level; all-exact scales keep the exact verification routes
-    available.
+    scales, when present, holds one exact or floating nonzero complex
+    factor per party and level; the exact verdicts never read them.
     """
 
     dims: tuple[int, ...]
@@ -322,6 +357,8 @@ def params_to_json(params: ConstructionParams) -> dict:
 
 
 def params_from_json(doc) -> ConstructionParams:
+    if not isinstance(doc, dict):
+        raise ValueError("params must be a JSON object")
     scales = doc.get("scales")
     if scales is not None:
         scales = tuple(tuple(scale_from_json(s) for s in row) for row in scales)
@@ -353,7 +390,7 @@ def vectors_to_doc(params: ConstructionParams, table=None, provenance: str | Non
 
 
 def vectors_from_doc(doc) -> tuple[ConstructionParams, list[list[list[int]]], str]:
-    if doc.get("schema") != "gesforge/vectors":
+    if not isinstance(doc, dict) or doc.get("schema") != "gesforge/vectors":
         raise ValueError("not a vectors document")
     params = params_from_json(doc["params"])
     table = [[[int(e) for e in loc] for loc in row] for row in doc["exponent_table"]]

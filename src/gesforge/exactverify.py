@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cyclo, minors
+from . import minors
 from .construct import ConstructionParams, validate_exponent_table, validate_params
-from .cyclo import CycMatrix, is_prime
+from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
@@ -221,20 +221,23 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
             return False, r, "bordered"
 
 
-def _spanning_flat(flat: FlatMatrix, chunk: int) -> SpanningCheck:
+def spanning_property(flat: FlatMatrix, *, chunk: int = 100_000) -> SpanningCheck:
+    """Exhaustive check that every dimension-sized row subset has full rank.
+
+    Raises when the row count is below the side dimension, where the
+    spanning hypothesis cannot hold.
+    """
     k = flat.num_vectors
     dim = flat.dimension
     if k < dim:
         raise ValueError(
             f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
         )
-    total = math.comb(k, dim)
     methods: dict = {}
     witness = None
     failures = 0
     for rows in minors.iter_index_combinations(k, dim, chunk):
-        exps = flat.exponents[rows]
-        verdicts = minors.decide_nonzero(exps, flat.root_order, stats=methods)
+        verdicts = minors.decide_nonzero(flat.exponents[rows], flat.root_order, stats=methods)
         if not verdicts.all():
             bad = np.nonzero(~verdicts)[0]
             failures += int(bad.size)
@@ -243,52 +246,12 @@ def _spanning_flat(flat: FlatMatrix, chunk: int) -> SpanningCheck:
     return SpanningCheck(
         parties=flat.parties,
         dimension=dim,
-        subsets_total=total,
+        subsets_total=math.comb(k, dim),
         ok=failures == 0,
         witness=witness,
         failures=failures,
         methods=methods,
     )
-
-
-def _spanning_cyc(matrix: CycMatrix) -> SpanningCheck:
-    k, dim = matrix.rows, matrix.cols
-    if k < dim:
-        raise ValueError(
-            f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
-        )
-    witness = None
-    failures = 0
-    checked = 0
-    for rows in itertools.combinations(range(k), dim):
-        checked += 1
-        if cyclo.rank(matrix.submatrix(rows, range(dim))) < dim:
-            failures += 1
-            if witness is None:
-                witness = rows
-    return SpanningCheck(
-        parties=(),
-        dimension=dim,
-        subsets_total=checked,
-        ok=failures == 0,
-        witness=witness,
-        failures=failures,
-        methods={"elimination": checked},
-    )
-
-
-def spanning_property(matrix, *, chunk: int = 100_000) -> SpanningCheck:
-    """Exhaustive check that every dimension-sized row subset has full rank.
-
-    Accepts a FlatMatrix (fast exact engines) or a CycMatrix (reference
-    field elimination).  Raises when the row count is below the side
-    dimension, where the spanning hypothesis cannot hold.
-    """
-    if isinstance(matrix, FlatMatrix):
-        return _spanning_flat(matrix, chunk)
-    if isinstance(matrix, CycMatrix):
-        return _spanning_cyc(matrix)
-    raise TypeError("expected a FlatMatrix or a CycMatrix")
 
 
 def verify_all_bipartitions(

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionParams, GaussianRational, exponent_table, mixed_radix_weights
-from .cyclo import CycMatrix, CycNum, root_power
+from .construct import ConstructionParams, exponent_table, mixed_radix_weights
 
 
 @dataclass(frozen=True, order=True)
@@ -83,12 +82,11 @@ def unflatten(index: int, dims) -> tuple[int, ...]:
 class FlatMatrix:
     """Coefficient matrix of a family restricted to some parties.
 
-    Entry (i, j) equals column_scales[j] * w**exponents[i, j] where w has
-    the given prime root order; exponents are the exact content, the
-    complex view is derived.  column_flat_indices embeds each column into
-    the full-family flat index space (absent parties sit at level 0).
-    Column scales must be nonzero, so they never change a rank or the
-    zero-ness of a minor.
+    Entry (i, j) is w**exponents[i, j] up to a nonzero column scale, where
+    w has the given prime root order.  The scales are left out: they never
+    change a rank or the zero-ness of a minor, so the exponents are the
+    whole exact content.  column_flat_indices embeds each column into the
+    full-family flat index space (absent parties sit at level 0).
     """
 
     root_order: int
@@ -96,14 +94,11 @@ class FlatMatrix:
     dims: tuple[int, ...]
     exponents: np.ndarray
     column_flat_indices: tuple[int, ...]
-    column_scales: tuple | None = None
 
     def __post_init__(self):
         exps = np.ascontiguousarray(np.asarray(self.exponents, dtype=np.int64))
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
-        if self.column_scales is not None and any(s == 0 for s in self.column_scales):
-            raise ValueError("column scales must be nonzero")
 
     @property
     def num_vectors(self) -> int:
@@ -113,38 +108,8 @@ class FlatMatrix:
     def dimension(self) -> int:
         return self.exponents.shape[1]
 
-    @property
-    def scales_exact(self) -> bool:
-        if self.column_scales is None:
-            return True
-        return all(isinstance(s, GaussianRational) for s in self.column_scales)
-
-    def to_cyc_matrix(self) -> CycMatrix:
-        if not self.scales_exact:
-            raise ValueError("floating column scales have no exact matrix form")
-        rows = []
-        for i in range(self.num_vectors):
-            row = []
-            for j in range(self.dimension):
-                entry = root_power(int(self.exponents[i, j]), self.root_order)
-                if self.column_scales is not None:
-                    entry = entry * self.column_scales[j]
-                row.append(entry)
-            rows.append(row)
-        return CycMatrix.from_rows(rows)
-
     def to_complex(self) -> np.ndarray:
-        phases = np.exp(2j * np.pi * self.exponents / self.root_order)
-        if self.column_scales is not None:
-            factors = np.array(
-                [
-                    s.to_complex() if isinstance(s, GaussianRational) else complex(s)
-                    for s in self.column_scales
-                ],
-                dtype=complex,
-            )
-            phases = phases * factors[None, :]
-        return phases
+        return np.exp(2j * np.pi * self.exponents / self.root_order)
 
 
 def _restricted_matrix(params: ConstructionParams, parties, table) -> FlatMatrix:
@@ -159,35 +124,18 @@ def _restricted_matrix(params: ConstructionParams, parties, table) -> FlatMatrix
     columns = list(itertools.product(*[range(d) for d in local_dims]))
     exps = np.zeros((k, len(columns)), dtype=np.int64)
     flat_ids = []
-    scales: list | None = [] if params.scales is not None else None
     for j, digits in enumerate(columns):
         acc = np.zeros(k, dtype=np.int64)
         for t, s in enumerate(digits):
             acc += per_party[t][:, s]
         exps[:, j] = acc % p
         flat_ids.append(sum(s * weights[m] for m, s in zip(parties, digits)))
-        if scales is not None:
-            factor = GaussianRational(1)
-            exact = True
-            for m, s in zip(parties, digits):
-                value = params.scales[m][s]
-                if exact and isinstance(value, GaussianRational):
-                    factor = factor * value
-                else:
-                    if exact:
-                        factor = factor.to_complex()
-                        exact = False
-                    factor = factor * (
-                        value.to_complex() if isinstance(value, GaussianRational) else complex(value)
-                    )
-            scales.append(factor)
     return FlatMatrix(
         root_order=p,
         parties=parties,
         dims=local_dims,
         exponents=exps,
         column_flat_indices=tuple(flat_ids),
-        column_scales=tuple(scales) if scales is not None else None,
     )
 
 

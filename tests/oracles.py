@@ -1,11 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: permutation-expansion determinants,
-integer subset expansion of determinants over the powers of a root of
-unity, dense grid searches, reduced-density Schmidt coefficients.  None of
-it shares code with the package, so agreement is meaningful evidence; the
-one exception is the cyclotomic reduction matrix that `power_counts_are_zero`
-reads, which `test_cyclo` checks against numeric roots of unity.
+the Leibniz formula and integer subset expansion of determinants over the
+powers of a root of unity, ranks by minors, dense grid searches,
+reduced-density Schmidt coefficients.  None of it shares code with the
+package, so agreement is meaningful evidence; the one exception is the
+cyclotomic reduction matrix that `power_counts_are_zero` reads, which
+`test_cyclo` checks against numeric roots of unity.
 """
 
 from __future__ import annotations
@@ -84,6 +85,39 @@ def power_counts_are_zero(counts, order: int) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     reduced = counts @ power_reduction_matrix(order)
     return (reduced == 0).all(axis=-1)
+
+
+def det_leibniz_counts(exponents, order: int) -> np.ndarray:
+    """Determinants of root-power matrices by the Leibniz formula.
+
+    exponents: (..., k, k) integers.  Returns (..., order) counts c with
+    det = sum_t c[t] * w**t: each permutation adds its sign at index
+    sum_i e[i, perm(i)] mod order.  Cost k! per matrix, so keep k <= 6.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    k = exponents.shape[-1]
+    flat = exponents.reshape(math.prod(exponents.shape[:-2]), k, k)
+    counts = np.zeros((len(flat), order), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        index = flat[:, range(k), perm].sum(axis=1) % order
+        np.add.at(counts, (np.arange(len(flat)), index), -1 if inversions % 2 else 1)
+    return counts.reshape(exponents.shape[:-2] + (order,))
+
+
+def rank_by_minors(exponents, order: int) -> int:
+    """Exact rank of a root-power matrix: its largest nonzero minor's size."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    rows, cols = exponents.shape
+    for size in range(min(rows, cols), 0, -1):
+        minors = np.array([
+            exponents[np.ix_(r, c)]
+            for r in itertools.combinations(range(rows), size)
+            for c in itertools.combinations(range(cols), size)
+        ])
+        if not power_counts_are_zero(det_leibniz_counts(minors, order), order).all():
+            return size
+    return 0
 
 
 def _qubit_state(theta: float, phi: float) -> np.ndarray:

@@ -1,10 +1,17 @@
 """Command-line behavior: artifacts, exit codes, seeds, input validation."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesforge.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "three_qubit_vectors.json"
 
 
 def run(argv, cwd):
@@ -273,3 +280,115 @@ def test_float_scales_take_the_exact_verdict_below_threshold(tmp_path, capsys):
     assert "below threshold (tight)" in out and "verdict: certified" in out
     doc = read_json(tmp_path / "r.json")
     assert doc["passed"] is True and doc["numeric"]["passed"] is False
+
+
+def golden_vectors_doc():
+    """The golden three-qubit table as a vectors document."""
+    golden = json.loads(GOLDEN.read_text())
+    params = {key: golden[key] for key in ("dims", "num_vectors", "root_order")}
+    return {
+        "schema": "gesforge/vectors",
+        "schema_version": 1,
+        "params": dict(params, scales=None),
+        "exponent_table": golden["exponent_table"],
+    }
+
+
+def list_document(doc):
+    return [doc]
+
+
+def string_params(doc):
+    doc["params"] = "dims=2,2,2"
+    return doc
+
+
+def null_exponent(doc):
+    doc["exponent_table"][1][0][1] = None
+    return doc
+
+
+def null_vector_count(doc):
+    doc["params"]["num_vectors"] = None
+    return doc
+
+
+def bare_number_scale(doc):
+    doc["params"]["scales"] = [["1", 1], ["1", "1"], ["1", "1"]]
+    return doc
+
+
+def zero_denominator_scale(doc):
+    doc["params"]["scales"] = [["1", "1/0"], ["1", "1"], ["1", "1"]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "malform",
+    (
+        list_document,
+        string_params,
+        null_exponent,
+        null_vector_count,
+        bare_number_scale,
+        zero_denominator_scale,
+    ),
+)
+def test_malformed_vectors_document_exits_invalid(tmp_path, capsys, malform):
+    good = golden_vectors_doc()
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    assert run(["verify", "--in", "good.json", "--restarts", "2"], tmp_path) == EXIT_OK
+    (tmp_path / "bad.json").write_text(json.dumps(malform(good)))
+    capsys.readouterr()
+    for command in ("verify", "basis", "report"):
+        assert run([command, "--in", "bad.json"], tmp_path) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad vectors document") and "Traceback" not in err
+
+
+def _locations(holder):
+    """(container, key) of every value under holder[0], the root included."""
+    out = [(holder, 0)]
+    for container, key in out:
+        value = container[key]
+        if isinstance(value, dict):
+            out.extend((value, k) for k in value)
+        elif isinstance(value, list):
+            out.extend((value, i) for i in range(len(value)))
+    return out
+
+
+SWAPPED_VALUES = (0, -1, 2, 2.5, True, "x", "7", [], ["1"], {}, {"re": "1"})
+
+
+@given(st.sampled_from(("vectors", "scales")), st.data())
+@settings(max_examples=40)
+def test_mutated_json_inputs_never_raise(target, data):
+    # drop keys, swap value types, null entries and truncate lists of a valid
+    # vectors document or --h-file scale list: every run ends with an exit code
+    if target == "vectors":
+        base = golden_vectors_doc()
+    else:
+        base = [["1", "3/4"], ["1", {"re": "0", "im": "2"}], [[1.0, 0.0], "1"]]
+    holder = [copy.deepcopy(base)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from(_locations(holder)))
+        action = data.draw(st.sampled_from(("drop", "swap", "null", "truncate")))
+        value = container[key]
+        if action == "drop" and container is not holder:
+            del container[key]
+        elif action == "swap":
+            container[key] = copy.deepcopy(data.draw(st.sampled_from(SWAPPED_VALUES)))
+        elif action == "truncate" and isinstance(value, list):
+            del value[data.draw(st.integers(0, len(value))):]
+        else:
+            container[key] = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(holder[0]))
+        if target == "vectors":
+            argv = ["verify", "--in", str(path), "--restarts", "2"]
+        else:
+            argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", str(path),
+                    "--restarts", "2"]
+        assert main(argv) in (EXIT_OK, EXIT_FAILED, EXIT_INVALID)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gesforge.construct import (
     ConstructionParams,
+    GaussianRational,
     build_nupb,
     exponent_table,
     is_standard_table,
@@ -24,7 +25,6 @@ from gesforge.construct import (
     vectors_from_doc,
     vectors_to_doc,
 )
-from gesforge.cyclo import GaussianRational
 
 # the three-qubit family: party exponents (4i, 2i, i) modulo 11
 THREE_QUBIT_TABLE = [

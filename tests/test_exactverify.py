@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge import cyclo, minors
-from gesforge.construct import ConstructionParams, exponent_table, make_params
-from gesforge.cyclo import GaussianRational
+from gesforge import minors
+from gesforge.construct import (
+    ConstructionParams,
+    GaussianRational,
+    build_nupb,
+    exponent_table,
+    make_params,
+)
 from gesforge.exactverify import (
     _modular_echelon,
     chebotarev_scan,
@@ -27,7 +32,12 @@ from gesforge.partition import (
     factor_matrices,
 )
 
-from .oracles import det_power_counts, power_counts_are_zero
+from .oracles import (
+    det_leibniz_counts,
+    det_power_counts,
+    power_counts_are_zero,
+    rank_by_minors,
+)
 
 
 def duplicated_table(params):
@@ -73,7 +83,7 @@ def test_rank_full_matches_field_elimination_past_size_fourteen():
     table[14] = [list(loc) for loc in table[0]]
     flat = coefficient_matrix(p, table)
     assert rank_full(flat) == (False, 14, "bordered")
-    assert cyclo.rank(flat.to_cyc_matrix()) == 14
+    assert svd_ranks(flat.to_complex()) == 14
 
 
 def test_rank_full_matches_field_elimination_on_scaled_tampered_table():
@@ -83,10 +93,11 @@ def test_rank_full_matches_field_elimination_on_scaled_tampered_table():
         (GaussianRational(1, -1), GaussianRational(Fraction(4, 9))),
     )
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
-    flat = coefficient_matrix(p, duplicated_table(p))
-    ok, rank, method = rank_full(flat)
+    table = duplicated_table(p)
+    ok, rank, method = rank_full(coefficient_matrix(p, table))
     assert (ok, method) == (False, "bordered")
-    assert rank == cyclo.rank(flat.to_cyc_matrix()) == 4
+    # the scaled family's own amplitudes carry the scales the exact rank ignores
+    assert rank == svd_ranks(np.array([v.amplitudes() for v in build_nupb(p, table)])) == 4
 
 
 def test_rank_full_retries_after_spurious_rank_drops(small_fields):
@@ -106,7 +117,7 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
     assert drops, "no modular image lost rank; the retry loop did not run"
     for t in drops + list(range(0, 2000, 97)):
         flat = FlatMatrix(order, (0,), (4,), exps[t], tuple(range(4)))
-        exact = cyclo.rank(flat.to_cyc_matrix())
+        exact = rank_by_minors(exps[t], order)
         assert rank_full(flat)[:2] == (exact == 4, exact)
 
 
@@ -117,12 +128,6 @@ def test_modular_echelon_pivot_block_is_nonsingular():
     assert len(rows) == len(cols) == 2
     block = values[np.ix_(rows, cols)] % q
     assert (block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]) % q
-
-
-def test_flat_matrix_rejects_zero_scale():
-    with pytest.raises(ValueError, match="nonzero"):
-        scales = (GaussianRational(1), GaussianRational(0))
-        FlatMatrix(5, (0,), (2,), np.zeros((1, 2)), (0, 1), scales)
 
 
 # -- spanning -----------------------------------------------------------------
@@ -164,15 +169,21 @@ def test_spanning_requires_enough_rows():
         spanning_property(starved)
 
 
+def leibniz_spanning(side):
+    """(failures, first failing row subset) by the Leibniz oracle."""
+    rows = list(itertools.combinations(range(side.num_vectors), side.dimension))
+    counts = det_leibniz_counts(side.exponents[np.array(rows)], side.root_order)
+    zero = power_counts_are_zero(counts, side.root_order)
+    return int(zero.sum()), rows[int(np.argmax(zero))] if zero.any() else None
+
+
 def test_spanning_engines_agree():
     p = make_params(dims=(2, 3), num_vectors=5)
     left, right = factor_matrices(p, Bipartition(2, (0,)))
     for side in (left, right):
-        fast = spanning_property(side)
-        reference = spanning_property(side.to_cyc_matrix())
-        assert fast.ok == reference.ok
-        assert fast.subsets_total == reference.subsets_total
-        assert fast.failures == reference.failures
+        check = spanning_property(side)
+        assert check.ok
+        assert (check.failures, check.witness) == leibniz_spanning(side) == (0, None)
 
 
 def test_spanning_engines_agree_on_failure():
@@ -180,16 +191,9 @@ def test_spanning_engines_agree_on_failure():
     table = [[list(loc) for loc in row] for row in exponent_table(p)]
     table[3] = [list(loc) for loc in table[0]]
     _, right = factor_matrices(p, Bipartition(2, (0,)), table)
-    fast = spanning_property(right)
-    reference = spanning_property(right.to_cyc_matrix())
-    assert not fast.ok and not reference.ok
-    assert fast.failures == reference.failures
-    assert fast.witness == reference.witness
-
-
-def test_spanning_rejects_other_inputs():
-    with pytest.raises(TypeError):
-        spanning_property(np.eye(3))
+    check = spanning_property(right)
+    assert not check.ok
+    assert (check.failures, check.witness) == leibniz_spanning(right)
 
 
 # -- whole-family verification --------------------------------------------------

@@ -1,17 +1,15 @@
 """Batched exact minor engines: modular certificates and multimodular zero
-proofs for prime and composite orders, checked against field elimination,
-the Leibniz formula and the integer subset expansion of `oracles`."""
+proofs for prime and composite orders, checked against the Leibniz formula
+over count vectors and the integer subset expansion of `oracles`."""
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge.cyclo import CycMatrix, GaussianRational, det, root_power
 from gesforge.minors import (
     certify_nonzero_mod,
     decide_nonzero,
@@ -20,22 +18,12 @@ from gesforge.minors import (
     multimodular_zero,
 )
 
-from .oracles import det_permutation_sum, det_power_counts, power_counts_are_zero
+from .oracles import det_leibniz_counts, det_permutation_sum, det_power_counts, power_counts_are_zero
 
 
-def exact_nonzero(expmat, order, scales=None):
-    """Reference verdict: field elimination on the fully materialized minor."""
-    k = expmat.shape[0]
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            e = root_power(int(expmat[i, j]), order)
-            if scales is not None:
-                e = e * GaussianRational.coerce(scales[j])
-            row.append(e)
-        rows.append(row)
-    return not det(CycMatrix.from_rows(rows)).is_zero
+def exact_nonzero(expmat, order):
+    """Reference verdict: the Leibniz determinant as a count vector."""
+    return not power_counts_are_zero(det_leibniz_counts(expmat, order), order)
 
 
 # -- modular context ---------------------------------------------------------
@@ -129,19 +117,18 @@ def test_det_power_counts_size_limit():
 )
 @settings(max_examples=40)
 def test_counts_agree_with_field_elimination(case):
+    # the Laplace subset expansion and the Leibniz formula give the same
+    # unreduced count vectors, term for term
     k, order, batches = case
     exps = np.array(batches, dtype=np.int64) % order
-    counts = det_power_counts(exps, order)
-    zero_flags = power_counts_are_zero(counts, order)
-    for t in range(exps.shape[0]):
-        assert (not zero_flags[t]) == exact_nonzero(exps[t], order)
+    np.testing.assert_array_equal(det_power_counts(exps, order), det_leibniz_counts(exps, order))
 
 
 # -- combined decision procedure ---------------------------------------------
 
 
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda k: st.tuples(
             st.just(k),
             st.sampled_from((3, 5, 7, 11)),
@@ -156,29 +143,13 @@ def test_counts_agree_with_field_elimination(case):
 )
 @settings(max_examples=40)
 def test_decide_nonzero_matches_reference(case):
+    # verdicts read the exponents alone: a nonzero column scale multiplies a
+    # minor by a nonzero constant (criterion 8 checks scaled families)
     k, order, batches = case
     exps = np.array(batches, dtype=np.int64) % order
     verdicts = decide_nonzero(exps, order)
     for t in range(exps.shape[0]):
         assert verdicts[t] == exact_nonzero(exps[t], order)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(-4, 4), st.integers(1, 3)),
-        min_size=3,
-        max_size=3,
-    ).filter(lambda ss: all(a != 0 or c != 0 for a, _, c, _ in ss))
-)
-@settings(max_examples=25)
-def test_scaling_preserves_verdicts(ss):
-    scales = [GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in ss]
-    order = 5
-    rng = np.random.default_rng(3)
-    exps = rng.integers(0, order, size=(6, 3, 3))
-    verdicts = decide_nonzero(exps, order)
-    for t in range(exps.shape[0]):
-        assert verdicts[t] == exact_nonzero(exps[t], order, scales)
 
 
 def test_decide_nonzero_detects_exact_zeros():
@@ -213,9 +184,8 @@ def test_planted_two_by_two_zeros_match_leibniz(order, abc, others):
     exps = np.array([planted] + others, dtype=np.int64) % order
     verdicts = decide_nonzero(exps, order)
     assert not verdicts[0]
+    np.testing.assert_array_equal(verdicts, [exact_nonzero(m, order) for m in exps])
     for t, m in enumerate(exps):
-        entries = [[root_power(int(e), order) for e in row] for row in m]
-        assert verdicts[t] == (not det_permutation_sum(entries).is_zero)
         assert verdicts[t] == ((m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0]) % order != 0)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gesforge.construct import build_nupb, exponent_table, make_params
-from gesforge.cyclo import GaussianRational
 from gesforge.partition import (
     Bipartition,
     coefficient_matrix,
@@ -70,7 +69,6 @@ def test_full_matrix_is_fourier_block():
     j = np.arange(8)[None, :]
     np.testing.assert_array_equal(flat.exponents, i * j % 11)
     assert flat.column_flat_indices == tuple(range(8))
-    assert flat.column_scales is None
 
 
 def test_full_matrix_rows_match_vector_amplitudes():
@@ -119,30 +117,6 @@ def test_factor_matrices_cover_exponent_sums():
             [(table[i][0][a] + table[i][2][b]) % q for a in range(2) for b in range(3)],
         )
         np.testing.assert_array_equal(right.exponents[i], table[i][1])
-
-
-def test_scaled_matrix_routes():
-    scales = (
-        (GaussianRational(1), GaussianRational(2)),
-        (GaussianRational(1), GaussianRational(1)),
-    )
-    p = make_params(dims=(2, 2), num_vectors=3, scales=scales)
-    flat = coefficient_matrix(p)
-    assert flat.scales_exact
-    assert flat.column_scales[2] == GaussianRational(2)
-    cyc = flat.to_cyc_matrix()
-    np.testing.assert_allclose(cyc.to_complex_array(), flat.to_complex(), atol=1e-12)
-
-
-def test_float_scales_block_exact_route():
-    scales = ((1 + 0j, 0.5 + 0.5j), (1 + 0j, 1 + 0j))
-    p = make_params(dims=(2, 2), num_vectors=3, scales=scales)
-    flat = coefficient_matrix(p)
-    assert not flat.scales_exact
-    with pytest.raises(ValueError):
-        flat.to_cyc_matrix()
-    # the complex view still carries the scales
-    assert flat.to_complex()[0, 2] == pytest.approx(0.5 + 0.5j)
 
 
 def test_factor_matrices_validate_party_count():
