@@ -4,12 +4,14 @@ over count vectors and the integer subset expansion of `oracles`."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesforge import GaussianRational
 from gesforge.minors import (
     certify_nonzero_mod,
     decide_nonzero,
@@ -143,13 +145,60 @@ def test_counts_agree_with_field_elimination(case):
 )
 @settings(max_examples=40)
 def test_decide_nonzero_matches_reference(case):
-    # verdicts read the exponents alone: a nonzero column scale multiplies a
-    # minor by a nonzero constant (criterion 8 checks scaled families)
     k, order, batches = case
     exps = np.array(batches, dtype=np.int64) % order
     verdicts = decide_nonzero(exps, order)
     for t in range(exps.shape[0]):
         assert verdicts[t] == exact_nonzero(exps[t], order)
+
+
+def scaled_nonzero(expmat, order, scales):
+    """Reference verdict for det(s_j * w**e[i, j]) with Gaussian-rational s_j.
+
+    Leibniz formula over the scaled entries: each permutation adds its signed
+    product of scales at index sum_i e[i, perm(i)] mod order.  The scales are
+    cleared of denominators first (a nonzero common factor), and the real and
+    imaginary count vectors are tested apart, since i is not in Q(w) for odd
+    prime orders.
+    """
+    k = expmat.shape[0]
+    denom = math.lcm(*(part.denominator for s in scales for part in (s.re, s.im)))
+    gauss = [(int(s.re * denom), int(s.im * denom)) for s in scales]
+    re = np.zeros(order, dtype=np.int64)
+    im = np.zeros(order, dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        x, y = (-1, 0) if inversions % 2 else (1, 0)
+        for i in range(k):
+            u, v = gauss[perm[i]]
+            x, y = x * u - y * v, x * v + y * u
+        index = int(sum(expmat[i, perm[i]] for i in range(k))) % order
+        re[index] += x
+        im[index] += y
+    return not (power_counts_are_zero(re, order) and power_counts_are_zero(im, order))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(-4, 4), st.integers(1, 3)),
+        min_size=3,
+        max_size=3,
+    ).filter(lambda ss: all(a != 0 or c != 0 for a, _, c, _ in ss))
+)
+@settings(max_examples=25)
+def test_scaling_preserves_verdicts(ss):
+    # decide_nonzero reads the exponents alone: a nonzero column scale
+    # multiplies a minor by a nonzero constant (criterion 8 checks scaled
+    # families end to end)
+    scales = [GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in ss]
+    order = 5
+    rng = np.random.default_rng(3)
+    exps = rng.integers(0, order, size=(6, 3, 3))
+    exps[0, 2] = (exps[0, 0] + 1) % order  # a zero minor: row 2 is w * row 0
+    verdicts = decide_nonzero(exps, order)
+    assert not verdicts[0]
+    for t in range(exps.shape[0]):
+        assert verdicts[t] == scaled_nonzero(exps[t], order, scales)
 
 
 def test_decide_nonzero_detects_exact_zeros():
