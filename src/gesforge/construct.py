@@ -356,6 +356,13 @@ def params_to_json(params: ConstructionParams) -> dict:
     return doc
 
 
+def _int_from_json(value) -> int:
+    """An int or an integer string from a JSON document; floats and booleans raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer or an integer string, got {value!r}")
+    return int(value)
+
+
 def params_from_json(doc) -> ConstructionParams:
     if not isinstance(doc, dict):
         raise ValueError("params must be a JSON object")
@@ -363,9 +370,9 @@ def params_from_json(doc) -> ConstructionParams:
     if scales is not None:
         scales = tuple(tuple(scale_from_json(s) for s in row) for row in scales)
     return ConstructionParams(
-        dims=tuple(int(d) for d in doc["dims"]),
-        num_vectors=int(doc["num_vectors"]),
-        root_order=int(doc["root_order"]),
+        dims=tuple(_int_from_json(d) for d in doc["dims"]),
+        num_vectors=_int_from_json(doc["num_vectors"]),
+        root_order=_int_from_json(doc["root_order"]),
         scales=scales,
     )
 
@@ -393,7 +400,7 @@ def vectors_from_doc(doc) -> tuple[ConstructionParams, list[list[list[int]]], st
     if not isinstance(doc, dict) or doc.get("schema") != "gesforge/vectors":
         raise ValueError("not a vectors document")
     params = params_from_json(doc["params"])
-    table = [[[int(e) for e in loc] for loc in row] for row in doc["exponent_table"]]
+    table = [[[_int_from_json(e) for e in loc] for loc in row] for row in doc["exponent_table"]]
     # provenance is re-derived, not trusted: an edited table is user-supplied
     # no matter what the file claims
     provenance = "standard-recipe" if is_standard_table(params, table) else "user-supplied"

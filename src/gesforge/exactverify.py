@@ -1,24 +1,32 @@
 """Exact certification: full rank, per-cut spanning, and Fourier minor scans.
 
-The spanning property of a one-sided coefficient matrix is decided by
-exhaustive enumeration: every subset of rows of the side's dimension must
-have full rank.  No structural theorem is assumed on the way in; the
-matrices are checked as given, so user-supplied exponent tables and scaled
-columns get the same treatment as the standard recipe.  All verdicts are
-exact; floating point never participates.  Nonzero column scales, exact or
+Every exact verdict here comes down to "no minor vanishes", and one pass
+decides it: `_zero_minors` takes the image mod q of every square minor of
+a matrix by a depth-first Laplace expansion, and only the zero images
+escalate to the multimodular zero proof of `minors`.  All verdicts are
+exact; floating point never participates.  No structural theorem is
+assumed on the way in, so user-supplied exponent tables get the same
+treatment as the standard recipe.  Nonzero column scales, exact or
 floating, change neither a rank nor a minor's zero-ness, so the exact
 verdicts read the exponent table alone.
+
+The spanning property asks every D-row subset of a side's k x D matrix M
+to have full rank.  Gauss-Jordan elimination of M^T mod q picks basis
+rows B with M_B nonsingular and gives A = M_rest M_B^-1.  Every maximal
+minor of M is +-det M_B times exactly one square minor of A: the row set
+(B minus B[C]) + rest[R] goes with det A[R, C], since the Pluecker
+coordinates of the row span of [I; A] are the minors of A (Fomin &
+Zelevinsky, Math. Intelligencer 22, 2000).  So one scan of A's square
+minors covers all C(k, D) maximal minors.
 
 Rank deficiency is proved without field elimination: a modular echelon
 form names pivot rows P and columns C with M[P, C] nonsingular, and the
 rank is exactly |P| when every bordered minor M[P + i, C + j] is proven
-zero by the multimodular test of `minors`, because those minors are the
-entries of the Schur complement of M[P, C] up to its nonzero determinant.
+zero by the multimodular test, because those minors are the entries of
+the Schur complement of M[P, C] up to its nonzero determinant.
 
-The Fourier-minor scan (`chebotarev_scan`) takes every minor's image mod q
-from one depth-first Laplace expansion over row sets, and escalates only
-the zero images to the same multimodular proof, for prime and composite
-orders alike.
+The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n, for
+prime and composite orders alike.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +45,9 @@ from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
+# Zero images reach the multimodular proof in batches of at most this many
+# matrix entries, which bounds the proof's memory.
+_PROOF_BATCH = 1 << 22
 
 
 @dataclass
@@ -167,11 +179,13 @@ class ExactReport:
         }
 
 
-def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int]]:
-    """Pivot rows and pivot columns of a row echelon form over F_q.
+def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Pivot rows, pivot columns and the reduced row echelon form over F_q.
 
-    Division-free elimination with row swaps; the submatrix on the returned
-    rows and columns is nonsingular mod q, and its size is the rank mod q.
+    Gauss-Jordan elimination with row swaps: each pivot is scaled to 1 and
+    cleared from every other row.  The submatrix on the returned rows and
+    columns is nonsingular mod q, its size is the rank mod q, and the
+    reduced form has one row per pivot, in pivot order.
     """
     a = (np.array(values, dtype=np.int64) % q).tolist()
     rows, cols = len(a), len(a[0]) if a else 0
@@ -184,16 +198,19 @@ def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int]]:
             continue
         a[r], a[piv] = a[piv], a[r]
         origin[r], origin[piv] = origin[piv], origin[r]
-        pr = a[r]
-        for i in range(r + 1, rows):
+        inverse = pow(a[r][c], q - 2, q)
+        # the pivot row is zero before column c, so only columns c.. change
+        pr = [x * inverse % q for x in a[r][c:]]
+        a[r][c:] = pr
+        for i in range(rows):
             f = a[i][c]
-            if f:
-                a[i] = [(pr[c] * x - f * y) % q for x, y in zip(a[i], pr)]
+            if f and i != r:
+                a[i][c:] = [(x - f * y) % q for x, y in zip(a[i][c:], pr)]
         pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return sorted(origin[:r]), pivot_cols
+    return sorted(origin[:r]), pivot_cols, a[:r]
 
 
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
@@ -210,7 +227,7 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     k, dim = flat.exponents.shape
     for index in itertools.count():
         ctx = minors.modular_context(order, index)
-        rows, cols = _modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)
+        rows, cols, _ = _modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)
         r = len(rows)
         if r == k or r == dim:
             return r == k, r, "modular"
@@ -221,42 +238,140 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
             return False, r, "bordered"
 
 
-def spanning_property(flat: FlatMatrix, *, chunk: int = 100_000) -> SpanningCheck:
-    """Exhaustive check that every dimension-sized row subset has full rank.
+@lru_cache(maxsize=None)
+def _column_tables(ncols: int, max_size: int) -> tuple[list, list]:
+    """Column sets of each size s up to max_size, in lexicographic order,
+    and per size an (s, C(ncols, s)) array: the index of each set without
+    its pos-th column among the sets one smaller."""
+    combos = [
+        np.array(list(itertools.combinations(range(ncols), s)), dtype=np.int64)
+        .reshape(math.comb(ncols, s), s)
+        for s in range(max_size + 1)
+    ]
+    # colex ranks sum_i C(c_i, i + 1) number the s-sets 0..C(ncols, s) - 1
+    binom = np.array(
+        [[math.comb(c, i) for i in range(max_size + 1)] for c in range(ncols)], dtype=np.int64
+    )
+
+    def colex(sets: np.ndarray) -> np.ndarray:
+        return binom[sets, np.arange(1, sets.shape[1] + 1)].sum(axis=1)
+
+    drops = [None]
+    for s in range(1, max_size + 1):
+        lex_index = np.argsort(colex(combos[s - 1]))
+        drops.append(lex_index[[colex(np.delete(combos[s], pos, axis=1)) for pos in range(s)]])
+    return combos, drops
+
+
+def _zero_minors(matrix: np.ndarray, q: int, max_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of every square minor up to max_size whose image mod q is zero.
+
+    matrix holds residues mod q.  One pair of (N, s) arrays per size s
+    that has zero images, sizes ascending, each in lexicographic order of
+    rows, then columns.  The pass visits the row sets R depth first in
+    lexicographic order and keeps the images det X[R, C] over every column
+    set C with |C| = |R|.  Each child R + x (x > max R) takes its images
+    from the parent's by expansion along the new row, so a minor costs |C|
+    multiply-adds, and memory stays near max_size * rows * C(cols, max_size)
+    residues.
+    """
+    combos, drops = _column_tables(matrix.shape[1], max_size)
+    # per size, expansion position pos and row x: X[x, C[pos]] times the
+    # Laplace sign of position pos along the last row
+    entries = [None]
+    for s in range(1, max_size + 1):
+        signed = matrix[:, combos[s].T].swapaxes(0, 1)
+        signed[s % 2 :: 2] *= -1
+        entries.append(signed)
+    found_rows = [[] for _ in range(max_size + 1)]
+    found_cols = [[] for _ in range(max_size + 1)]
+
+    def expand(rows: tuple, images: np.ndarray) -> None:
+        size = len(rows) + 1
+        first = rows[-1] + 1 if rows else 0
+        acc = (entries[size][:, first:] * images[drops[size]][:, None]).sum(axis=0) % q
+        xs, cs = np.nonzero(acc == 0)
+        if xs.size:
+            block = np.empty((xs.size, size), dtype=np.int64)
+            block[:, :-1] = rows
+            block[:, -1] = xs + first
+            found_rows[size].append(block)
+            found_cols[size].append(combos[size][cs])
+        if size < max_size:
+            for x in range(first, len(matrix) - 1):
+                expand(rows + (x,), acc[x - first])
+
+    if max_size:
+        expand((), np.ones(1, dtype=np.int64))
+    return [
+        (np.concatenate(found_rows[s]), np.concatenate(found_cols[s]))
+        for s in range(1, max_size + 1)
+        if found_rows[s]
+    ]
+
+
+def _proven_zero(minor_exponents, count: int, size: int, order: int) -> np.ndarray:
+    """multimodular_zero over `count` size x size minors, whose exponents
+    minor_exponents(batch) gives for a slice of them, in bounded batches."""
+    step = max(1, _PROOF_BATCH // size**2)
+    return np.concatenate([np.zeros(0, dtype=bool)] + [
+        minors.multimodular_zero(minor_exponents(slice(lo, lo + step)), order)
+        for lo in range(0, count, step)
+    ])
+
+
+def spanning_property(flat: FlatMatrix) -> SpanningCheck:
+    """Check that every dimension-sized row subset has full rank.
+
+    The maximal minors are scanned as the square minors of the Schur
+    complement A (module docstring) in one Laplace pass mod q, and the zero
+    images escalate to the multimodular zero proof.  A field whose image
+    of the side has rank below D gives no A; the exact rank then either
+    proves every maximal minor zero or sends the check to the next field.
 
     Raises when the row count is below the side dimension, where the
     spanning hypothesis cannot hold.
     """
-    k = flat.num_vectors
-    dim = flat.dimension
+    k, dim = flat.exponents.shape
     if k < dim:
         raise ValueError(
             f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
         )
-    methods: dict = {}
-    witness = None
-    failures = 0
-    for rows in minors.iter_index_combinations(k, dim, chunk):
-        verdicts = minors.decide_nonzero(flat.exponents[rows], flat.root_order, stats=methods)
-        if not verdicts.all():
-            bad = np.nonzero(~verdicts)[0]
-            failures += int(bad.size)
-            if witness is None:
-                witness = tuple(int(x) for x in rows[bad[0]])
+    order = flat.root_order
+    total = math.comb(k, dim)
+    failures, witness = total, tuple(range(dim))
+    for index in itertools.count():
+        ctx = minors.modular_context(order, index)
+        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
+        if len(basis) < dim:
+            if index == 0 and rank_full(flat)[1] < dim:
+                break  # every maximal minor vanishes
+            continue
+        rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
+        basis = np.array(basis, dtype=np.int64)
+        schur = np.array(reduced, dtype=np.int64)[:, rest]  # A^T: rows follow basis, columns rest
+        # the pass recurses over row sets, so it runs on the side with fewer rows
+        flipped = len(rest) < dim
+        members = [np.zeros((0, k), dtype=bool)]
+        for rows, cols in _zero_minors(schur.T if flipped else schur, ctx.modulus, min(dim, len(rest))):
+            dropped, added = (cols, rows) if flipped else (rows, cols)
+            member = np.zeros((len(rows), k), dtype=bool)
+            member[:, basis] = True
+            member[np.arange(len(rows))[:, None], basis[dropped]] = False
+            member[np.arange(len(rows))[:, None], rest[added]] = True
+            members.append(member)
+        sets = np.nonzero(np.concatenate(members))[1].reshape(-1, dim)  # sorted row sets
+        zero = _proven_zero(lambda batch: flat.exponents[sets[batch]], len(sets), dim, order)
+        failures = int(zero.sum())
+        witness = min(map(tuple, sets[zero].tolist())) if failures else None
+        break
     return SpanningCheck(
-        parties=flat.parties,
-        dimension=dim,
-        subsets_total=math.comb(k, dim),
-        ok=failures == 0,
-        witness=witness,
-        failures=failures,
-        methods=methods,
+        parties=flat.parties, dimension=dim, subsets_total=total, ok=failures == 0,
+        witness=witness, failures=failures, methods={"modular": total},
     )
 
 
-def verify_all_bipartitions(
-    params: ConstructionParams, table=None, *, chunk: int = 100_000
-) -> ExactReport:
+def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:
     """Full-rank plus per-cut spanning over every canonical bipartition."""
     problems = validate_params(params)
     if problems:
@@ -283,8 +398,8 @@ def verify_all_bipartitions(
         count_ok = params.num_vectors >= required
         left = right = None
         if count_ok:
-            left = spanning_property(left_flat, chunk=chunk)
-            right = spanning_property(right_flat, chunk=chunk)
+            left = spanning_property(left_flat)
+            right = spanning_property(right_flat)
         report.bipartitions.append(
             BipartitionCheck(
                 members=cut.members,
@@ -297,11 +412,6 @@ def verify_all_bipartitions(
         )
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def _lex_keys(combos: np.ndarray, order: int) -> np.ndarray:
-    """Integer keys that sort equal-size index tuples in lexicographic order."""
-    return combos @ order ** np.arange(combos.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def _check_witness(rows, cols, order: int) -> None:
@@ -317,22 +427,17 @@ def _check_witness(rows, cols, order: int) -> None:
             )
 
 
-def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> ChebotarevScan:
+def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     """Enumerate all square minors of the order-n Fourier matrix up to a size.
 
     For prime order the expected witness list is empty (total
     nonsingularity); composite orders surface exactly-zero minors.
 
-    One depth-first Laplace pass mod q visits the row sets R in
-    lexicographic order and keeps the images det F[R, C] mod q over every
-    column set C with |C| = |R|.  Each child R + x (x > max R) takes its
-    images from the parent's by expansion along the new row, so a minor
-    costs |C| multiply-adds, and memory stays near max_size * n *
-    C(n, max_size) residues.  A nonzero image proves a minor nonzero; the
-    zero images, per size and in lexicographic order, escalate in batches
-    of at most `chunk` to the multimodular zero proof of `minors`, which
-    clears spurious ones.  Every recorded witness is re-evaluated with
-    mpmath at 50 digits and must fall below 1e-30.
+    One Laplace pass mod q (`_zero_minors`) gives every minor's image; a
+    nonzero image proves a minor nonzero, and the zero images, size by
+    size, go to the multimodular zero proof of `minors`, which clears the
+    spurious ones.  Every recorded witness is re-evaluated with mpmath at
+    50 digits and must fall below 1e-30.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -340,70 +445,20 @@ def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> Chebo
     max_size = min(max_size, order)
     start = time.perf_counter()
     ctx = minors.modular_context(order)
-    q = ctx.modulus
     fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
-    combos = [
-        np.array(list(itertools.combinations(range(order), s)), dtype=np.int64)
-        .reshape(math.comb(order, s), s)
-        for s in range(max_size + 1)
-    ]
-    keys = [_lex_keys(c, order) for c in combos]
-    # per size and expansion position: the parent's image index of C minus
-    # its pos-th column, and the signed entries F[x, C[pos]] for every row x
-    drops, entries = [None], [None]
-    for s in range(1, max_size + 1):
-        drops.append([
-            np.searchsorted(keys[s - 1], _lex_keys(np.delete(combos[s], pos, axis=1), order))
-            for pos in range(s)
-        ])
-        entries.append([
-            fourier[:, combos[s][:, pos]] if (s - 1 + pos) % 2 == 0
-            else q - fourier[:, combos[s][:, pos]]
-            for pos in range(s)
-        ])
-    checked = {s: len(combos[s]) ** 2 for s in range(1, max_size + 1)}
-    pending = {s: [] for s in checked}
-    waiting = dict.fromkeys(checked, 0)
-    zeros = {s: [] for s in checked}
     zero_total = 0
-
-    def escalate(size: int) -> None:
-        nonlocal zero_total
-        rows = np.concatenate([r for r, _ in pending[size]])
-        cols = np.concatenate([c for _, c in pending[size]])
-        pending[size].clear()
-        waiting[size] = 0
-        for lo in range(0, len(rows), chunk):
-            r, c = rows[lo : lo + chunk], cols[lo : lo + chunk]
-            zero = minors.multimodular_zero(r[:, :, None] * c[:, None, :] % order, order)
-            zero_total += int(zero.sum())
-            keep = _WITNESS_CAP - len(zeros[size])
-            zeros[size].extend(zip(r[zero][:keep].tolist(), c[zero][:keep].tolist()))
-
-    def expand(rows: tuple, images: np.ndarray) -> None:
-        size = len(rows) + 1
-        first = rows[-1] + 1 if rows else 0
-        acc = sum(e[first:] * images[d] for e, d in zip(entries[size], drops[size])) % q
-        xs, cs = np.nonzero(acc == 0)
-        if xs.size:
-            block = np.empty((xs.size, size), dtype=np.int64)
-            block[:, :-1] = rows
-            block[:, -1] = xs + first
-            pending[size].append((block, combos[size][cs]))
-            waiting[size] += xs.size
-            if waiting[size] >= chunk:
-                escalate(size)
-        if size < max_size:
-            for x in range(first, order - 1):
-                expand(rows + (x,), acc[x - first])
-
-    expand((), np.ones(1, dtype=np.int64))
-    for size in checked:
-        if pending[size]:
-            escalate(size)
-    witnesses = [
-        (tuple(rows), tuple(cols)) for size in checked for rows, cols in zeros[size]
-    ][:_WITNESS_CAP]
+    witnesses = []
+    for rows, cols in _zero_minors(fourier, ctx.modulus, max_size):
+        zero = _proven_zero(
+            lambda batch: rows[batch, :, None] * cols[batch, None, :] % order,
+            len(rows), rows.shape[1], order,
+        )
+        zero_total += int(zero.sum())
+        witnesses += zip(
+            map(tuple, rows[zero][:_WITNESS_CAP].tolist()),
+            map(tuple, cols[zero][:_WITNESS_CAP].tolist()),
+        )
+    witnesses = witnesses[:_WITNESS_CAP]
     for rows, cols in witnesses:
         _check_witness(rows, cols, order)
     return ChebotarevScan(
@@ -411,7 +466,7 @@ def chebotarev_scan(order: int, max_size: int, *, chunk: int = 250_000) -> Chebo
         max_size=max_size,
         requested_size=requested,
         prime=is_prime(order),
-        checked=checked,
+        checked={s: math.comb(order, s) ** 2 for s in range(1, max_size + 1)},
         witnesses=witnesses,
         zero_count=zero_total,
         elapsed=time.perf_counter() - start,

@@ -28,7 +28,6 @@ and a running over the phi(n) units mod n:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +39,9 @@ from .cyclo import is_prime, power_reduction_matrix
 # Large moduli keep spurious zero images rare (about size/q per minor), so
 # escalations to the zero proof stay exceptional.
 _MODULUS_FLOOR = 1_000_000
+# Few survivors take several embeddings in one elimination of at most this
+# many entries, paying an elimination's fixed cost once per group.
+_STACKED_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,8 @@ def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
     """True where a minor is exactly zero (see module docstring).
 
     exponents: (N, m, m) integers modulo `order`.  The batch runs through
-    the embeddings w -> root**a one at a time, over successive fields until
-    their moduli multiply past m! * max|R|; each image drops the minors it
+    the embeddings w -> root**a, over successive fields until their moduli
+    multiply past m! * max|R|; each group of images drops the minors it
     proves nonzero, so work and memory shrink to the zero survivors.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
@@ -153,8 +155,11 @@ def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
     index = 0
     while product <= bound and todo.size:
         ctx = modular_context(order, index)
-        for a in units:
-            nonzero = certify_nonzero_mod(batch if a == 1 else batch * a % order, ctx)
+        step = max(1, _STACKED_ENTRIES // max(1, todo.size * m * m))
+        for lo in range(0, len(units), step):
+            group = np.array(units[lo : lo + step])[:, None, None, None]
+            certified = certify_nonzero_mod((batch * group % order).reshape(-1, m, m), ctx)
+            nonzero = certified.reshape(len(group), -1).any(axis=0)
             zero[todo[nonzero]] = False
             todo, batch = todo[~nonzero], batch[~nonzero]
             if todo.size == 0:
@@ -162,29 +167,3 @@ def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
         product *= ctx.modulus
         index += 1
     return zero
-
-
-def decide_nonzero(
-    exponents: np.ndarray, order: int, stats: dict | None = None
-) -> np.ndarray:
-    """Exact nonzero verdicts for a batch of minors, counted as "modular".
-
-    exponents: (N, k, k) integers modulo `order`.  Decided by the
-    multimodular zero proof, whose first image settles almost every nonzero
-    minor.  Column scales are not taken: nonzero scales cannot change a
-    verdict.
-    """
-    zero = multimodular_zero(exponents, order)
-    if stats is not None:
-        stats["modular"] = stats.get("modular", 0) + zero.size
-    return ~zero
-
-
-def iter_index_combinations(n: int, size: int, chunk: int):
-    """Yield lexicographic size-subsets of range(n) as (N, size) int64 blocks."""
-    it = itertools.combinations(range(n), size)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)

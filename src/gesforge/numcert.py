@@ -369,48 +369,3 @@ def schmidt_coefficients(state: np.ndarray, dims, cut: Bipartition) -> np.ndarra
     d_left = math.prod(dims[m] for m in cut.members)
     matrix = state.reshape(dims).transpose(perm).reshape(d_left, -1)
     return np.linalg.svd(matrix, compute_uv=False)
-
-
-def min_fully_product_value(
-    operator: np.ndarray, dims, options: OptimizerOptions | None = None
-) -> float:
-    """Diagnostic: minimize <x|G|x> over fully product states, all parties.
-
-    Same alternating idea with one factor per party.  Not used for
-    verdicts; biproduct minima over all cuts are the certifying quantity.
-    """
-    options = options or OptimizerOptions()
-    _check_hermitian(operator)
-    dims = tuple(dims)
-    n = len(dims)
-    tensor = operator.reshape(dims + dims)
-    groupings = []
-    for m in range(n):
-        others = [t for t in range(n) if t != m]
-        perm = [m] + others
-        d_rest = math.prod(dims[t] for t in others)
-        grouped = tensor.transpose(tuple(perm) + tuple(t + n for t in perm))
-        groupings.append((grouped.reshape(dims[m], d_rest, dims[m], d_rest), others))
-    best = None
-    for restart in range(options.restarts):
-        seq = np.random.SeedSequence(entropy=options.seed, spawn_key=(2, restart))
-        rng = np.random.default_rng(seq)
-        locals_ = [_random_unit(rng, d) for d in dims]
-        value = None
-        for _ in range(options.max_sweeps):
-            for m in range(n):
-                grouped, others = groupings[m]
-                rest = locals_[others[0]]
-                for t in others[1:]:
-                    rest = np.kron(rest, locals_[t])
-                eff = np.einsum("abcd,b,d->ac", grouped, rest.conj(), rest)
-                w, vecs = np.linalg.eigh((eff + eff.conj().T) / 2)
-                locals_[m] = vecs[:, 0]
-                new_value = float(w[0])
-            if value is not None and abs(new_value - value) < options.tol:
-                value = new_value
-                break
-            value = new_value
-        if best is None or value < best:
-            best = value
-    return max(best, 0.0)

@@ -323,6 +323,29 @@ def zero_denominator_scale(doc):
     return doc
 
 
+# numbers that int() would truncate to the standard table's own values
+
+
+def float_exponent(doc):
+    doc["exponent_table"][2][0][1] = 8.9
+    return doc
+
+
+def boolean_exponent(doc):
+    doc["exponent_table"][0][0][1] = False
+    return doc
+
+
+def float_vector_count(doc):
+    doc["params"]["num_vectors"] = 5.7
+    return doc
+
+
+def float_dimension(doc):
+    doc["params"]["dims"] = [2, 2.0, 2]
+    return doc
+
+
 @pytest.mark.parametrize(
     "malform",
     (
@@ -332,6 +355,10 @@ def zero_denominator_scale(doc):
         null_vector_count,
         bare_number_scale,
         zero_denominator_scale,
+        float_exponent,
+        boolean_exponent,
+        float_vector_count,
+        float_dimension,
     ),
 )
 def test_malformed_vectors_document_exits_invalid(tmp_path, capsys, malform):

@@ -1,6 +1,7 @@
 """Exact certification: rank, spanning, bipartition reports, minor scans."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -124,10 +125,15 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
 def test_modular_echelon_pivot_block_is_nonsingular():
     q = 101
     values = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 5]])
-    rows, cols = _modular_echelon(values, q)
+    rows, cols, reduced = _modular_echelon(values, q)
     assert len(rows) == len(cols) == 2
     block = values[np.ix_(rows, cols)] % q
     assert (block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]) % q
+    # Gauss-Jordan form: the identity on the pivot columns, and the pivot
+    # block maps the reduced rows back onto the pivot rows
+    reduced = np.array(reduced)
+    np.testing.assert_array_equal(reduced[:, cols], np.eye(2, dtype=np.int64))
+    np.testing.assert_array_equal(block @ reduced % q, values[rows] % q)
 
 
 # -- spanning -----------------------------------------------------------------
@@ -194,6 +200,81 @@ def test_spanning_engines_agree_on_failure():
     check = spanning_property(right)
     assert not check.ok
     assert (check.failures, check.witness) == leibniz_spanning(right)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.sampled_from((5, 7, 11)),
+            st.lists(
+                st.lists(st.integers(0, 10), min_size=dim, max_size=dim),
+                min_size=dim,
+                max_size=dim + 3,
+            ),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("row", "column")),
+                    st.integers(0, 6),
+                    st.integers(0, 6),
+                    st.integers(0, 10),
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+@settings(max_examples=60)
+def test_spanning_matches_leibniz_on_planted_dependent_rows(case):
+    # a row equal to another row times w**shift makes every row subset that
+    # holds both singular; a planted column drops the rank of the whole side
+    order, rows, plants = case
+    exps = np.array(rows, dtype=np.int64) % order
+    for kind, src, dst, shift in plants:
+        lines = exps if kind == "row" else exps.T
+        src, dst = src % len(lines), dst % len(lines)
+        if src != dst:
+            lines[dst] = (lines[src] + shift) % order
+    dim = exps.shape[1]
+    side = FlatMatrix(order, (0,), (dim,), exps, tuple(range(dim)))
+    check = spanning_property(side)
+    assert check.ok == (check.failures == 0)
+    assert (check.failures, check.witness) == leibniz_spanning(side)
+    assert check.methods == {"modular": check.subsets_total}
+
+
+def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
+    # a 4 x 4 block whose determinant vanishes mod the first field but not
+    # exactly, and two rows equal to block rows times powers of w: the first
+    # field's image of the side has rank 3, so the next field must decide
+    order = 7
+    ctx = minors.modular_context(order, 0)
+    assert ctx.modulus < 200
+    batch = np.random.default_rng(2).integers(0, order, size=(5000, 4, 4))
+    nonzero = ~power_counts_are_zero(det_leibniz_counts(batch, order), order)
+    block = batch[np.nonzero(nonzero & ~minors.certify_nonzero_mod(batch, ctx))[0][0]]
+    exps = np.vstack([block, (block[[0, 2]] + [[1], [3]]) % order])
+    assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) < 4
+    side = FlatMatrix(order, (0,), (4,), exps, tuple(range(4)))
+    check = spanning_property(side)
+    assert (check.failures, check.witness) == leibniz_spanning(side) == (11, (0, 1, 2, 4))
+
+
+def test_spanning_on_a_rank_deficient_side():
+    # a party whose levels share one exponent is a rank-one factor, so every
+    # side holding it has rank below its dimension and no nonzero maximal minor
+    p = make_params(dims=(2, 2, 2), num_vectors=7)
+    table = [[list(loc) for loc in row] for row in exponent_table(p)]
+    for i, row in enumerate(table):
+        row[1] = [i % 3, i % 3]
+    report = verify_all_bipartitions(p, table)
+    assert report.passed is False
+    for cut, result in zip(enumerate_bipartitions(3), report.bipartitions):
+        for side, check in zip(factor_matrices(p, cut, table), (result.left, result.right)):
+            if 1 in side.parties:
+                assert check.failures == check.subsets_total == math.comb(7, side.dimension)
+                assert check.witness == tuple(range(side.dimension))
+            else:
+                assert (check.failures, check.witness) == leibniz_spanning(side)
 
 
 # -- whole-family verification --------------------------------------------------

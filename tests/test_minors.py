@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from gesforge import GaussianRational
 from gesforge.minors import (
     certify_nonzero_mod,
-    decide_nonzero,
-    iter_index_combinations,
     modular_context,
     multimodular_zero,
 )
@@ -126,7 +124,7 @@ def test_counts_agree_with_field_elimination(case):
     np.testing.assert_array_equal(det_power_counts(exps, order), det_leibniz_counts(exps, order))
 
 
-# -- combined decision procedure ---------------------------------------------
+# -- nonzero verdicts: the negated zero proof ---------------------------------
 
 
 @given(
@@ -147,7 +145,7 @@ def test_counts_agree_with_field_elimination(case):
 def test_decide_nonzero_matches_reference(case):
     k, order, batches = case
     exps = np.array(batches, dtype=np.int64) % order
-    verdicts = decide_nonzero(exps, order)
+    verdicts = ~multimodular_zero(exps, order)
     for t in range(exps.shape[0]):
         assert verdicts[t] == exact_nonzero(exps[t], order)
 
@@ -187,7 +185,7 @@ def scaled_nonzero(expmat, order, scales):
 )
 @settings(max_examples=25)
 def test_scaling_preserves_verdicts(ss):
-    # decide_nonzero reads the exponents alone: a nonzero column scale
+    # the zero proof reads the exponents alone: a nonzero column scale
     # multiplies a minor by a nonzero constant (criterion 8 checks scaled
     # families end to end)
     scales = [GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in ss]
@@ -195,7 +193,7 @@ def test_scaling_preserves_verdicts(ss):
     rng = np.random.default_rng(3)
     exps = rng.integers(0, order, size=(6, 3, 3))
     exps[0, 2] = (exps[0, 0] + 1) % order  # a zero minor: row 2 is w * row 0
-    verdicts = decide_nonzero(exps, order)
+    verdicts = ~multimodular_zero(exps, order)
     assert not verdicts[0]
     for t in range(exps.shape[0]):
         assert verdicts[t] == scaled_nonzero(exps[t], order, scales)
@@ -204,7 +202,7 @@ def test_scaling_preserves_verdicts(ss):
 def test_decide_nonzero_detects_exact_zeros():
     # order 2 (w = -1): [[1,1],[1,-1]] is regular, [[1,1],[1,1]] is not
     exps = np.array([[[0, 0], [0, 1]], [[0, 0], [0, 0]]], dtype=np.int64)
-    verdicts = decide_nonzero(exps, 2)
+    verdicts = ~multimodular_zero(exps, 2)
     np.testing.assert_array_equal(verdicts, [True, False])
 
 
@@ -213,7 +211,7 @@ def test_decide_nonzero_composite_order():
     rows = np.array([0, 2])
     cols = np.array([0, 2])
     exps = (rows[:, None] * cols[None, :] % 4)[None, :, :]
-    assert not decide_nonzero(exps, 4)[0]
+    assert multimodular_zero(exps, 4)[0]
 
 
 @given(
@@ -231,37 +229,11 @@ def test_planted_two_by_two_zeros_match_leibniz(order, abc, others):
     a, b, c = abc
     planted = [[a, b], [c, (b + c - a) % order]]
     exps = np.array([planted] + others, dtype=np.int64) % order
-    verdicts = decide_nonzero(exps, order)
+    verdicts = ~multimodular_zero(exps, order)
     assert not verdicts[0]
     np.testing.assert_array_equal(verdicts, [exact_nonzero(m, order) for m in exps])
     for t, m in enumerate(exps):
         assert verdicts[t] == ((m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0]) % order != 0)
-
-
-def test_decide_nonzero_stats_accounting():
-    p = 7
-    rows = np.array(list(itertools.combinations(range(p), 2)), dtype=np.int64)
-    exps = rows[:, :, None] * rows[:, None, :] % p
-    stats = {}
-    verdicts = decide_nonzero(exps, p, stats=stats)
-    assert verdicts.all()
-    assert sum(stats.values()) == exps.shape[0]
-
-
-# -- combination iterator ----------------------------------------------------
-
-
-def test_iter_index_combinations_matches_itertools():
-    blocks = list(iter_index_combinations(7, 3, chunk=4))
-    assert all(b.shape[1] == 3 for b in blocks)
-    assert max(len(b) for b in blocks) <= 4
-    stacked = np.concatenate(blocks)
-    expected = np.array(list(itertools.combinations(range(7), 3)))
-    np.testing.assert_array_equal(stacked, expected)
-
-
-def test_iter_index_combinations_empty():
-    assert list(iter_index_combinations(3, 4, chunk=10)) == []
 
 
 # -- multimodular zero proofs ------------------------------------------------
@@ -279,7 +251,6 @@ def test_zero_proof_beyond_subset_expansion():
         assert math.factorial(16) > modular_context(order, 0).modulus ** 2
         assert abs(np.linalg.det(np.exp(2j * np.pi * fourier / order))) > 1.0
         np.testing.assert_array_equal(multimodular_zero(exps, order), [False, True])
-        np.testing.assert_array_equal(decide_nonzero(exps, order), [True, False])
 
 
 @given(
@@ -312,7 +283,6 @@ def test_zero_proof_matches_reduction_on_planted_zeros(case):
         exps = np.outer(exps[:, 0], exps[0]) % order
     expected = power_counts_are_zero(det_power_counts(exps[None], order), order)[0]
     assert multimodular_zero(exps[None], order)[0] == expected
-    assert decide_nonzero(exps[None], order)[0] == (not expected)
     assert expected or not planted
 
 
@@ -330,7 +300,7 @@ def test_small_fields_make_spurious_zero_images(small_fields):
     assert ctx.modulus < 200
     rng = np.random.default_rng(5)
     exps = rng.integers(0, order, size=(600, 4, 4))
-    verdicts = decide_nonzero(exps, order)
+    verdicts = ~multimodular_zero(exps, order)
     reduction = ~power_counts_are_zero(det_power_counts(exps, order), order)
     np.testing.assert_array_equal(verdicts, reduction)
     table = ctx.power_table()
@@ -356,4 +326,3 @@ def test_small_fields_need_several_primes(small_fields):
         expected = power_counts_are_zero(det_power_counts(exps, order), order)
         np.testing.assert_array_equal(zero, expected)
         assert zero[::2].all() and not zero[1::2].all()
-        np.testing.assert_array_equal(decide_nonzero(exps, order), ~expected)

@@ -15,7 +15,6 @@ from gesforge.numcert import (
     ges_basis,
     max_product_overlap,
     min_biproduct_value,
-    min_fully_product_value,
     sample_ges_state,
     schmidt_coefficients,
 )
@@ -333,25 +332,3 @@ def test_samples_from_standard_family_look_entangled():
         for cut in enumerate_bipartitions(3):
             worst = min(worst, schmidt_coefficients(state, (2, 2, 2), cut)[1])
     assert worst > 1e-8
-
-
-# -- all-parties diagnostic -------------------------------------------------------------
-
-
-def test_fully_product_minimum_identity():
-    value = min_fully_product_value(np.eye(8, dtype=complex), (2, 2, 2), QUICK)
-    assert value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fully_product_minimum_dominates_cuts():
-    p = make_params(n=3, d=2, num_vectors=5)
-    G = family_operator(build_nupb(p))
-    full = min_fully_product_value(G, (2, 2, 2), OptimizerOptions(restarts=30, seed=0))
-    for cut in enumerate_bipartitions(3):
-        s = min_biproduct_value(G, (2, 2, 2), cut, OptimizerOptions(restarts=30, seed=0))
-        assert full >= s.value - 1e-9
-
-
-def test_fully_product_minimum_finds_control_zero():
-    value = min_fully_product_value(control_family_operator(), (2, 2, 2), QUICK)
-    assert value < 1e-10
