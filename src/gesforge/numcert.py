@@ -6,6 +6,8 @@ minimizes sum_i |<psi_i|x>|^2 over normalized biproduct states
 x = a (x) b, by alternating exact eigenvector updates (fixing one factor
 makes the objective a Hermitian quadratic form in the other, so each half
 step is a smallest-eigenvalue problem and the objective never increases).
+All seeded restarts of a cut run together: each half step is one stacked
+eigen-solve over the restarts that have not yet converged.
 A strictly positive minimum over every cut witnesses that the orthogonal
 complement of the span contains no biproduct state, i.e. it is genuinely
 entangled.  The dual diagnostic maximizes overlap with the complement
@@ -44,6 +46,16 @@ class OptimizerOptions:
     seed: int = 0
     track_history: bool = False
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        for name in ("tol", "threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
     def to_doc(self) -> dict:
         return {
             "restarts": self.restarts,
@@ -65,6 +77,7 @@ class BiproductSearch:
     sweeps: int
     converged: bool
     restarts: int
+    restarts_agreeing: int
     history: list = field(default_factory=list)
 
 
@@ -100,6 +113,7 @@ class CutOutcome:
     value: float
     converged: bool
     sweeps: int
+    restarts_agreeing: int
     witness: np.ndarray
 
     def to_doc(self) -> dict:
@@ -109,6 +123,7 @@ class CutOutcome:
             "min_biproduct_value": self.value,
             "converged": self.converged,
             "sweeps": self.sweeps,
+            "restarts_agreeing": self.restarts_agreeing,
             "witness": [[z.real, z.imag] for z in self.witness],
         }
 
@@ -193,40 +208,90 @@ def _alternating_extremum(
     minimize: bool,
     options: OptimizerOptions,
     spawn_prefix: tuple[int, ...],
-) -> tuple[float, np.ndarray, np.ndarray, int, bool, list]:
+) -> tuple[float, np.ndarray, np.ndarray, int, bool, list, np.ndarray]:
+    """Alternating eigenvector search from every restart at once.
+
+    Each restart starts from its own seeded random right factor.  A half
+    step builds the effective operators of all restarts still active with
+    one matmul against the operator reshaped to (a c),(b d), and solves
+    them with one stacked eigh; a restart leaves the active set once its
+    value moves by less than tol.  Returns the best restart's (value,
+    left, right, sweeps, converged, history), ties going to the lowest
+    restart index, and the final values of all restarts.
+    """
     d_left, d_right = grouped.shape[0], grouped.shape[1]
     pick = 0 if minimize else -1
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    best = None
-    for restart in range(options.restarts):
-        seq = np.random.SeedSequence(entropy=options.seed, spawn_key=spawn_prefix + (restart,))
-        rng = np.random.default_rng(seq)
-        right = _random_unit(rng, d_right)
-        left = None
-        value = None
-        converged = False
-        history = []
-        sweeps = 0
-        for sweep in range(options.max_sweeps):
-            sweeps = sweep + 1
-            eff_left = np.einsum("abcd,b,d->ac", grouped, right.conj(), right)
-            w, vecs = np.linalg.eigh((eff_left + eff_left.conj().T) / 2)
-            left = vecs[:, pick]
-            eff_right = np.einsum("abcd,a,c->bd", grouped, left.conj(), left)
-            w, vecs = np.linalg.eigh((eff_right + eff_right.conj().T) / 2)
-            right = vecs[:, pick]
-            new_value = float(w[pick])
-            if options.track_history:
-                history.append(new_value)
-            if value is not None and abs(new_value - value) < options.tol:
-                value = new_value
-                converged = True
-                break
-            value = new_value
-        candidate = (value, left, right, sweeps, converged, history)
-        if best is None or better(value, best[0]):
-            best = candidate
-    return best
+    # by_pairs[(a c), (b d)] = G[a, b, c, d]; conj(r)_b r_d contracts the right legs
+    by_pairs = grouped.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right)
+
+    def half_step(vectors: np.ndarray, reshaped: np.ndarray, dim: int):
+        outer = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
+        eff = (outer @ reshaped).reshape(-1, dim, dim)
+        w, vecs = np.linalg.eigh((eff + eff.conj().transpose(0, 2, 1)) / 2)
+        return w[:, pick], vecs[:, :, pick]
+
+    rights = np.array([
+        _random_unit(
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=options.seed, spawn_key=spawn_prefix + (restart,))
+            ),
+            d_right,
+        )
+        for restart in range(options.restarts)
+    ])
+    lefts = np.empty((options.restarts, d_left), dtype=complex)
+    values = np.full(options.restarts, np.nan)
+    sweeps = np.zeros(options.restarts, dtype=int)
+    converged = np.zeros(options.restarts, dtype=bool)
+    history = None
+    if options.track_history:
+        history = np.full((options.max_sweeps, options.restarts), np.nan)
+    active = np.arange(options.restarts)
+    for sweep in range(options.max_sweeps):
+        _, lefts[active] = half_step(rights[active], by_pairs.T, d_left)
+        new_values, rights[active] = half_step(lefts[active], by_pairs, d_right)
+        if history is not None:
+            history[sweep, active] = new_values
+        sweeps[active] = sweep + 1
+        done = np.abs(new_values - values[active]) < options.tol
+        values[active] = new_values
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    best = int(np.argmin(values) if minimize else np.argmax(values))
+    best_history = [] if history is None else history[: sweeps[best], best].tolist()
+    return (
+        float(values[best]),
+        lefts[best],
+        rights[best],
+        int(sweeps[best]),
+        bool(converged[best]),
+        best_history,
+        values,
+    )
+
+
+def _biproduct_search(
+    operator: np.ndarray, dims, cut: Bipartition, minimize: bool, options: OptimizerOptions
+) -> BiproductSearch:
+    grouped, _, _ = _grouped_operator(operator, dims, cut)
+    cut_index = enumerate_bipartitions(cut.num_parties).index(cut)
+    value, left, right, sweeps, converged, history, finals = _alternating_extremum(
+        grouped, minimize, options, (0 if minimize else 1, cut_index)
+    )
+    agreeing = np.abs(finals - value) <= 1e-6 * abs(value) + 1e-15
+    return BiproductSearch(
+        value=max(value, 0.0) if minimize else min(value, 1.0),
+        left=left,
+        right=right,
+        state=_ungroup_state(left, right, dims, cut),
+        sweeps=sweeps,
+        converged=converged,
+        restarts=options.restarts,
+        restarts_agreeing=int(np.count_nonzero(agreeing)),
+        history=history,
+    )
 
 
 def min_biproduct_value(
@@ -244,22 +309,7 @@ def min_biproduct_value(
     """
     options = options or OptimizerOptions()
     _check_hermitian(operator)
-    grouped, _, _ = _grouped_operator(operator, dims, cut)
-    cut_index = enumerate_bipartitions(cut.num_parties).index(cut)
-    value, left, right, sweeps, converged, history = _alternating_extremum(
-        grouped, True, options, (0, cut_index)
-    )
-    state = _ungroup_state(left, right, dims, cut)
-    return BiproductSearch(
-        value=max(value, 0.0),
-        left=left,
-        right=right,
-        state=state,
-        sweeps=sweeps,
-        converged=converged,
-        restarts=options.restarts,
-        history=history,
-    )
+    return _biproduct_search(operator, dims, cut, True, options)
 
 
 def max_product_overlap(
@@ -274,22 +324,7 @@ def max_product_overlap(
     """
     options = options or OptimizerOptions()
     projector = basis.columns @ basis.columns.conj().T
-    grouped, _, _ = _grouped_operator(projector, basis.dims, cut)
-    cut_index = enumerate_bipartitions(cut.num_parties).index(cut)
-    value, left, right, sweeps, converged, history = _alternating_extremum(
-        grouped, False, options, (1, cut_index)
-    )
-    state = _ungroup_state(left, right, basis.dims, cut)
-    return BiproductSearch(
-        value=min(value, 1.0),
-        left=left,
-        right=right,
-        state=state,
-        sweeps=sweeps,
-        converged=converged,
-        restarts=options.restarts,
-        history=history,
-    )
+    return _biproduct_search(projector, basis.dims, cut, False, options)
 
 
 def ges_basis(vectors, exact_rank: int | None = None) -> GesBasis:
@@ -348,6 +383,7 @@ def certify_ges_numeric(vectors, options: OptimizerOptions | None = None) -> Num
                 value=found.value,
                 converged=found.converged,
                 sweeps=found.sweeps,
+                restarts_agreeing=found.restarts_agreeing,
                 witness=found.state,
             )
         )

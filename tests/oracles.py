@@ -3,7 +3,8 @@
 Everything here is deliberately naive: permutation-expansion determinants,
 the Leibniz formula and integer subset expansion of determinants over the
 powers of a root of unity, ranks by minors, dense grid searches,
-reduced-density Schmidt coefficients.  None of it shares code with the
+reduced-density Schmidt coefficients, and the alternating biproduct search
+run one restart at a time.  None of it shares code with the
 package, so agreement is meaningful evidence; the one exception is the
 cyclotomic reduction matrix that `power_counts_are_zero` reads, which
 `test_cyclo` checks against numeric roots of unity.
@@ -173,6 +174,50 @@ def max_overlap_grid(grouped: np.ndarray, n_theta: int = 121, n_phi: int = 240) 
     res = minimize(inner, best_angles, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     return -min(best, float(res.fun))
+
+
+def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options, spawn_prefix):
+    """The alternating eigenvector search, one restart after another.
+
+    Each restart draws the same seeded start as the package's stacked
+    search and runs its own einsum/eigh sweeps until its value moves by
+    less than tol; the best restart wins, ties going to the earliest.
+    Returns (value, left, right, sweeps, converged, history).
+    """
+    d_left, d_right = grouped.shape[0], grouped.shape[1]
+    pick = 0 if minimize else -1
+    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    best = None
+    for restart in range(options.restarts):
+        seq = np.random.SeedSequence(entropy=options.seed, spawn_key=spawn_prefix + (restart,))
+        rng = np.random.default_rng(seq)
+        right = rng.standard_normal(d_right) + 1j * rng.standard_normal(d_right)
+        right = right / np.linalg.norm(right)
+        left = None
+        value = None
+        converged = False
+        history = []
+        sweeps = 0
+        for sweep in range(options.max_sweeps):
+            sweeps = sweep + 1
+            eff_left = np.einsum("abcd,b,d->ac", grouped, right.conj(), right)
+            w, vecs = np.linalg.eigh((eff_left + eff_left.conj().T) / 2)
+            left = vecs[:, pick]
+            eff_right = np.einsum("abcd,a,c->bd", grouped, left.conj(), left)
+            w, vecs = np.linalg.eigh((eff_right + eff_right.conj().T) / 2)
+            right = vecs[:, pick]
+            new_value = float(w[pick])
+            if options.track_history:
+                history.append(new_value)
+            if value is not None and abs(new_value - value) < options.tol:
+                value = new_value
+                converged = True
+                break
+            value = new_value
+        candidate = (value, left, right, sweeps, converged, history)
+        if best is None or better(value, best[0]):
+            best = candidate
+    return best
 
 
 def schmidt_by_reduced_density(state: np.ndarray, left_dim: int, right_dim: int) -> np.ndarray:

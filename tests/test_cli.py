@@ -282,6 +282,25 @@ def test_float_scales_take_the_exact_verdict_below_threshold(tmp_path, capsys):
     assert doc["passed"] is True and doc["numeric"]["passed"] is False
 
 
+@pytest.mark.parametrize("command", ("verify", "report"))
+@pytest.mark.parametrize(
+    "flag,value",
+    (
+        ("--restarts", "0"),
+        ("--restarts", "-3"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+        ("--threshold", "nan"),
+        ("--threshold", "inf"),
+    ),
+)
+def test_bad_numeric_options_exit_invalid(tmp_path, capsys, command, flag, value):
+    code = run([command, "--dims", "2,2", "--k", "3", flag, value, "--out", "r.json"], tmp_path)
+    assert code == EXIT_INVALID
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def golden_vectors_doc():
     """The golden three-qubit table as a vectors document."""
     golden = json.loads(GOLDEN.read_text())

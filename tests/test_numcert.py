@@ -18,10 +18,15 @@ from gesforge.numcert import (
     sample_ges_state,
     schmidt_coefficients,
 )
-from gesforge.numcert import _grouped_operator
+from gesforge.numcert import _alternating_extremum, _grouped_operator
 from gesforge.partition import Bipartition, enumerate_bipartitions
 
-from .oracles import max_overlap_grid, min_biproduct_grid, schmidt_by_reduced_density
+from .oracles import (
+    alternating_extremum_reference,
+    max_overlap_grid,
+    min_biproduct_grid,
+    schmidt_by_reduced_density,
+)
 
 QUICK = OptimizerOptions(restarts=12, seed=0)
 
@@ -49,6 +54,26 @@ def test_options_defaults():
     assert opts.tol == 1e-12
     assert opts.threshold == 1e-6
     assert opts.seed == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        {"restarts": 0},
+        {"restarts": -3},
+        {"max_sweeps": 0},
+        {"tol": float("nan")},
+        {"tol": -1.0},
+        {"tol": float("inf")},
+        {"threshold": float("nan")},
+        {"threshold": -1e-6},
+        {"threshold": float("inf")},
+    ),
+)
+def test_options_reject_bad_values(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        OptimizerOptions(**bad)
 
 
 # -- the family operator --------------------------------------------------------
@@ -153,6 +178,18 @@ def test_seed_determinism_bit_exact():
         np.testing.assert_array_equal(x.witness, y.witness)
 
 
+def test_restarts_agreeing_counts_restarts_at_the_best_value():
+    p = make_params(n=2, d=2, num_vectors=3)
+    G = family_operator(build_nupb(p))
+    cut = Bipartition(2, (0,))
+    opts = OptimizerOptions(restarts=50, seed=0)
+    s = min_biproduct_value(G, (2, 2), cut, opts)
+    assert opts.restarts // 2 < s.restarts_agreeing <= opts.restarts
+    cert = certify_ges_numeric(build_nupb(p), opts)
+    assert cert.outcomes[0].restarts_agreeing == s.restarts_agreeing
+    assert cert.to_doc()["bipartitions"][0]["restarts_agreeing"] == s.restarts_agreeing
+
+
 def test_witness_state_is_unit_biproduct():
     p = make_params(n=3, d=2, num_vectors=5)
     G = family_operator(build_nupb(p))
@@ -163,6 +200,49 @@ def test_witness_state_is_unit_biproduct():
         assert coeffs[1] < 1e-10  # exactly one Schmidt term: biproduct
         direct = float(np.real(s.state.conj() @ G @ s.state))
         assert direct == pytest.approx(s.value, abs=1e-10)
+
+
+# -- the stacked search against the one-restart-at-a-time reference ----------------
+
+
+STACKED_FAMILIES = (
+    ((2, 2), 3),
+    ((2, 2, 2), 5),
+    ((2, 2, 2), 6),
+    ((2, 2, 2), 7),
+    ((2, 2, 3), 7),
+    ((2, 2, 2, 2), 9),
+    ((3, 3, 3), 11),
+)
+
+
+def assert_stacked_matches_reference(operator, dims, minimize, opts):
+    for index, cut in enumerate(enumerate_bipartitions(len(dims))):
+        grouped, _, _ = _grouped_operator(operator, dims, cut)
+        prefix = (0 if minimize else 1, index)
+        got = _alternating_extremum(grouped, minimize, opts, prefix)[0]
+        want = alternating_extremum_reference(grouped, minimize, opts, prefix)[0]
+        assert abs(got - want) <= 1e-12 + 1e-6 * abs(want), (dims, cut.label(), got, want)
+
+
+@pytest.mark.parametrize(
+    "dims,k", STACKED_FAMILIES, ids=[f"{'x'.join(map(str, d))}-k{k}" for d, k in STACKED_FAMILIES]
+)
+def test_stacked_search_matches_reference(dims, k):
+    vectors = build_nupb(make_params(dims=dims, num_vectors=k))
+    opts = OptimizerOptions(seed=5)
+    assert_stacked_matches_reference(family_operator(vectors), dims, True, opts)
+    basis = ges_basis(vectors, exact_rank=k)
+    projector = basis.columns @ basis.columns.conj().T
+    assert_stacked_matches_reference(projector, dims, False, opts)
+
+
+def test_stacked_search_matches_reference_on_the_extendible_control():
+    G = control_family_operator()
+    opts = OptimizerOptions(seed=5)
+    assert_stacked_matches_reference(G, (2, 2, 2), True, opts)
+    projector = np.eye(8) - G  # G projects onto the span of the four basis states
+    assert_stacked_matches_reference(projector, (2, 2, 2), False, opts)
 
 
 # -- grid-oracle agreement ---------------------------------------------------------
