@@ -47,14 +47,14 @@ def main() -> int:
           f"spanning on {len(report.bipartitions)} bipartitions, "
           f"passed={report.passed} ({report.elapsed:.3f}s)")
 
-    vectors = build_nupb(params)
-    cert = certify_ges_numeric(vectors, OptimizerOptions(seed=args.seed))
+    rows = build_nupb(params)
+    cert = certify_ges_numeric(rows, params.dims, OptimizerOptions(seed=args.seed))
     for outcome in cert.outcomes:
         cut = "{" + ",".join(map(str, outcome.members)) + "}"
         print(f"numeric: cut {cut:7s} min biproduct value {outcome.value:.6e}")
     print(f"numeric: passed={cert.passed} (threshold {cert.threshold:g})\n")
 
-    basis = ges_basis(vectors, exact_rank=report.matrix_rank)
+    basis = ges_basis(rows, params.dims, exact_rank=report.matrix_rank)
     print(f"basis: dimension {basis.dimension}, residual {basis.residual_max:.2e}, "
           f"orthonormality error {basis.orthonormality_error:.2e}")
 

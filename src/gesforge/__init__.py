@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .construct import (
     ConstructionParams,
     GaussianRational,
-    ProductVector,
-    build_nupb,
     exponent_table,
     make_params,
     mixed_radix_weights,
@@ -34,7 +32,7 @@ from .numcert import (
     sample_ges_state,
     schmidt_coefficients,
 )
-from .partition import Bipartition, coefficient_matrix, enumerate_bipartitions, factor_matrices
+from .partition import Bipartition, build_nupb, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 __all__ = [
     "Bipartition",
@@ -44,7 +42,6 @@ __all__ = [
     "GesBasis",
     "NumericCertificate",
     "OptimizerOptions",
-    "ProductVector",
     "build_nupb",
     "certify_ges_numeric",
     "chebotarev_scan",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import __version__
 from .construct import (
     ConstructionParams,
+    exponent_table,
     make_params,
     scale_from_json,
     validate_params,
@@ -25,9 +26,8 @@ from .construct import (
     SCHEMA_VERSION,
 )
 from .exactverify import chebotarev_scan, rank_full, verify_all_bipartitions
-from .partition import coefficient_matrix
+from .partition import build_nupb, coefficient_matrix
 from .numcert import OptimizerOptions, certify_ges_numeric, ges_basis
-from .construct import build_nupb, exponent_table
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -187,8 +187,7 @@ def cmd_verify(args) -> int:
     params, table, provenance = _family_from_args(args)
     options = _options_from_args(args, seed)
     exact = verify_all_bipartitions(params, table)
-    vectors = build_nupb(params, table)
-    numeric = certify_ges_numeric(vectors, options)
+    numeric = certify_ges_numeric(build_nupb(params, table), params.dims, options)
     doc = {
         "schema": "gesforge/report",
         "schema_version": SCHEMA_VERSION,
@@ -252,9 +251,9 @@ def cmd_basis(args) -> int:
     if not args.infile:
         raise InputError("--in is required")
     params, table, provenance = _family_from_args(args)
-    vectors = build_nupb(params, table)
+    rows = build_nupb(params, table)
     _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
-    basis = ges_basis(vectors, exact_rank=exact_rank)
+    basis = ges_basis(rows, params.dims, exact_rank=exact_rank)
     doc = {
         "schema": "gesforge/basis",
         "schema_version": SCHEMA_VERSION,
@@ -275,11 +274,11 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args)
     params, table, provenance = _family_from_args(args)
     options = _options_from_args(args, seed)
+    rows = build_nupb(params, table)
     vectors_doc = vectors_to_doc(params, table, provenance)
     exact = verify_all_bipartitions(params, table)
-    vectors = build_nupb(params, table)
-    numeric = certify_ges_numeric(vectors, options)
-    basis = ges_basis(vectors, exact_rank=exact.matrix_rank)
+    numeric = certify_ges_numeric(rows, params.dims, options)
+    basis = ges_basis(rows, params.dims, exact_rank=exact.matrix_rank)
     passed, numeric_line = _verdict(exact, numeric)
     doc = {
         "schema": "gesforge/full-report",

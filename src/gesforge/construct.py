@@ -8,7 +8,9 @@ matrix is a row-and-column selection of the order-p Fourier matrix, whose
 minors are all nonzero; that is what makes the span unextendible by
 product vectors and its complement a candidate genuinely entangled
 subspace.  Exponent tables are the exact source of truth everywhere;
-floating amplitudes are derived views.
+floating amplitudes are derived views.  This module holds the parameters,
+the tables, their validation and their JSON forms; the family itself, as
+its K x D coefficient matrix, is built in `gesforge.partition`.
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
     def __eq__(self, other):
@@ -207,19 +205,46 @@ def validate_params(params: ConstructionParams) -> list[str]:
         if len(params.scales) != params.num_parties:
             problems.append("scales must give one row per party")
         else:
-            for m, row in enumerate(params.scales):
-                if len(row) != params.dims[m]:
-                    problems.append(f"scales for party {m} must have {params.dims[m]} entries")
-                    continue
-                for s, value in enumerate(row):
-                    if isinstance(value, GaussianRational):
-                        if value.is_zero:
-                            problems.append(f"scale for party {m} level {s} is zero")
-                    elif not cmath.isfinite(value):
-                        problems.append(f"scale for party {m} level {s} is not finite")
-                    elif value == 0:
-                        problems.append(f"scale for party {m} level {s} is zero")
+            problems.extend(_scale_problems(params))
     return problems
+
+
+def _scale_problems(params: ConstructionParams) -> list[str]:
+    """Amplitudes are doubles: each scale, each column's scale (a product of
+    one scale per party) and each row's squared norm (the product over the
+    parties of their summed squared moduli) must be finite and nonzero."""
+    problems = []
+    smallest = norm2 = 1.0
+    for m, row in enumerate(params.scales):
+        if len(row) != params.dims[m]:
+            problems.append(f"scales for party {m} must have {params.dims[m]} entries")
+            continue
+        moduli = [_double_modulus(value) for value in row]
+        for s, r in enumerate(moduli):
+            if not 0 < r < math.inf:
+                kind = "zero" if r == 0 else "not finite"
+                problems.append(f"scale for party {m} level {s} is {kind} as a double")
+        smallest *= min(moduli, default=1.0)
+        norm2 *= sum(r * r for r in moduli)
+    if not problems and not (smallest > 0 and 0 < norm2 < math.inf):
+        problems.append("the scales put a column scale or a row norm outside the double range")
+    return problems
+
+
+def _double_modulus(value) -> float:
+    try:
+        return abs(complex(value))
+    except OverflowError:
+        return math.inf
+
+
+def ensure_valid(params: ConstructionParams, table=None) -> None:
+    """Raise ValueError naming every violated constraint of params and table."""
+    problems = validate_params(params)
+    if not problems and table is not None:
+        problems = validate_exponent_table(params, table)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def exponent_table(params: ConstructionParams) -> list[list[list[int]]]:
@@ -230,45 +255,6 @@ def exponent_table(params: ConstructionParams) -> list[list[list[int]]]:
         [[i * s * weights[m] % p for s in range(params.dims[m])] for m in range(params.num_parties)]
         for i in range(params.num_vectors)
     ]
-
-
-@dataclass(frozen=True)
-class ProductVector:
-    """One family member: per-party exponents plus optional scales."""
-
-    root_order: int
-    exponents: tuple[tuple[int, ...], ...]
-    scales: tuple[tuple[Scale, ...], ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(tuple(int(e) for e in row) for row in self.exponents))
-
-    @property
-    def num_parties(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.exponents)
-
-    def local_amplitudes(self, m: int) -> np.ndarray:
-        p = self.root_order
-        amps = np.array(
-            [cmath.exp(2j * cmath.pi * e / p) for e in self.exponents[m]], dtype=complex
-        )
-        if self.scales is not None:
-            factors = [
-                s.to_complex() if isinstance(s, GaussianRational) else complex(s)
-                for s in self.scales[m]
-            ]
-            amps = amps * np.array(factors, dtype=complex)
-        return amps
-
-    def amplitudes(self) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for m in range(self.num_parties):
-            out = np.kron(out, self.local_amplitudes(m))
-        return out
 
 
 def validate_exponent_table(params: ConstructionParams, table) -> list[str]:
@@ -294,30 +280,12 @@ def validate_exponent_table(params: ConstructionParams, table) -> list[str]:
     return problems
 
 
-def build_nupb(params: ConstructionParams, table=None) -> list[ProductVector]:
-    """The product family as vectors; raises on invalid params or table."""
-    problems = validate_params(params)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if table is None:
-        table = exponent_table(params)
-    else:
-        problems = validate_exponent_table(params, table)
-        if problems:
-            raise ValueError("; ".join(problems))
-    return [
-        ProductVector(
-            root_order=params.root_order,
-            exponents=tuple(tuple(row) for row in table[i]),
-            scales=params.scales,
-        )
-        for i in range(params.num_vectors)
-    ]
-
-
 def is_standard_table(params: ConstructionParams, table) -> bool:
-    reference = exponent_table(params)
-    return [[list(loc) for loc in row] for row in table] == reference
+    # the shape check comes first, so the reference is never built larger
+    # than the table in hand, whatever counts the params claim
+    return not validate_exponent_table(params, table) and [
+        [list(loc) for loc in row] for row in table
+    ] == exponent_table(params)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +303,21 @@ def scale_to_json(value: Scale):
 
 
 def scale_from_json(obj) -> Scale:
+    """A rational string, a {"re", "im"} object of them, or an [re, im] pair of numbers."""
     if isinstance(obj, dict):
         return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
     if isinstance(obj, str):
         return GaussianRational(Fraction(obj))
-    re, im = obj
-    return complex(re, im)
+    if not (
+        isinstance(obj, list)
+        and len(obj) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+    ):
+        raise ValueError(f"a float scale is an [re, im] pair of numbers, got {obj!r}")
+    try:
+        return complex(*obj)
+    except OverflowError:
+        raise ValueError(f"scale {obj!r} does not fit a double")
 
 
 def params_to_json(params: ConstructionParams) -> dict:
@@ -380,19 +357,23 @@ def params_from_json(doc) -> ConstructionParams:
 def vectors_to_doc(params: ConstructionParams, table=None, provenance: str | None = None) -> dict:
     if table is None:
         table = exponent_table(params)
+    ensure_valid(params, table)
     if provenance is None:
         provenance = "standard-recipe" if is_standard_table(params, table) else "user-supplied"
-    vectors = build_nupb(params, table)
+    p = params.root_order
+    factors = [np.array([complex(s) for s in row]) for row in params.scales or ()]
+
+    def local_pairs(exponents, m):
+        amps = np.array([cmath.exp(2j * cmath.pi * e / p) for e in exponents], dtype=complex)
+        return [[a.real, a.imag] for a in (amps * factors[m] if factors else amps)]
+
     return {
         "schema": "gesforge/vectors",
         "schema_version": SCHEMA_VERSION,
         "params": params_to_json(params),
         "provenance": provenance,
         "exponent_table": [[[str(e) for e in loc] for loc in row] for row in table],
-        "amplitudes": [
-            [[[amp.real, amp.imag] for amp in v.local_amplitudes(m)] for m in range(v.num_parties)]
-            for v in vectors
-        ],
+        "amplitudes": [[local_pairs(loc, m) for m, loc in enumerate(row)] for row in table],
     }
 
 

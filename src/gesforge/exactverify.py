@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import minors
-from .construct import ConstructionParams, validate_exponent_table, validate_params
+from .construct import ConstructionParams, ensure_valid
 from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
@@ -238,7 +238,10 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
             return False, r, "bordered"
 
 
-@lru_cache(maxsize=None)
+# A verify_all_bipartitions call needs one table per distinct side dimension:
+# 32 serves any call up to five parties (2**5 - 2 sides) without a rebuild,
+# yet bounds a long-lived process (3x3x3 at k=26 alone needs a 10 MB table).
+@lru_cache(maxsize=32)
 def _column_tables(ncols: int, max_size: int) -> tuple[list, list]:
     """Column sets of each size s up to max_size, in lexicographic order,
     and per size an (s, C(ncols, s)) array: the index of each set without
@@ -373,13 +376,7 @@ def spanning_property(flat: FlatMatrix) -> SpanningCheck:
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:
     """Full-rank plus per-cut spanning over every canonical bipartition."""
-    problems = validate_params(params)
-    if problems:
-        raise ValueError("; ".join(problems))
-    if table is not None:
-        problems = validate_exponent_table(params, table)
-        if problems:
-            raise ValueError("; ".join(problems))
+    ensure_valid(params, table)
     start = time.perf_counter()
     report = ExactReport(
         dims=params.dims,

@@ -11,7 +11,8 @@ eigen-solve over the restarts that have not yet converged.
 A strictly positive minimum over every cut witnesses that the orthogonal
 complement of the span contains no biproduct state, i.e. it is genuinely
 entangled.  The dual diagnostic maximizes overlap with the complement
-projector and must stay strictly below one.
+projector and must stay strictly below one.  The family comes in as its
+(K, D) coefficient rows (`partition.build_nupb`) and local dimensions.
 """
 
 from __future__ import annotations
@@ -156,18 +157,10 @@ class NumericCertificate:
         }
 
 
-def coefficient_rows(vectors, normalized: bool = True) -> np.ndarray:
-    """Stack the family as a K x D complex matrix, optionally row-normalized."""
-    rows = np.array([v.amplitudes() for v in vectors])
-    if normalized:
-        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-    return rows
-
-
-def family_operator(vectors) -> np.ndarray:
-    """G = sum_i |psi_i><psi_i| over the normalized family members."""
-    m = coefficient_rows(vectors, normalized=True)
-    return m.T @ m.conj()
+def family_operator(rows) -> np.ndarray:
+    """G = sum_i |psi_i><psi_i| over the family's rows, each normalized first."""
+    rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return rows.T @ rows.conj()
 
 
 def _check_hermitian(op: np.ndarray) -> None:
@@ -327,18 +320,16 @@ def max_product_overlap(
     return _biproduct_search(projector, basis.dims, cut, False, options)
 
 
-def ges_basis(vectors, exact_rank: int | None = None) -> GesBasis:
-    """Orthonormal null-space basis of the family's coefficient matrix.
+def ges_basis(rows, dims, exact_rank: int | None = None) -> GesBasis:
+    """Orthonormal null-space basis of the family's (K, D) coefficient rows.
 
     With an exact rank in hand the floating rank must agree, otherwise a
     numerical-pathology error is raised; without it the floating rank is
     used and a warning notes that.
     """
-    dims = vectors[0].dims
-    matrix = coefficient_rows(vectors, normalized=False)
-    columns = scipy.linalg.null_space(matrix)
+    columns = scipy.linalg.null_space(rows)
     if exact_rank is not None:
-        expected = matrix.shape[1] - exact_rank
+        expected = rows.shape[1] - exact_rank
         if columns.shape[1] != expected:
             raise ValueError(
                 f"floating null space has dimension {columns.shape[1]}, exact rank demands "
@@ -346,7 +337,7 @@ def ges_basis(vectors, exact_rank: int | None = None) -> GesBasis:
             )
     else:
         warnings.warn("complement dimension taken from the floating rank", stacklevel=2)
-    residual = float(np.abs(matrix @ columns).max()) if columns.size else 0.0
+    residual = float(np.abs(rows @ columns).max()) if columns.size else 0.0
     gram = columns.conj().T @ columns
     ortho = float(np.abs(gram - np.eye(columns.shape[1])).max()) if columns.size else 0.0
     if residual > _RESIDUAL_TOL:
@@ -359,18 +350,18 @@ def ges_basis(vectors, exact_rank: int | None = None) -> GesBasis:
     )
 
 
-def certify_ges_numeric(vectors, options: OptimizerOptions | None = None) -> NumericCertificate:
+def certify_ges_numeric(rows, dims, options: OptimizerOptions | None = None) -> NumericCertificate:
     """Minimum biproduct value for every canonical bipartition.
 
     Passes when each minimum clears the threshold, certifying (numerically)
     that nothing in the complement of the span is biproduct along any cut.
     """
     options = options or OptimizerOptions()
-    dims = tuple(vectors[0].dims)
-    operator = family_operator(vectors)
+    dims = tuple(dims)
+    operator = family_operator(rows)
     certificate = NumericCertificate(
         dims=dims,
-        num_vectors=len(vectors),
+        num_vectors=len(rows),
         threshold=options.threshold,
         options=options,
     )

@@ -1,13 +1,19 @@
-"""Bipartitions, flat indexing, and coefficient matrices of product families."""
+"""Bipartitions and the coefficient matrices of product families.
+
+Vector i has amplitude w**e[i, j] on column j; columns run over the
+parties' levels in product order, party 0 most significant.  The exact
+exponents (`coefficient_matrix`, per cut side `factor_matrices`) and the
+scaled complex K x D family (`build_nupb`) come from one exponent sum.
+"""
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionParams, exponent_table, mixed_radix_weights
+from .construct import ConstructionParams, ensure_valid, exponent_table
 
 
 @dataclass(frozen=True, order=True)
@@ -53,31 +59,6 @@ def enumerate_bipartitions(num_parties: int) -> list[Bipartition]:
     return out
 
 
-def flat_index(digits, dims) -> int:
-    """Mixed-radix flattening with party 0 most significant."""
-    if len(digits) != len(dims):
-        raise ValueError("digit count must match the dimension count")
-    weights = mixed_radix_weights(dims)
-    total = 0
-    for s, d, w in zip(digits, dims, weights):
-        if not 0 <= s < d:
-            raise ValueError(f"digit {s} out of range for dimension {d}")
-        total += s * w
-    return total
-
-
-def unflatten(index: int, dims) -> tuple[int, ...]:
-    weights = mixed_radix_weights(dims)
-    total = int(np.prod(dims))
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for dims {tuple(dims)}")
-    digits = []
-    for w in weights:
-        digits.append(index // w)
-        index %= w
-    return tuple(digits)
-
-
 @dataclass(frozen=True)
 class FlatMatrix:
     """Coefficient matrix of a family restricted to some parties.
@@ -85,15 +66,13 @@ class FlatMatrix:
     Entry (i, j) is w**exponents[i, j] up to a nonzero column scale, where
     w has the given prime root order.  The scales are left out: they never
     change a rank or the zero-ness of a minor, so the exponents are the
-    whole exact content.  column_flat_indices embeds each column into the
-    full-family flat index space (absent parties sit at level 0).
+    whole exact content.
     """
 
     root_order: int
     parties: tuple[int, ...]
     dims: tuple[int, ...]
     exponents: np.ndarray
-    column_flat_indices: tuple[int, ...]
 
     def __post_init__(self):
         exps = np.ascontiguousarray(np.asarray(self.exponents, dtype=np.int64))
@@ -114,28 +93,15 @@ class FlatMatrix:
 
 def _restricted_matrix(params: ConstructionParams, parties, table) -> FlatMatrix:
     parties = tuple(parties)
-    local_dims = tuple(params.dims[m] for m in parties)
-    p = params.root_order
-    k = params.num_vectors
-    per_party = [
-        np.array([table[i][m] for i in range(k)], dtype=np.int64) for m in parties
-    ]  # each (k, dims[m])
-    weights = mixed_radix_weights(params.dims)
-    columns = list(itertools.product(*[range(d) for d in local_dims]))
-    exps = np.zeros((k, len(columns)), dtype=np.int64)
-    flat_ids = []
-    for j, digits in enumerate(columns):
-        acc = np.zeros(k, dtype=np.int64)
-        for t, s in enumerate(digits):
-            acc += per_party[t][:, s]
-        exps[:, j] = acc % p
-        flat_ids.append(sum(s * weights[m] for m, s in zip(parties, digits)))
+    exps = np.zeros((params.num_vectors, 1), dtype=np.int64)
+    for m in parties:
+        local = np.array([row[m] for row in table], dtype=np.int64)  # (k, dims[m])
+        exps = (exps[:, :, None] + local[:, None, :]).reshape(len(local), -1)
     return FlatMatrix(
-        root_order=p,
+        root_order=params.root_order,
         parties=parties,
-        dims=local_dims,
-        exponents=exps,
-        column_flat_indices=tuple(flat_ids),
+        dims=tuple(params.dims[m] for m in parties),
+        exponents=exps % params.root_order,
     )
 
 
@@ -158,3 +124,18 @@ def factor_matrices(
         _restricted_matrix(params, bipartition.members, table),
         _restricted_matrix(params, bipartition.complement, table),
     )
+
+
+def build_nupb(params: ConstructionParams, table=None) -> np.ndarray:
+    """The family as its (K, D) complex coefficient matrix, row i vector i.
+
+    Entry (i, j) is w**e[i, j] times the product of the parties' scales at
+    column j's levels.  Raises on invalid params or table.
+    """
+    ensure_valid(params, table)
+    rows = coefficient_matrix(params, table).to_complex()
+    if params.scales is not None:
+        rows = rows * functools.reduce(
+            np.kron, [np.array([complex(s) for s in row]) for row in params.scales]
+        )
+    return rows

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: permutation-expansion determinants,
 the Leibniz formula and integer subset expansion of determinants over the
 powers of a root of unity, ranks by minors, dense grid searches,
-reduced-density Schmidt coefficients, and the alternating biproduct search
-run one restart at a time.  None of it shares code with the
+reduced-density Schmidt coefficients, the alternating biproduct search
+run one restart at a time, and the family's amplitudes as one Kronecker
+chain of per-party amplitudes per vector.  None of it shares code with the
 package, so agreement is meaningful evidence; the one exception is the
 cyclotomic reduction matrix that `power_counts_are_zero` reads, which
 `test_cyclo` checks against numeric roots of unity.
@@ -12,6 +13,7 @@ cyclotomic reduction matrix that `power_counts_are_zero` reads, which
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -230,3 +232,26 @@ def schmidt_by_reduced_density(state: np.ndarray, left_dim: int, right_dim: int)
     rho = x @ x.conj().T
     eigs = np.linalg.eigvalsh(rho)[::-1]
     return np.sqrt(np.clip(eigs, 0.0, None))
+
+
+def local_amplitudes(root_order: int, exponents, scales=None) -> np.ndarray:
+    """One party's amplitudes scale[s] * exp(2 pi i e_s / p), level by level."""
+    amps = np.array([cmath.exp(2j * cmath.pi * e / root_order) for e in exponents])
+    if scales is not None:
+        # exact scales are read through their rational parts, not the package
+        values = [s if isinstance(s, complex) else float(s.re) + 1j * float(s.im) for s in scales]
+        amps = amps * np.array(values)
+    return amps
+
+
+def kron_family(params, table) -> np.ndarray:
+    """The family's (K, D) amplitudes, vector by vector, as a Kronecker chain
+    of the parties' local amplitudes (party 0 most significant)."""
+    rows = []
+    for vector in table:
+        out = np.array([1.0 + 0j])
+        for m, exponents in enumerate(vector):
+            scales = None if params.scales is None else params.scales[m]
+            out = np.kron(out, local_amplitudes(params.root_order, exponents, scales))
+        rows.append(out)
+    return np.array(rows)

@@ -165,7 +165,7 @@ def test_criterion_5_numeric_certification_grid(capsys):
         for d, n, k in grid_instances():
             params = make_params(d=d, n=n, num_vectors=k)
             vectors = build_nupb(params)
-            cert = certify_ges_numeric(vectors)
+            cert = certify_ges_numeric(vectors, params.dims)
             assert cert.options.restarts == 50
             if (params.dims, k) in KNOWN_TIGHT:
                 # carve-out: strictly positive minima whose witnesses check
@@ -232,7 +232,7 @@ def test_criterion_7_null_space_residuals(capsys):
     with verdict(capsys, 7, "every emitted basis is orthonormal and annihilated"):
         for d, n, k in grid_instances():
             params = make_params(d=d, n=n, num_vectors=k)
-            basis = ges_basis(build_nupb(params), exact_rank=k)
+            basis = ges_basis(build_nupb(params), params.dims, exact_rank=k)
             assert basis.dimension == d**n - k
             assert basis.residual_max < RESIDUAL_TOL
             assert basis.orthonormality_error < RESIDUAL_TOL

@@ -156,6 +156,50 @@ def test_verify_zero_scale_rejected(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+HUGE_EXACT = "1" + "0" * 400
+TINY_EXACT = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "scales",
+    (
+        [[HUGE_EXACT, "1"], ["1", "1"]],
+        [[[1e300, 0], [1e300, 0]], [[1e300, 0], [1e300, 0]]],
+        [[TINY_EXACT, "1"], ["1", "1"]],
+        [[[True, 0], "1"], ["1", "1"]],
+        [["1", [1, False]], ["1", "1"]],
+        [[[1e200, 0], [1e200, 0]], ["1", "1"]],
+        [[[1e-200, 0], [1e-200, 0]], ["1", "1"]],
+    ),
+    ids=(
+        "huge-exact", "huge-float-product", "tiny-exact", "boolean-re", "boolean-im",
+        "huge-row-norm", "tiny-row-norm",
+    ),
+)
+def test_scales_outside_double_range_exit_invalid(tmp_path, capsys, scales):
+    # a scale must be a finite nonzero double, and so must the column
+    # scales and row norms it makes; booleans are not numbers
+    (tmp_path / "h.json").write_text(json.dumps(scales))
+    inline = ["--n", "2", "--d", "2", "--k", "3"]
+    assert run(["construct", *inline, "--out", "v.json"], tmp_path) == EXIT_OK
+    doc = read_json(tmp_path / "v.json")
+    doc["params"]["scales"] = scales
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    inline += ["--h-file", "h.json"]
+    for argv in (
+        ["construct", *inline],
+        ["verify", *inline, "--restarts", "2"],
+        ["report", *inline, "--restarts", "2"],
+        ["verify", "--in", "bad.json", "--restarts", "2"],
+        ["report", "--in", "bad.json", "--restarts", "2"],
+        ["basis", "--in", "bad.json"],
+    ):
+        assert run(argv, tmp_path) == EXIT_INVALID, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_chebotarev_prime_clean(tmp_path, capsys):
     code = run(["chebotarev", "--p", "7", "--max-size", "5", "--out", "scan.json"], tmp_path)
     assert code == EXIT_OK
@@ -404,7 +448,26 @@ def _locations(holder):
     return out
 
 
-SWAPPED_VALUES = (0, -1, 2, 2.5, True, "x", "7", [], ["1"], {}, {"re": "1"})
+SWAPPED_VALUES = (
+    0, -1, 2, 2.5, True, "x", "7", [], ["1"], {}, {"re": "1"}, HUGE_EXACT, TINY_EXACT, [True, 0.0],
+)
+
+
+def _misplaced_numbers(doc) -> list:
+    """Floats and booleans standing where a vectors document needs an integer:
+    dims or an entry of it, num_vectors, root_order, or the exponent table at
+    any depth down to the exponents."""
+    found = []
+    params = doc.get("params") if isinstance(doc, dict) else None
+    if isinstance(params, dict):
+        dims = params.get("dims")
+        found += [params.get("num_vectors"), params.get("root_order")]
+        found += dims if isinstance(dims, list) else [dims]
+    level = [doc.get("exponent_table") if isinstance(doc, dict) else None]
+    for _ in range(4):
+        found += [v for v in level if not isinstance(v, list)]
+        level = [v for entry in level if isinstance(entry, list) for v in entry]
+    return [v for v in found if isinstance(v, (bool, float))]
 
 
 @given(st.sampled_from(("vectors", "scales")), st.data())
@@ -437,4 +500,7 @@ def test_mutated_json_inputs_never_raise(target, data):
         else:
             argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", str(path),
                     "--restarts", "2"]
-        assert main(argv) in (EXIT_OK, EXIT_FAILED, EXIT_INVALID)
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAILED, EXIT_INVALID)
+    if target == "vectors" and _misplaced_numbers(holder[0]):
+        assert code == EXIT_INVALID

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gesforge.construct import (
     ConstructionParams,
     GaussianRational,
-    build_nupb,
     exponent_table,
     is_standard_table,
     make_params,
@@ -25,6 +24,7 @@ from gesforge.construct import (
     vectors_from_doc,
     vectors_to_doc,
 )
+from gesforge.partition import build_nupb
 
 # the three-qubit family: party exponents (4i, 2i, i) modulo 11
 THREE_QUBIT_TABLE = [
@@ -195,25 +195,31 @@ def test_validate_exponent_table_catches_malformed():
 # -- vectors ------------------------------------------------------------------
 
 
+def doc_amplitudes(params):
+    """Per vector, per party: the local amplitudes a vectors document records."""
+    doc = vectors_to_doc(params)
+    return [[np.array([complex(*z) for z in loc]) for loc in row] for row in doc["amplitudes"]]
+
+
 def test_vectors_have_unit_modulus_amplitudes():
     p = make_params(n=3, d=2, num_vectors=5)
-    for v in build_nupb(p):
-        for m in range(3):
-            np.testing.assert_allclose(np.abs(v.local_amplitudes(m)), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(build_nupb(p)), 1.0, atol=1e-12)
+    for row in doc_amplitudes(p):
+        for local in row:
+            np.testing.assert_allclose(np.abs(local), 1.0, atol=1e-12)
 
 
 def test_amplitudes_are_kron_of_locals():
-    p = make_params(dims=(2, 3), num_vectors=4)
-    for v in build_nupb(p):
-        expected = np.kron(v.local_amplitudes(0), v.local_amplitudes(1))
-        np.testing.assert_allclose(v.amplitudes(), expected, atol=1e-14)
+    for scales in (None, ((1, 0.5j), (2, 1 - 1j, -3))):
+        p = make_params(dims=(2, 3), num_vectors=4, scales=scales)
+        rows = build_nupb(p)
+        for i, (first, second) in enumerate(doc_amplitudes(p)):
+            np.testing.assert_allclose(rows[i], np.kron(first, second), atol=1e-14)
 
 
 def test_build_is_deterministic():
     p = make_params(n=3, d=2, num_vectors=5)
-    a = np.array([v.amplitudes() for v in build_nupb(p)])
-    b = np.array([v.amplitudes() for v in build_nupb(p)])
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(build_nupb(p), build_nupb(p))
 
 
 def test_build_rejects_invalid_params():
@@ -230,18 +236,13 @@ def test_scaled_vectors_multiply_levels():
     )
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
     plain = make_params(n=3, d=2, num_vectors=5)
-    scaled = build_nupb(p)[2]
-    unscaled = build_nupb(plain)[2]
-    np.testing.assert_allclose(
-        scaled.local_amplitudes(0),
-        unscaled.local_amplitudes(0) * np.array([1, 0.75]),
-        atol=1e-14,
-    )
-    np.testing.assert_allclose(
-        scaled.local_amplitudes(2),
-        unscaled.local_amplitudes(2) * np.array([1, 2j]),
-        atol=1e-14,
-    )
+    scaled = doc_amplitudes(p)[2]
+    unscaled = doc_amplitudes(plain)[2]
+    np.testing.assert_allclose(scaled[0], unscaled[0] * np.array([1, 0.75]), atol=1e-14)
+    np.testing.assert_allclose(scaled[2], unscaled[2] * np.array([1, 2j]), atol=1e-14)
+    # the family matrix carries the same scales, column by column
+    column_scales = np.kron(np.kron([1, 0.75], [1, 1]), [1, 2j])
+    np.testing.assert_allclose(build_nupb(p), build_nupb(plain) * column_scales, atol=1e-14)
 
 
 # -- JSON ----------------------------------------------------------------------

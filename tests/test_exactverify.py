@@ -14,7 +14,6 @@ from gesforge import minors
 from gesforge.construct import (
     ConstructionParams,
     GaussianRational,
-    build_nupb,
     exponent_table,
     make_params,
 )
@@ -28,6 +27,7 @@ from gesforge.exactverify import (
 from gesforge.partition import (
     Bipartition,
     FlatMatrix,
+    build_nupb,
     coefficient_matrix,
     enumerate_bipartitions,
     factor_matrices,
@@ -98,7 +98,7 @@ def test_rank_full_matches_field_elimination_on_scaled_tampered_table():
     ok, rank, method = rank_full(coefficient_matrix(p, table))
     assert (ok, method) == (False, "bordered")
     # the scaled family's own amplitudes carry the scales the exact rank ignores
-    assert rank == svd_ranks(np.array([v.amplitudes() for v in build_nupb(p, table)])) == 4
+    assert rank == svd_ranks(build_nupb(p, table)) == 4
 
 
 def test_rank_full_retries_after_spurious_rank_drops(small_fields):
@@ -117,7 +117,7 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
     ]
     assert drops, "no modular image lost rank; the retry loop did not run"
     for t in drops + list(range(0, 2000, 97)):
-        flat = FlatMatrix(order, (0,), (4,), exps[t], tuple(range(4)))
+        flat = FlatMatrix(order, (0,), (4,), exps[t])
         exact = rank_by_minors(exps[t], order)
         assert rank_full(flat)[:2] == (exact == 4, exact)
 
@@ -169,7 +169,6 @@ def test_spanning_requires_enough_rows():
         parties=left.parties,
         dims=left.dims,
         exponents=left.exponents[:3],
-        column_flat_indices=left.column_flat_indices,
     )
     with pytest.raises(ValueError, match="spanning hypothesis"):
         spanning_property(starved)
@@ -235,7 +234,7 @@ def test_spanning_matches_leibniz_on_planted_dependent_rows(case):
         if src != dst:
             lines[dst] = (lines[src] + shift) % order
     dim = exps.shape[1]
-    side = FlatMatrix(order, (0,), (dim,), exps, tuple(range(dim)))
+    side = FlatMatrix(order, (0,), (dim,), exps)
     check = spanning_property(side)
     assert check.ok == (check.failures == 0)
     assert (check.failures, check.witness) == leibniz_spanning(side)
@@ -254,7 +253,7 @@ def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
     block = batch[np.nonzero(nonzero & ~minors.certify_nonzero_mod(batch, ctx))[0][0]]
     exps = np.vstack([block, (block[[0, 2]] + [[1], [3]]) % order])
     assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) < 4
-    side = FlatMatrix(order, (0,), (4,), exps, tuple(range(4)))
+    side = FlatMatrix(order, (0,), (4,), exps)
     check = spanning_property(side)
     assert (check.failures, check.witness) == leibniz_spanning(side) == (11, (0, 1, 2, 4))
 

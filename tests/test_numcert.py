@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge.construct import build_nupb, make_params
+from gesforge.construct import make_params
 from gesforge.numcert import (
     GesBasis,
     OptimizerOptions,
     certify_ges_numeric,
-    coefficient_rows,
     family_operator,
     ges_basis,
     max_product_overlap,
@@ -19,7 +18,7 @@ from gesforge.numcert import (
     schmidt_coefficients,
 )
 from gesforge.numcert import _alternating_extremum, _grouped_operator
-from gesforge.partition import Bipartition, enumerate_bipartitions
+from gesforge.partition import Bipartition, build_nupb, enumerate_bipartitions
 
 from .oracles import (
     alternating_extremum_reference,
@@ -31,11 +30,13 @@ from .oracles import (
 QUICK = OptimizerOptions(restarts=12, seed=0)
 
 
+def control_rows():
+    """The extendible set {|000>, |001>, |010>, |011>} = |0> (x) anything."""
+    return np.eye(4, 8, dtype=complex)
+
+
 def control_family_operator():
-    """G for the extendible set {|000>, |001>, |010>, |011>} = |0> (x) anything."""
-    rows = np.zeros((4, 8), dtype=complex)
-    for i in range(4):
-        rows[i, i] = 1.0
+    rows = control_rows()
     return rows.T @ rows.conj()
 
 
@@ -90,12 +91,14 @@ def test_family_operator_shape_and_trace():
 
 
 def test_coefficient_rows_normalization():
+    # the rows come unnormalized (norm sqrt(D)); the operator normalizes each
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
-    rows = coefficient_rows(vectors)
-    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-    raw = coefficient_rows(vectors, normalized=False)
-    np.testing.assert_allclose(np.linalg.norm(raw, axis=1), np.sqrt(8), atol=1e-12)
+    rows = build_nupb(p)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), np.sqrt(8), atol=1e-12)
+    unit = rows / np.sqrt(8)
+    np.testing.assert_allclose(family_operator(rows), unit.T @ unit.conj(), atol=1e-14)
+    rescaled = rows * np.array([2.0, 1j, 0.5, 3.0, -1.0])[:, None]
+    np.testing.assert_allclose(family_operator(rescaled), family_operator(rows), atol=1e-14)
 
 
 # -- biproduct minimum ------------------------------------------------------------
@@ -128,7 +131,7 @@ def test_extendible_control_hits_zero_with_product_witness():
 
 def test_standard_family_minimum_clears_threshold():
     p = make_params(n=3, d=2, num_vectors=5)
-    cert = certify_ges_numeric(build_nupb(p), OptimizerOptions(restarts=50, seed=0))
+    cert = certify_ges_numeric(build_nupb(p), p.dims, OptimizerOptions(restarts=50, seed=0))
     assert cert.passed
     assert cert.min_value > 1e-6
     assert len(cert.outcomes) == 3
@@ -141,19 +144,7 @@ def test_standard_family_minimum_clears_threshold():
 
 
 def test_certificate_fails_on_extendible_family():
-    rows = np.zeros((4, 8), dtype=complex)
-    for i in range(4):
-        rows[i, i] = 1.0
-
-    class FakeVector:
-        def __init__(self, row):
-            self.row = row
-            self.dims = (2, 2, 2)
-
-        def amplitudes(self):
-            return self.row
-
-    cert = certify_ges_numeric([FakeVector(r) for r in rows], QUICK)
+    cert = certify_ges_numeric(control_rows(), (2, 2, 2), QUICK)
     assert not cert.passed
     assert cert.min_value < 1e-10
 
@@ -170,9 +161,9 @@ def test_monotone_descent_within_restart():
 
 def test_seed_determinism_bit_exact():
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
-    a = certify_ges_numeric(vectors, OptimizerOptions(restarts=7, seed=123))
-    b = certify_ges_numeric(vectors, OptimizerOptions(restarts=7, seed=123))
+    rows = build_nupb(p)
+    a = certify_ges_numeric(rows, p.dims, OptimizerOptions(restarts=7, seed=123))
+    b = certify_ges_numeric(rows, p.dims, OptimizerOptions(restarts=7, seed=123))
     assert [o.value for o in a.outcomes] == [o.value for o in b.outcomes]
     for x, y in zip(a.outcomes, b.outcomes):
         np.testing.assert_array_equal(x.witness, y.witness)
@@ -185,7 +176,7 @@ def test_restarts_agreeing_counts_restarts_at_the_best_value():
     opts = OptimizerOptions(restarts=50, seed=0)
     s = min_biproduct_value(G, (2, 2), cut, opts)
     assert opts.restarts // 2 < s.restarts_agreeing <= opts.restarts
-    cert = certify_ges_numeric(build_nupb(p), opts)
+    cert = certify_ges_numeric(build_nupb(p), p.dims, opts)
     assert cert.outcomes[0].restarts_agreeing == s.restarts_agreeing
     assert cert.to_doc()["bipartitions"][0]["restarts_agreeing"] == s.restarts_agreeing
 
@@ -229,10 +220,10 @@ def assert_stacked_matches_reference(operator, dims, minimize, opts):
     "dims,k", STACKED_FAMILIES, ids=[f"{'x'.join(map(str, d))}-k{k}" for d, k in STACKED_FAMILIES]
 )
 def test_stacked_search_matches_reference(dims, k):
-    vectors = build_nupb(make_params(dims=dims, num_vectors=k))
+    rows = build_nupb(make_params(dims=dims, num_vectors=k))
     opts = OptimizerOptions(seed=5)
-    assert_stacked_matches_reference(family_operator(vectors), dims, True, opts)
-    basis = ges_basis(vectors, exact_rank=k)
+    assert_stacked_matches_reference(family_operator(rows), dims, True, opts)
+    basis = ges_basis(rows, dims, exact_rank=k)
     projector = basis.columns @ basis.columns.conj().T
     assert_stacked_matches_reference(projector, dims, False, opts)
 
@@ -283,9 +274,9 @@ def test_ghz_overlap_is_half():
 def test_duality_on_positive_and_negative_controls():
     # positive: the standard family's complement holds no biproduct state
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
-    basis = ges_basis(vectors, exact_rank=5)
-    G = family_operator(vectors)
+    rows = build_nupb(p)
+    basis = ges_basis(rows, p.dims, exact_rank=5)
+    G = family_operator(rows)
     for cut in enumerate_bipartitions(3):
         low = min_biproduct_value(G, (2, 2, 2), cut, QUICK)
         high = max_product_overlap(basis, cut, QUICK)
@@ -293,19 +284,7 @@ def test_duality_on_positive_and_negative_controls():
         assert high.value < 1 - 1e-6
 
     # negative: the extendible control's complement contains |1>|x>|y>
-    rows = np.zeros((4, 8), dtype=complex)
-    for i in range(4):
-        rows[i, i] = 1.0
-
-    class FakeVector:
-        def __init__(self, row):
-            self.row = row
-            self.dims = (2, 2, 2)
-
-        def amplitudes(self):
-            return self.row
-
-    control_basis = ges_basis([FakeVector(r) for r in rows], exact_rank=4)
+    control_basis = ges_basis(control_rows(), (2, 2, 2), exact_rank=4)
     cut = Bipartition(3, (0,))
     low = min_biproduct_value(control_family_operator(), (2, 2, 2), cut, QUICK)
     high = max_product_overlap(control_basis, cut, QUICK)
@@ -318,8 +297,8 @@ def test_duality_on_positive_and_negative_controls():
 
 def test_basis_dimension_and_residuals():
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
-    basis = ges_basis(vectors, exact_rank=5)
+    rows = build_nupb(p)
+    basis = ges_basis(rows, p.dims, exact_rank=5)
     assert basis.dimension == 3
     assert basis.columns.shape == (8, 3)
     assert basis.residual_max < 1e-10
@@ -328,22 +307,22 @@ def test_basis_dimension_and_residuals():
 
 def test_basis_one_dimensional_complement():
     p = make_params(n=3, d=2, num_vectors=7)
-    basis = ges_basis(build_nupb(p), exact_rank=7)
+    basis = ges_basis(build_nupb(p), p.dims, exact_rank=7)
     assert basis.dimension == 1
 
 
 def test_basis_exact_rank_mismatch_is_pathology():
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
+    rows = build_nupb(p)
     with pytest.raises(ValueError, match="pathology"):
-        ges_basis(vectors, exact_rank=4)
+        ges_basis(rows, p.dims, exact_rank=4)
 
 
 def test_basis_without_exact_rank_warns():
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
+    rows = build_nupb(p)
     with pytest.warns(UserWarning, match="floating rank"):
-        basis = ges_basis(vectors)
+        basis = ges_basis(rows, p.dims)
     assert basis.dimension == 3
 
 
@@ -352,18 +331,17 @@ def test_basis_without_exact_rank_warns():
 
 def test_sampled_states_live_in_complement():
     p = make_params(n=3, d=2, num_vectors=5)
-    vectors = build_nupb(p)
-    basis = ges_basis(vectors, exact_rank=5)
-    matrix = coefficient_rows(vectors, normalized=False)
+    rows = build_nupb(p)
+    basis = ges_basis(rows, p.dims, exact_rank=5)
     for seed in range(5):
         state = sample_ges_state(basis, seed=seed)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(matrix @ state).max() < 1e-10
+        assert np.abs(rows @ state).max() < 1e-10
 
 
 def test_sample_seed_reproducible():
     p = make_params(n=3, d=2, num_vectors=5)
-    basis = ges_basis(build_nupb(p), exact_rank=5)
+    basis = ges_basis(build_nupb(p), p.dims, exact_rank=5)
     np.testing.assert_array_equal(sample_ges_state(basis, 9), sample_ges_state(basis, 9))
 
 
@@ -377,7 +355,7 @@ def test_ghz_schmidt_coefficients():
 
 def test_schmidt_squares_sum_to_one():
     p = make_params(n=3, d=2, num_vectors=5)
-    basis = ges_basis(build_nupb(p), exact_rank=5)
+    basis = ges_basis(build_nupb(p), p.dims, exact_rank=5)
     state = sample_ges_state(basis, seed=4)
     for cut in enumerate_bipartitions(3):
         coeffs = schmidt_coefficients(state, (2, 2, 2), cut)
@@ -405,7 +383,7 @@ def test_schmidt_matches_reduced_density_oracle(seed, dims):
 
 def test_samples_from_standard_family_look_entangled():
     p = make_params(n=3, d=2, num_vectors=5)
-    basis = ges_basis(build_nupb(p), exact_rank=5)
+    basis = ges_basis(build_nupb(p), p.dims, exact_rank=5)
     worst = 1.0
     for seed in range(20):
         state = sample_ges_state(basis, seed=seed)

@@ -1,19 +1,20 @@
-"""Bipartitions, flat indexing, and one-sided coefficient matrices."""
+"""Bipartitions, one-sided coefficient matrices, and the family matrix."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gesforge.construct import build_nupb, exponent_table, make_params
+from gesforge.construct import GaussianRational, exponent_table, make_params
 from gesforge.partition import (
     Bipartition,
+    build_nupb,
     coefficient_matrix,
     enumerate_bipartitions,
     factor_matrices,
-    flat_index,
-    unflatten,
 )
+
+from .oracles import kron_family, local_amplitudes
 
 
 def test_bipartition_requires_party_zero():
@@ -39,25 +40,6 @@ def test_enumerate_bipartition_count(n, count):
     assert len(set(cuts)) == count
 
 
-def test_flat_index_party_zero_major():
-    assert flat_index((1, 0, 1), (2, 2, 2)) == 5
-    assert flat_index((0, 0), (2, 3)) == 0
-    assert flat_index((1, 2), (2, 3)) == 5
-
-
-@given(st.sampled_from([(2, 2), (2, 3), (3, 2, 2), (2, 2, 2)]).flatmap(
-    lambda dims: st.tuples(
-        st.just(dims),
-        st.tuples(*[st.integers(0, d - 1) for d in dims]),
-    )
-))
-def test_flat_round_trip(case):
-    dims, digits = case
-    idx = flat_index(digits, dims)
-    assert 0 <= idx < int(np.prod(dims))
-    assert unflatten(idx, dims) == tuple(digits)
-
-
 # -- coefficient matrices -----------------------------------------------------
 
 
@@ -68,16 +50,49 @@ def test_full_matrix_is_fourier_block():
     i = np.arange(5)[:, None]
     j = np.arange(8)[None, :]
     np.testing.assert_array_equal(flat.exponents, i * j % 11)
-    assert flat.column_flat_indices == tuple(range(8))
 
 
-def test_full_matrix_rows_match_vector_amplitudes():
+def scales_for(dims, kind):
+    """Nonzero per-party scale rows: exact rationals, floats, or none."""
+    if kind == "exact":
+        return tuple(
+            tuple(GaussianRational(Fraction(s + 2, m + 3), s - m) for s in range(d))
+            for m, d in enumerate(dims)
+        )
+    if kind == "float":
+        return tuple(
+            tuple(complex(0.5 + s, m - 1.5 * s) for s in range(d)) for m, d in enumerate(dims)
+        )
+    return None
+
+
+def shuffled_table(params, seed):
+    """A user table: random exponents in [0, p), not the standard recipe."""
+    rng = np.random.default_rng(seed)
+    return [
+        [rng.integers(0, params.root_order, size=d).tolist() for d in params.dims]
+        for _ in range(params.num_vectors)
+    ]
+
+
+@pytest.mark.parametrize("dims,k", [((2, 3), 4), ((2, 3, 2), 9), ((3, 2), 5), ((2, 2, 2, 2), 9)])
+@pytest.mark.parametrize("scales", [None, "exact", "float"])
+@pytest.mark.parametrize("user_table", [False, True])
+def test_build_nupb_matches_per_vector_kron(dims, k, scales, user_table):
+    p = make_params(dims=dims, num_vectors=k, scales=scales_for(dims, scales))
+    table = shuffled_table(p, seed=k) if user_table else None
+    rows = build_nupb(p, table)
+    assert rows.shape == (k, p.total_dim)
+    reference = kron_family(p, exponent_table(p) if table is None else table)
+    np.testing.assert_allclose(rows, reference, rtol=0, atol=1e-14 * np.abs(reference).max())
+
+
+def test_build_nupb_rejects_invalid_table():
     p = make_params(dims=(2, 3), num_vectors=4)
-    flat = coefficient_matrix(p)
-    vectors = build_nupb(p)
-    rows = flat.to_complex()
-    for i, v in enumerate(vectors):
-        np.testing.assert_allclose(rows[i], v.amplitudes(), atol=1e-12)
+    table = exponent_table(p)
+    table[1][0][1] = p.root_order
+    with pytest.raises(ValueError, match="outside"):
+        build_nupb(p, table)
 
 
 def test_factor_matrix_columns_are_local_products():
@@ -87,21 +102,12 @@ def test_factor_matrix_columns_are_local_products():
     assert left.parties == (0, 2)
     assert right.parties == (1,)
     assert left.dimension * right.dimension == p.total_dim
-    vectors = build_nupb(p)
     rows = left.to_complex()
     # columns run over the members' digits in product order: (s0, s2)
-    for i, v in enumerate(vectors):
+    for i, vector in enumerate(exponent_table(p)):
+        first, last = (local_amplitudes(p.root_order, vector[m]) for m in (0, 2))
         for j, (s0, s2) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-            expected = v.local_amplitudes(0)[s0] * v.local_amplitudes(2)[s2]
-            assert rows[i, j] == pytest.approx(expected, abs=1e-12)
-
-
-def test_factor_flat_indices_embed_with_absent_parties_at_zero():
-    p = make_params(n=3, d=2, num_vectors=5)
-    left, right = factor_matrices(p, Bipartition(3, (0, 2)))
-    # digits (s0, s2) -> global flat index of (s0, 0, s2)
-    assert left.column_flat_indices == (0, 1, 4, 5)
-    assert right.column_flat_indices == (0, 2)
+            assert rows[i, j] == pytest.approx(first[s0] * last[s2], abs=1e-12)
 
 
 def test_factor_matrices_cover_exponent_sums():
