@@ -177,6 +177,12 @@ def make_params(
     )
 
 
+# The exact stage builds a power table of root_order entries, and each zero
+# proof runs through root_order - 1 embeddings: both grow linearly with the
+# order, and primality is tested by trial division.
+MAX_ROOT_ORDER = 2**20
+
+
 def validate_params(params: ConstructionParams) -> list[str]:
     """All violated constraints, as human-readable strings; empty means valid."""
     problems = []
@@ -184,7 +190,9 @@ def validate_params(params: ConstructionParams) -> list[str]:
         problems.append("at least two parties are required")
     if any(d < 2 for d in params.dims):
         problems.append("every local dimension must be at least 2")
-    if not is_prime(params.root_order):
+    if params.root_order > MAX_ROOT_ORDER:
+        problems.append(f"root order {params.root_order} exceeds the supported {MAX_ROOT_ORDER}")
+    elif not is_prime(params.root_order):
         problems.append(f"root order {params.root_order} is not prime")
     if params.root_order < params.total_dim:
         problems.append(

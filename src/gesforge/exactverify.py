@@ -3,12 +3,12 @@
 Every exact verdict here comes down to "no minor vanishes", and one pass
 decides it: `_zero_minors` takes the image mod q of every square minor of
 a matrix by a depth-first Laplace expansion, and only the zero images
-escalate to the multimodular zero proof of `minors`.  All verdicts are
-exact; floating point never participates.  No structural theorem is
-assumed on the way in, so user-supplied exponent tables get the same
-treatment as the standard recipe.  Nonzero column scales, exact or
-floating, change neither a rank nor a minor's zero-ness, so the exact
-verdicts read the exponent table alone.
+need a zero proof.  All verdicts are exact; floating point never
+participates.  No structural theorem is assumed on the way in, so
+user-supplied exponent tables get the same treatment as the standard
+recipe.  Nonzero column scales, exact or floating, change neither a rank
+nor a minor's zero-ness, so the exact verdicts read the exponent table
+alone.
 
 The spanning property asks every D-row subset of a side's k x D matrix M
 to have full rank.  Gauss-Jordan elimination of M^T mod q picks basis
@@ -25,8 +25,15 @@ rank is exactly |P| when every bordered minor M[P + i, C + j] is proven
 zero by the multimodular test, because those minors are the entries of
 the Schur complement of M[P, C] up to its nonzero determinant.
 
-The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n, for
-prime and composite orders alike.
+The spanning and rank checks prove zero images by the multimodular test
+of `minors`.  The Fourier-minor scan (`chebotarev_scan`) runs the same
+pass on F_n, for prime and composite orders alike, and proves its zero
+images from the pass's own output: the embedding w -> root**a multiplies
+every exponent r * c by the unit a, so the image of det F[R, C] under it
+is +-det F[R, sorted(a * C mod n)] under w -> root.  A zero image is
+proven zero when the images of its whole orbit vanish, in as many fields
+as the multimodular bound m! * max|R| asks for; at the 10**6 modulus
+floor that is one field up to size 9 (max|R| = 1 below order 105).
 """
 
 from __future__ import annotations
@@ -238,6 +245,19 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
             return False, r, "bordered"
 
 
+def _binomials(n: int, max_size: int) -> np.ndarray:
+    """binom[c, i] = C(c, i) for c < n and i <= max_size."""
+    return np.array(
+        [[math.comb(c, i) for i in range(max_size + 1)] for c in range(n)], dtype=np.int64
+    )
+
+
+def _colex(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Colex ranks sum_i C(c_i, i + 1) of the sorted s-sets in the rows of
+    `sets`; they number the s-subsets of range(n) 0..C(n, s) - 1."""
+    return binom[sets, np.arange(1, sets.shape[1] + 1)].sum(axis=1)
+
+
 # A verify_all_bipartitions call needs one table per distinct side dimension:
 # 32 serves any call up to five parties (2**5 - 2 sides) without a rebuild,
 # yet bounds a long-lived process (3x3x3 at k=26 alone needs a 10 MB table).
@@ -251,18 +271,12 @@ def _column_tables(ncols: int, max_size: int) -> tuple[list, list]:
         .reshape(math.comb(ncols, s), s)
         for s in range(max_size + 1)
     ]
-    # colex ranks sum_i C(c_i, i + 1) number the s-sets 0..C(ncols, s) - 1
-    binom = np.array(
-        [[math.comb(c, i) for i in range(max_size + 1)] for c in range(ncols)], dtype=np.int64
-    )
-
-    def colex(sets: np.ndarray) -> np.ndarray:
-        return binom[sets, np.arange(1, sets.shape[1] + 1)].sum(axis=1)
-
+    binom = _binomials(ncols, max_size)
     drops = [None]
     for s in range(1, max_size + 1):
-        lex_index = np.argsort(colex(combos[s - 1]))
-        drops.append(lex_index[[colex(np.delete(combos[s], pos, axis=1)) for pos in range(s)]])
+        lex_index = np.argsort(_colex(combos[s - 1], binom))
+        without = [_colex(np.delete(combos[s], pos, axis=1), binom) for pos in range(s)]
+        drops.append(lex_index[without])
     return combos, drops
 
 
@@ -424,6 +438,25 @@ def _check_witness(rows, cols, order: int) -> None:
             )
 
 
+def _lookup(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Where each probe occurs in the ascending array keys."""
+    if not keys.size:
+        return np.zeros(probe.shape, dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+
+
+def _proof_fields(order: int, size: int, reduction_max: int) -> int:
+    """How many fields of the modular_context sequence multimodular_zero
+    runs a size x size minor through: until their moduli multiply past
+    size! * max|R|."""
+    bound = math.factorial(size) * reduction_max
+    product, count = 1, 0
+    while product <= bound:
+        product *= minors.modular_context(order, count).modulus
+        count += 1
+    return count
+
+
 def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     """Enumerate all square minors of the order-n Fourier matrix up to a size.
 
@@ -431,9 +464,13 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     nonsingularity); composite orders surface exactly-zero minors.
 
     One Laplace pass mod q (`_zero_minors`) gives every minor's image; a
-    nonzero image proves a minor nonzero, and the zero images, size by
-    size, go to the multimodular zero proof of `minors`, which clears the
-    spurious ones.  Every recorded witness is re-evaluated with mpmath at
+    nonzero image proves a minor nonzero.  A zero image (R, C) is proven
+    zero by its orbit (module docstring): each (R, sorted(a * C mod n)),
+    a a unit mod n, must be a zero image too, in every field that the
+    bound m! * max|R| asks for (`_proof_fields`; one field up to size 9
+    when max|R| = 1).  So the pass runs once per field that the largest
+    size needs, and each orbit is checked by lookup among that field's
+    zero images.  Every recorded witness is re-evaluated with mpmath at
     50 digits and must fall below 1e-30.
     """
     if order < 2:
@@ -441,19 +478,44 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     requested = max_size
     max_size = min(max_size, order)
     start = time.perf_counter()
-    ctx = minors.modular_context(order)
-    fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
+    units, reduction_max = minors._embeddings(order)
+    combos, _ = _column_tables(order, max_size)
+    binom = _binomials(order, max_size)
+    # lex[s][colex rank] is the set's index in combos[s]
+    lex = [np.argsort(_colex(sets, binom)) for sets in combos]
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        return lex[sets.shape[1]][_colex(sets, binom)]
+
+    grid = np.outer(np.arange(order), np.arange(order)) % order
+    # keys[index][s]: the zero images of size s in that field, each (R, C) as
+    # rank(R) * C(n, s) + rank(C) (below C(n, s)**2, far inside int64 for any
+    # pass that fits in memory), ascending since the pass lists them in
+    # lexicographic order of rows, then columns
+    keys, candidates = [], {}
+    for index in range(_proof_fields(order, max_size, reduction_max)):
+        ctx = minors.modular_context(order, index)
+        keys.append({})
+        for rows, cols in _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size):
+            size = rows.shape[1]
+            row_keys, col_ranks = rank(rows) * len(combos[size]), rank(cols)
+            keys[index][size] = row_keys + col_ranks
+            if index == 0:
+                candidates[size] = rows, cols, row_keys, col_ranks
     zero_total = 0
     witnesses = []
-    for rows, cols in _zero_minors(fourier, ctx.modulus, max_size):
-        zero = _proven_zero(
-            lambda batch: rows[batch, :, None] * cols[batch, None, :] % order,
-            len(rows), rows.shape[1], order,
-        )
-        zero_total += int(zero.sum())
+    for size, (rows, cols, row_keys, col_ranks) in candidates.items():
+        # per unit a, the rank of sorted(a * C mod n) for each rank of C
+        orbit = [rank(np.sort(a * combos[size] % order, axis=1)) for a in units]
+        zero = np.arange(len(rows))
+        for index in range(_proof_fields(order, size, reduction_max)):
+            field_keys = keys[index].get(size, np.zeros(0, dtype=np.int64))
+            for image in orbit:
+                zero = zero[_lookup(field_keys, row_keys[zero] + image[col_ranks[zero]])]
+        zero_total += len(zero)
         witnesses += zip(
-            map(tuple, rows[zero][:_WITNESS_CAP].tolist()),
-            map(tuple, cols[zero][:_WITNESS_CAP].tolist()),
+            map(tuple, rows[zero[:_WITNESS_CAP]].tolist()),
+            map(tuple, cols[zero[:_WITNESS_CAP]].tolist()),
         )
     witnesses = witnesses[:_WITNESS_CAP]
     for rows, cols in witnesses:

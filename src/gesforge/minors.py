@@ -23,7 +23,10 @@ and a running over the phi(n) units mod n:
   then r = 0 (mod q) by the invertible Vandermonde matrix on the root**a.
   Vanishing modulo primes whose product exceeds m! * max|R| therefore
   proves zero, and a single nonzero image proves nonzero.  For a prime
-  order max|R| = 1 and the units are 1..p-1.
+  order max|R| = 1 and the units are 1..p-1.  The Fourier-minor scan of
+  `exactverify` applies the same bound without `multimodular_zero`: there
+  each embedding of a minor is a column-permuted minor that its own pass
+  has already reduced.
 """
 
 from __future__ import annotations

@@ -340,8 +340,10 @@ def ges_basis(rows, dims, exact_rank: int | None = None) -> GesBasis:
     residual = float(np.abs(rows @ columns).max()) if columns.size else 0.0
     gram = columns.conj().T @ columns
     ortho = float(np.abs(gram - np.eye(columns.shape[1])).max()) if columns.size else 0.0
-    if residual > _RESIDUAL_TOL:
-        raise ValueError(f"null-space residual {residual} exceeds {_RESIDUAL_TOL}")
+    # the columns have unit norm, so the residual scales with the rows
+    tolerance = _RESIDUAL_TOL * float(np.abs(rows).max(initial=0.0))
+    if residual > tolerance:
+        raise ValueError(f"null-space residual {residual} exceeds {tolerance}")
     return GesBasis(
         dims=tuple(dims),
         columns=columns,

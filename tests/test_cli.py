@@ -251,6 +251,36 @@ def test_report_bundles_everything(tmp_path):
     assert doc["basis"]["residual_max"] < 1e-10
 
 
+def test_report_residual_scales_with_the_rows(tmp_path):
+    # a uniform scale of 1e6 on party 0 changes neither span nor complement;
+    # its absolute residual (about 3.5e-10) is still a relative 3.5e-16
+    (tmp_path / "h.json").write_text(json.dumps([[[1e6, 0], [1e6, 0]], ["1", "1"]]))
+    argv = ["--n", "2", "--d", "2", "--k", "3", "--h-file", "h.json", "--restarts", "2"]
+    assert run(["verify", *argv], tmp_path) == EXIT_OK
+    assert run(["report", *argv, "--out", "r.json"], tmp_path) == EXIT_OK
+    residual = read_json(tmp_path / "r.json")["basis"]["residual_max"]
+    assert residual < 1e-10 * 1e6
+
+
+@pytest.mark.parametrize("order", ("1000000007", "1000000000000000003"))
+def test_huge_root_order_exits_invalid(tmp_path, capsys, order):
+    # refused before any primality test or power table, so it exits at once
+    argv = ["verify", "--n", "2", "--d", "2", "--k", "3", "--p", order]
+    assert run(argv, tmp_path) == EXIT_INVALID
+    assert f"root order {order} exceeds" in capsys.readouterr().err
+    doc = golden_vectors_doc()
+    doc["params"]["root_order"] = order
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    assert run(["verify", "--in", "big.json", "--restarts", "2"], tmp_path) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameters in file") and f"{order} exceeds" in err
+
+
+def test_large_prime_root_order_below_the_limit_certifies(tmp_path):
+    argv = ["verify", "--n", "2", "--d", "2", "--k", "3", "--p", "1000003", "--restarts", "2"]
+    assert run(argv, tmp_path) == EXIT_OK
+
+
 def test_seed_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GESFORGE_SEED", "42")
     run(["construct", "--n", "2", "--d", "2", "--k", "3"], tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge import minors
+from gesforge import exactverify, minors
 from gesforge.construct import (
     ConstructionParams,
     GaussianRational,
@@ -441,11 +441,12 @@ def test_scan_counts_all_minors():
     assert scan.checked == {1: 25, 2: comb(5, 2) ** 2, 3: comb(5, 3) ** 2}
 
 
-@pytest.mark.parametrize("order", range(2, 13))
+@pytest.mark.parametrize("order", (*range(2, 13), 33, 34))
 def test_scan_matches_per_minor_enumeration(order):
     # every minor decided on its own by the integer subset expansion, in the
-    # order rows-then-columns, lexicographic within each size
-    max_size = min(order, 4)
+    # order rows-then-columns, lexicographic within each size; orders above
+    # 31 guard the key encoding of the orbit proof against any 32-bit limit
+    max_size = min(order, 4) if order < 13 else 2
     scan = chebotarev_scan(order, max_size)
     checked, zero_count, witnesses = {}, 0, []
     for size in range(1, max_size + 1):
@@ -478,47 +479,77 @@ def test_scan_memory_stays_small():
     assert peak < 16 * 2**20
 
 
-def spy_on_zero_proofs(monkeypatch, claim=None):
-    """Record (batch, answer) of each multimodular_zero call; with `claim`,
-    replace its answer."""
+def spy_on_laplace_passes(monkeypatch):
+    """Record (modulus, zero images) of each Laplace pass."""
     calls = []
-    real = minors.multimodular_zero
+    real = exactverify._zero_minors
 
-    def spy(exponents, order):
-        zero = real(exponents, order) if claim is None else claim(exponents)
-        calls.append((exponents, zero))
-        return zero
+    def spy(matrix, q, max_size):
+        found = real(matrix, q, max_size)
+        calls.append((q, sum(len(rows) for rows, _ in found)))
+        return found
 
-    monkeypatch.setattr(minors, "multimodular_zero", spy)
+    monkeypatch.setattr(exactverify, "_zero_minors", spy)
     return calls
 
 
 def test_scan_escalates_spurious_zero_images(small_fields, monkeypatch):
     # with q = 199 thousands of order-11 minors have a zero image mod q;
-    # the zero proof clears every one of them
+    # size 6 needs a second field (6! > 199), and the orbit proof clears
+    # every one of them
     assert minors.modular_context(11).modulus < 200
-    calls = spy_on_zero_proofs(monkeypatch)
+    calls = spy_on_laplace_passes(monkeypatch)
     scan = chebotarev_scan(11, 6)
-    assert sum(len(e) for e, _ in calls) > 0, "no zero image; escalation did not run"
-    assert not any(zero.any() for _, zero in calls)
+    assert len({q for q, _ in calls}) >= 2
+    assert calls[0][1] > 0, "no zero image; the orbit proof did not run"
     assert scan.clean and scan.witnesses == []
 
 
-def test_scan_zero_claims_are_checked_in_a_prime_field(monkeypatch):
-    # every zero of a composite scan is one that the multimodular proof
-    # confirmed, and only minors with a zero image mod q reach that proof
-    calls = spy_on_zero_proofs(monkeypatch)
-    scan = chebotarev_scan(12, 4)
-    assert scan.zero_count == sum(int(zero.sum()) for _, zero in calls) > 0
-    ctx = minors.modular_context(12)
-    for exps, _ in calls:
-        assert not minors.certify_nonzero_mod(exps, ctx).any()
+def test_scan_proves_in_every_field_the_bound_asks_for(small_fields, monkeypatch):
+    # near q = 199 a size-6 minor needs two fields (6! > 199).  Let the first
+    # field's pass claim every size-6 image zero, as it would if every such
+    # determinant were divisible by q: the second field must clear them all
+    order, q = 11, minors.modular_context(11).modulus
+    sets = np.array(list(itertools.combinations(range(order), 6)))
+    real = exactverify._zero_minors
+
+    def first_field_claims_all(matrix, modulus, max_size):
+        found = real(matrix, modulus, max_size)
+        if modulus != q:
+            return found
+        every = np.repeat(sets, len(sets), axis=0), np.tile(sets, (len(sets), 1))
+        return [(rows, cols) for rows, cols in found if rows.shape[1] < 6] + [every]
+
+    monkeypatch.setattr(exactverify, "_zero_minors", first_field_claims_all)
+    scan = chebotarev_scan(order, 6)
+    assert scan.clean and scan.witnesses == []
+
+
+def test_scan_zero_claims_are_checked_in_a_prime_field():
+    # a minor of a composite scan counts as zero exactly when its images
+    # under all phi(12) embeddings vanish mod q (one field suffices: 4! < q)
+    order, max_size = 12, 4
+    scan = chebotarev_scan(order, max_size)
+    ctx = minors.modular_context(order)
+    units = [a for a in range(1, order) if math.gcd(a, order) == 1]
+    fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
+    proven = []
+    for rows, cols in exactverify._zero_minors(fourier, ctx.modulus, max_size):
+        exps = rows[:, :, None] * cols[:, None, :] % order
+        images = [minors.certify_nonzero_mod(a * exps % order, ctx) for a in units]
+        zero = ~np.any(images, axis=0)
+        proven += zip(map(tuple, rows[zero].tolist()), map(tuple, cols[zero].tolist()))
+    assert scan.zero_count == len(proven) > 0
+    assert scan.witnesses == proven[:20]
 
 
 def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch):
-    # a zero proof that wrongly confirmed the spurious zero images of order
-    # 11 is caught by the 50-digit re-evaluation of the witnesses
-    spy_on_zero_proofs(monkeypatch, claim=lambda e: np.ones(len(e), dtype=bool))
+    # an orbit proof that wrongly confirmed the spurious zero images of
+    # order 11 is caught by the 50-digit re-evaluation of the witnesses
+    def claim_all(keys, probe):
+        return np.ones(probe.shape, dtype=bool)
+
+    monkeypatch.setattr(exactverify, "_lookup", claim_all)
     with pytest.raises(RuntimeError, match="proved zero but its value"):
         chebotarev_scan(11, 6)
 
