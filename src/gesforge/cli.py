@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .construct import (
@@ -36,28 +35,22 @@ EXIT_INVALID = 2
 SEED_ENV = "GESFORGE_SEED"
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    arguments: dict
-    seed: int
-
-    def to_doc(self) -> dict:
-        return {
-            "tool": "gesforge",
-            "tool_version": __version__,
-            "command": self.command,
-            "arguments": self.arguments,
-            "seed": self.seed,
-        }
+def _run_config(args) -> dict:
+    """The run_config block; verify and report add the resolved seed."""
+    return {
+        "tool": "gesforge",
+        "tool_version": __version__,
+        "command": args.command,
+        "arguments": _echo_args(args),
+    }
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get(SEED_ENV)
     if raw is None:
@@ -140,12 +133,12 @@ def _family_from_args(args):
     return params, exponent_table(params), "standard-recipe"
 
 
-def _options_from_args(args, seed: int) -> OptimizerOptions:
+def _options_from_args(args) -> OptimizerOptions:
     return OptimizerOptions(
         restarts=args.restarts,
         tol=args.tol,
         threshold=args.threshold,
-        seed=seed,
+        seed=_resolve_seed(args),
     )
 
 
@@ -170,10 +163,9 @@ def _verdict(exact, numeric) -> tuple[bool, str]:
 
 
 def cmd_construct(args) -> int:
-    seed = _resolve_seed(args)
     params = _params_from_args(args)
     doc = vectors_to_doc(params)
-    doc["run_config"] = RunConfig("construct", _echo_args(args), seed).to_doc()
+    doc["run_config"] = _run_config(args)
     out = args.out or "vectors.json"
     _write_json(out, doc)
     for line in _summary_lines(params):
@@ -183,15 +175,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
+    options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
-    options = _options_from_args(args, seed)
     exact = verify_all_bipartitions(params, table)
     numeric = certify_ges_numeric(build_nupb(params, table), params.dims, options)
     doc = {
         "schema": "gesforge/report",
         "schema_version": SCHEMA_VERSION,
-        "run_config": RunConfig("verify", _echo_args(args), seed).to_doc(),
+        "run_config": {**_run_config(args), "seed": options.seed},
         "provenance": provenance,
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),
@@ -206,16 +197,14 @@ def cmd_verify(args) -> int:
     if not exact.passed:
         for cut in exact.bipartitions:
             if not cut.ok:
-                print(f"  cut {cut.members}|{cut.complement}: "
-                      + ("count below requirement" if not cut.count_ok else
-                         f"witness {(cut.left.witness if cut.left and not cut.left.ok else cut.right.witness)}"))
+                side = cut.right if cut.left.ok else cut.left
+                print(f"  cut {cut.members}|{cut.complement}: witness {side.witness}")
     print(numeric_line)
     print(f"verdict: {'certified' if passed else 'not certified'}")
     return EXIT_OK if passed else EXIT_FAILED
 
 
 def cmd_chebotarev(args) -> int:
-    seed = _resolve_seed(args)
     if args.p is None:
         raise InputError("--p is required")
     if args.p < 2:
@@ -229,7 +218,7 @@ def cmd_chebotarev(args) -> int:
     doc = {
         "schema": "gesforge/chebotarev",
         "schema_version": SCHEMA_VERSION,
-        "run_config": RunConfig("chebotarev", _echo_args(args), seed).to_doc(),
+        "run_config": _run_config(args),
         "scan": scan.to_doc(),
     }
     if args.out:
@@ -247,7 +236,6 @@ def cmd_chebotarev(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    seed = _resolve_seed(args)
     if not args.infile:
         raise InputError("--in is required")
     params, table, provenance = _family_from_args(args)
@@ -257,7 +245,7 @@ def cmd_basis(args) -> int:
     doc = {
         "schema": "gesforge/basis",
         "schema_version": SCHEMA_VERSION,
-        "run_config": RunConfig("basis", _echo_args(args), seed).to_doc(),
+        "run_config": _run_config(args),
         "provenance": provenance,
         "basis": basis.to_doc(),
     }
@@ -271,9 +259,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_report(args) -> int:
-    seed = _resolve_seed(args)
+    options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
-    options = _options_from_args(args, seed)
     rows = build_nupb(params, table)
     vectors_doc = vectors_to_doc(params, table, provenance)
     exact = verify_all_bipartitions(params, table)
@@ -283,7 +270,7 @@ def cmd_report(args) -> int:
     doc = {
         "schema": "gesforge/full-report",
         "schema_version": SCHEMA_VERSION,
-        "run_config": RunConfig("report", _echo_args(args), seed).to_doc(),
+        "run_config": {**_run_config(args), "seed": options.seed},
         "vectors": vectors_doc,
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),
@@ -333,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = subs.add_parser("construct", help="build a family and write its vectors file")
     _add_family_flags(c, with_input=False)
-    c.add_argument("--seed", type=int)
     c.add_argument("--out", help="output path (default vectors.json)")
     c.set_defaults(func=cmd_construct)
 
@@ -347,13 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     ch = subs.add_parser("chebotarev", help="scan Fourier minors for exact zeros")
     ch.add_argument("--p", type=int, help="matrix order to scan")
     ch.add_argument("--max-size", dest="max_size", type=int)
-    ch.add_argument("--seed", type=int)
     ch.add_argument("--out")
     ch.set_defaults(func=cmd_chebotarev)
 
     b = subs.add_parser("basis", help="orthonormal basis of the complement")
     b.add_argument("--in", dest="infile", help="vectors JSON produced by construct")
-    b.add_argument("--seed", type=int)
     b.add_argument("--out", help="output path (default basis.json)")
     b.set_defaults(func=cmd_basis)
 
@@ -375,9 +359,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_INVALID
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -52,6 +52,11 @@ from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
+# The Fourier scan's Laplace pass holds, per size s, a table of s * n * C(n, s)
+# residues (`_zero_minors`), 8 bytes each, and a product of the same shape
+# while it expands.  A scan whose largest table would exceed this is refused
+# before any work; (14, 6) needs 252,252.
+MAX_SCAN_RESIDUES = 2**26
 # Zero images reach the multimodular proof in batches of at most this many
 # matrix entries, which bounds the proof's memory.
 _PROOF_BATCH = 1 << 22
@@ -86,19 +91,15 @@ class BipartitionCheck:
     members: tuple[int, ...]
     complement: tuple[int, ...]
     required_vectors: int
-    count_ok: bool
-    left: SpanningCheck | None
-    right: SpanningCheck | None
+    left: SpanningCheck
+    right: SpanningCheck
+    # validation rejects families below the worst cut's D_S + D_Sbar - 1
+    # vectors, so every cut has enough; the key stays in the report schema
+    count_ok = True
 
     @property
     def ok(self) -> bool:
-        return (
-            self.count_ok
-            and self.left is not None
-            and self.right is not None
-            and self.left.ok
-            and self.right.ok
-        )
+        return self.left.ok and self.right.ok
 
     def to_doc(self) -> dict:
         return {
@@ -107,8 +108,8 @@ class BipartitionCheck:
             "required_vectors": self.required_vectors,
             "count_ok": self.count_ok,
             "ok": self.ok,
-            "left": self.left.to_doc() if self.left else None,
-            "right": self.right.to_doc() if self.right else None,
+            "left": self.left.to_doc(),
+            "right": self.right.to_doc(),
         }
 
 
@@ -128,10 +129,6 @@ class ChebotarevScan:
     @property
     def clean(self) -> bool:
         return self.zero_count == 0
-
-    @property
-    def clamped(self) -> bool:
-        return self.max_size != self.requested_size
 
     def to_doc(self) -> dict:
         return {
@@ -156,9 +153,9 @@ class ExactReport:
     num_vectors: int
     root_order: int
     scales_exact: bool
-    matrix_rank: int | None = None
-    full_rank: bool | None = None
-    rank_method: str | None = None
+    matrix_rank: int
+    full_rank: bool
+    rank_method: str
     bipartitions: list = field(default_factory=list)
     elapsed: float = 0.0
     # the exact stage always runs; these stay in the report schema
@@ -167,7 +164,7 @@ class ExactReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.full_rank) and all(b.ok for b in self.bipartitions)
+        return self.full_rank and all(b.ok for b in self.bipartitions)
 
     def to_doc(self) -> dict:
         return {
@@ -392,50 +389,46 @@ def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactRepo
     """Full-rank plus per-cut spanning over every canonical bipartition."""
     ensure_valid(params, table)
     start = time.perf_counter()
+    full_rank, rank, method = rank_full(coefficient_matrix(params, table))
     report = ExactReport(
         dims=params.dims,
         num_vectors=params.num_vectors,
         root_order=params.root_order,
         scales_exact=params.scales_exact,
+        matrix_rank=rank,
+        full_rank=full_rank,
+        rank_method=method,
     )
-    flat = coefficient_matrix(params, table)
-    ok, r, method = rank_full(flat)
-    report.matrix_rank = r
-    report.full_rank = ok
-    report.rank_method = method
     for cut in enumerate_bipartitions(params.num_parties):
         left_flat, right_flat = factor_matrices(params, cut, table)
-        required = left_flat.dimension + right_flat.dimension - 1
-        count_ok = params.num_vectors >= required
-        left = right = None
-        if count_ok:
-            left = spanning_property(left_flat)
-            right = spanning_property(right_flat)
         report.bipartitions.append(
             BipartitionCheck(
                 members=cut.members,
                 complement=cut.complement,
-                required_vectors=required,
-                count_ok=count_ok,
-                left=left,
-                right=right,
+                required_vectors=left_flat.dimension + right_flat.dimension - 1,
+                left=spanning_property(left_flat),
+                right=spanning_property(right_flat),
             )
         )
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _check_witness(rows, cols, order: int) -> None:
-    """Raise unless the minor is below 1e-30 at 50 digits (an independent check)."""
+def _check_witnesses(witnesses, order: int) -> None:
+    """Raise unless every witness minor is below 1e-30 at 50 digits (an
+    independent check, from the n powers of w evaluated once by mpmath)."""
+    if not witnesses:
+        return
     import mpmath
 
     with mpmath.workdps(50):
-        w = mpmath.exp(2j * mpmath.pi / order)
-        value = mpmath.det(mpmath.matrix([[w ** (r * c % order) for c in cols] for r in rows]))
-        if abs(value) > 1e-30:
-            raise RuntimeError(
-                f"minor rows {rows} cols {cols} proved zero but its value is {value}"
-            )
+        powers = [mpmath.exp(2j * mpmath.pi * t / order) for t in range(order)]
+        for rows, cols in witnesses:
+            value = mpmath.det(mpmath.matrix([[powers[r * c % order] for c in cols] for r in rows]))
+            if abs(value) > 1e-30:
+                raise RuntimeError(
+                    f"minor rows {rows} cols {cols} proved zero but its value is {value}"
+                )
 
 
 def _lookup(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -443,18 +436,6 @@ def _lookup(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     if not keys.size:
         return np.zeros(probe.shape, dtype=bool)
     return keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
-
-
-def _proof_fields(order: int, size: int, reduction_max: int) -> int:
-    """How many fields of the modular_context sequence multimodular_zero
-    runs a size x size minor through: until their moduli multiply past
-    size! * max|R|."""
-    bound = math.factorial(size) * reduction_max
-    product, count = 1, 0
-    while product <= bound:
-        product *= minors.modular_context(order, count).modulus
-        count += 1
-    return count
 
 
 def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
@@ -467,18 +448,30 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     nonzero image proves a minor nonzero.  A zero image (R, C) is proven
     zero by its orbit (module docstring): each (R, sorted(a * C mod n)),
     a a unit mod n, must be a zero image too, in every field that the
-    bound m! * max|R| asks for (`_proof_fields`; one field up to size 9
-    when max|R| = 1).  So the pass runs once per field that the largest
-    size needs, and each orbit is checked by lookup among that field's
-    zero images.  Every recorded witness is re-evaluated with mpmath at
-    50 digits and must fall below 1e-30.
+    bound m! * max|R| asks for (`minors.proof_fields`; one field up to
+    size 9 when max|R| = 1).  So the pass runs once per field that the
+    largest size needs, and each orbit is checked by lookup among that
+    field's zero images.  Every recorded witness is re-evaluated with
+    mpmath at 50 digits and must fall below 1e-30.
+
+    Raises ValueError when a table of the pass would exceed
+    MAX_SCAN_RESIDUES residues.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     requested = max_size
     max_size = min(max_size, order)
+    # s * C(n, s) grows up to s = n // 2 + 1, so the largest table is the
+    # last one checked, and a huge order fails at s = 1 without forming a
+    # huge binomial
+    for size in range(1, min(max_size, order // 2 + 1) + 1):
+        residues = size * order * math.comb(order, size)
+        if residues > MAX_SCAN_RESIDUES:
+            raise ValueError(
+                f"a scan of order {order} to size {max_size} needs a table of {residues} "
+                f"residues at size {size}, above the supported {MAX_SCAN_RESIDUES}"
+            )
     start = time.perf_counter()
-    units, reduction_max = minors._embeddings(order)
     combos, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)
     # lex[s][colex rank] is the set's index in combos[s]
@@ -489,12 +482,11 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
 
     grid = np.outer(np.arange(order), np.arange(order)) % order
     # keys[index][s]: the zero images of size s in that field, each (R, C) as
-    # rank(R) * C(n, s) + rank(C) (below C(n, s)**2, far inside int64 for any
-    # pass that fits in memory), ascending since the pass lists them in
-    # lexicographic order of rows, then columns
+    # rank(R) * C(n, s) + rank(C) (below C(n, s)**2 < MAX_SCAN_RESIDUES**2,
+    # inside int64), ascending since the pass lists them in lexicographic
+    # order of rows, then columns
     keys, candidates = [], {}
-    for index in range(_proof_fields(order, max_size, reduction_max)):
-        ctx = minors.modular_context(order, index)
+    for index, ctx in enumerate(minors.proof_fields(order, max_size)):
         keys.append({})
         for rows, cols in _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size):
             size = rows.shape[1]
@@ -506,20 +498,20 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     witnesses = []
     for size, (rows, cols, row_keys, col_ranks) in candidates.items():
         # per unit a, the rank of sorted(a * C mod n) for each rank of C
-        orbit = [rank(np.sort(a * combos[size] % order, axis=1)) for a in units]
+        orbit = [rank(np.sort(a * combos[size] % order, axis=1)) for a in minors.units(order)]
         zero = np.arange(len(rows))
-        for index in range(_proof_fields(order, size, reduction_max)):
-            field_keys = keys[index].get(size, np.zeros(0, dtype=np.int64))
+        # the fields this size needs are the first of those the largest size needs
+        for field_keys, _ in zip(keys, minors.proof_fields(order, size)):
+            size_keys = field_keys.get(size, np.zeros(0, dtype=np.int64))
             for image in orbit:
-                zero = zero[_lookup(field_keys, row_keys[zero] + image[col_ranks[zero]])]
+                zero = zero[_lookup(size_keys, row_keys[zero] + image[col_ranks[zero]])]
         zero_total += len(zero)
         witnesses += zip(
             map(tuple, rows[zero[:_WITNESS_CAP]].tolist()),
             map(tuple, cols[zero[:_WITNESS_CAP]].tolist()),
         )
     witnesses = witnesses[:_WITNESS_CAP]
-    for rows, cols in witnesses:
-        _check_witness(rows, cols, order)
+    _check_witnesses(witnesses, order)
     return ChebotarevScan(
         order=order,
         max_size=max_size,

@@ -23,10 +23,10 @@ and a running over the phi(n) units mod n:
   then r = 0 (mod q) by the invertible Vandermonde matrix on the root**a.
   Vanishing modulo primes whose product exceeds m! * max|R| therefore
   proves zero, and a single nonzero image proves nonzero.  For a prime
-  order max|R| = 1 and the units are 1..p-1.  The Fourier-minor scan of
-  `exactverify` applies the same bound without `multimodular_zero`: there
-  each embedding of a minor is a column-permuted minor that its own pass
-  has already reduced.
+  order max|R| = 1 and the units are 1..p-1.  `proof_fields` owns this
+  stopping rule.  The Fourier-minor scan of `exactverify` applies it
+  without `multimodular_zero`: there each embedding of a minor is a
+  column-permuted minor that its own pass has already reduced.
 """
 
 from __future__ import annotations
@@ -132,41 +132,51 @@ def certify_nonzero_mod(exponents: np.ndarray, ctx: ModularContext) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _embeddings(order: int) -> tuple[tuple[int, ...], int]:
-    """(units a mod order, max|R|): the embeddings w -> root**a onto the
-    primitive roots, and the bound factor of the reduction matrix R."""
-    units = tuple(a for a in range(1, order) if math.gcd(a, order) == 1)
-    return units, int(np.abs(power_reduction_matrix(order)).max())
+def units(order: int) -> tuple[int, ...]:
+    """The units a mod order: the embeddings w -> root**a onto the primitive roots."""
+    return tuple(a for a in range(1, order) if math.gcd(a, order) == 1)
+
+
+@lru_cache(maxsize=None)
+def proof_fields(order: int, size: int) -> tuple[ModularContext, ...]:
+    """The first fields of the modular_context sequence whose moduli multiply
+    past size! * max|R|: a size x size minor whose images vanish in each of
+    them, under every unit, is zero (module docstring)."""
+    # a prime order has max|R| = 1 (x**(p-1) = -(1 + x + ... + x**(p-2))),
+    # and R itself would take order**2 entries
+    reduction_max = 1 if is_prime(order) else int(np.abs(power_reduction_matrix(order)).max())
+    bound = math.factorial(size) * reduction_max
+    fields, product = [], 1
+    while product <= bound:
+        fields.append(modular_context(order, len(fields)))
+        product *= fields[-1].modulus
+    return tuple(fields)
 
 
 def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
     """True where a minor is exactly zero (see module docstring).
 
     exponents: (N, m, m) integers modulo `order`.  The batch runs through
-    the embeddings w -> root**a, over successive fields until their moduli
-    multiply past m! * max|R|; each group of images drops the minors it
-    proves nonzero, so work and memory shrink to the zero survivors.
+    the embeddings w -> root**a in each of the `proof_fields`; each group
+    of images drops the minors it proves nonzero, so work and memory
+    shrink to the zero survivors.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     n, m = exponents.shape[:2]
-    units, reduction_max = _embeddings(order)
     zero = np.ones(n, dtype=bool)
     todo = np.arange(n)
     batch = exponents
-    bound = math.factorial(m) * reduction_max
-    product = 1
-    index = 0
-    while product <= bound and todo.size:
-        ctx = modular_context(order, index)
+    embeddings = units(order)
+    for ctx in proof_fields(order, m):
+        if not todo.size:
+            break
         step = max(1, _STACKED_ENTRIES // max(1, todo.size * m * m))
-        for lo in range(0, len(units), step):
-            group = np.array(units[lo : lo + step])[:, None, None, None]
+        for lo in range(0, len(embeddings), step):
+            group = np.array(embeddings[lo : lo + step])[:, None, None, None]
             certified = certify_nonzero_mod((batch * group % order).reshape(-1, m, m), ctx)
             nonzero = certified.reshape(len(group), -1).any(axis=0)
             zero[todo[nonzero]] = False
             todo, batch = todo[~nonzero], batch[~nonzero]
             if todo.size == 0:
                 break
-        product *= ctx.modulus
-        index += 1
     return zero

@@ -18,7 +18,6 @@ projector and must stay strictly below one.  The family comes in as its
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,30 +27,29 @@ from .partition import Bipartition, enumerate_bipartitions
 
 _HERMITIAN_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
+# Sweeps of one restart stop here; a restart that reaches the cap reports
+# converged = False.
+MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Knobs for the alternating eigenvector searches.
 
-    Defaults: 50 restarts, 500 sweeps cap, 1e-12 convergence tolerance,
-    pass threshold 1e-6, seed 0.  Restart seeds are derived from the seed
-    and a (bipartition, restart) counter, so results are reproducible and
-    independent of scheduling.
+    Defaults: 50 restarts, 1e-12 convergence tolerance, pass threshold
+    1e-6, seed 0; each restart stops after at most MAX_SWEEPS sweeps.
+    Restart seeds are derived from the seed and a (bipartition, restart)
+    counter, so results are reproducible and independent of scheduling.
     """
 
     restarts: int = 50
-    max_sweeps: int = 500
     tol: float = 1e-12
     threshold: float = 1e-6
     seed: int = 0
-    track_history: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
         for name in ("tol", "threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -60,7 +58,7 @@ class OptimizerOptions:
     def to_doc(self) -> dict:
         return {
             "restarts": self.restarts,
-            "max_sweeps": self.max_sweeps,
+            "max_sweeps": MAX_SWEEPS,
             "tol": self.tol,
             "threshold": self.threshold,
             "seed": self.seed,
@@ -77,9 +75,7 @@ class BiproductSearch:
     state: np.ndarray
     sweeps: int
     converged: bool
-    restarts: int
     restarts_agreeing: int
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -201,7 +197,7 @@ def _alternating_extremum(
     minimize: bool,
     options: OptimizerOptions,
     spawn_prefix: tuple[int, ...],
-) -> tuple[float, np.ndarray, np.ndarray, int, bool, list, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, int, bool, np.ndarray]:
     """Alternating eigenvector search from every restart at once.
 
     Each restart starts from its own seeded random right factor.  A half
@@ -209,7 +205,7 @@ def _alternating_extremum(
     one matmul against the operator reshaped to (a c),(b d), and solves
     them with one stacked eigh; a restart leaves the active set once its
     value moves by less than tol.  Returns the best restart's (value,
-    left, right, sweeps, converged, history), ties going to the lowest
+    left, right, sweeps, converged), ties going to the lowest
     restart index, and the final values of all restarts.
     """
     d_left, d_right = grouped.shape[0], grouped.shape[1]
@@ -236,15 +232,10 @@ def _alternating_extremum(
     values = np.full(options.restarts, np.nan)
     sweeps = np.zeros(options.restarts, dtype=int)
     converged = np.zeros(options.restarts, dtype=bool)
-    history = None
-    if options.track_history:
-        history = np.full((options.max_sweeps, options.restarts), np.nan)
     active = np.arange(options.restarts)
-    for sweep in range(options.max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         _, lefts[active] = half_step(rights[active], by_pairs.T, d_left)
         new_values, rights[active] = half_step(lefts[active], by_pairs, d_right)
-        if history is not None:
-            history[sweep, active] = new_values
         sweeps[active] = sweep + 1
         done = np.abs(new_values - values[active]) < options.tol
         values[active] = new_values
@@ -253,14 +244,12 @@ def _alternating_extremum(
         if not active.size:
             break
     best = int(np.argmin(values) if minimize else np.argmax(values))
-    best_history = [] if history is None else history[: sweeps[best], best].tolist()
     return (
         float(values[best]),
         lefts[best],
         rights[best],
         int(sweeps[best]),
         bool(converged[best]),
-        best_history,
         values,
     )
 
@@ -270,7 +259,7 @@ def _biproduct_search(
 ) -> BiproductSearch:
     grouped, _, _ = _grouped_operator(operator, dims, cut)
     cut_index = enumerate_bipartitions(cut.num_parties).index(cut)
-    value, left, right, sweeps, converged, history, finals = _alternating_extremum(
+    value, left, right, sweeps, converged, finals = _alternating_extremum(
         grouped, minimize, options, (0 if minimize else 1, cut_index)
     )
     agreeing = np.abs(finals - value) <= 1e-6 * abs(value) + 1e-15
@@ -281,9 +270,7 @@ def _biproduct_search(
         state=_ungroup_state(left, right, dims, cut),
         sweeps=sweeps,
         converged=converged,
-        restarts=options.restarts,
         restarts_agreeing=int(np.count_nonzero(agreeing)),
-        history=history,
     )
 
 
@@ -320,23 +307,19 @@ def max_product_overlap(
     return _biproduct_search(projector, basis.dims, cut, False, options)
 
 
-def ges_basis(rows, dims, exact_rank: int | None = None) -> GesBasis:
+def ges_basis(rows, dims, exact_rank: int) -> GesBasis:
     """Orthonormal null-space basis of the family's (K, D) coefficient rows.
 
-    With an exact rank in hand the floating rank must agree, otherwise a
-    numerical-pathology error is raised; without it the floating rank is
-    used and a warning notes that.
+    The floating rank must agree with the exact rank, otherwise a
+    numerical-pathology error is raised.
     """
     columns = scipy.linalg.null_space(rows)
-    if exact_rank is not None:
-        expected = rows.shape[1] - exact_rank
-        if columns.shape[1] != expected:
-            raise ValueError(
-                f"floating null space has dimension {columns.shape[1]}, exact rank demands "
-                f"{expected}; numerical pathology"
-            )
-    else:
-        warnings.warn("complement dimension taken from the floating rank", stacklevel=2)
+    expected = rows.shape[1] - exact_rank
+    if columns.shape[1] != expected:
+        raise ValueError(
+            f"floating null space has dimension {columns.shape[1]}, exact rank demands "
+            f"{expected}; numerical pathology"
+        )
     residual = float(np.abs(rows @ columns).max()) if columns.size else 0.0
     gram = columns.conj().T @ columns
     ortho = float(np.abs(gram - np.eye(columns.shape[1])).max()) if columns.size else 0.0
@@ -383,9 +366,9 @@ def certify_ges_numeric(rows, dims, options: OptimizerOptions | None = None) -> 
     return certificate
 
 
-def sample_ges_state(basis: GesBasis, seed=0) -> np.ndarray:
+def sample_ges_state(basis: GesBasis, seed: int = 0) -> np.ndarray:
     """A Haar-like random unit vector inside the complement subspace."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     state = basis.columns @ z
     return state / np.linalg.norm(state)

@@ -19,6 +19,7 @@ def small_fields(monkeypatch):
     def clear():
         minors.modular_context.cache_clear()
         minors._power_table.cache_clear()
+        minors.proof_fields.cache_clear()
 
     monkeypatch.setattr(minors, "_MODULUS_FLOOR", 100)
     clear()

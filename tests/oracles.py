@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from gesforge.cyclo import power_reduction_matrix
+from gesforge.numcert import MAX_SWEEPS
 
 # Subset expansion is exponential in the minor size.
 DP_SIZE_LIMIT = 14
@@ -183,8 +184,9 @@ def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options,
 
     Each restart draws the same seeded start as the package's stacked
     search and runs its own einsum/eigh sweeps until its value moves by
-    less than tol; the best restart wins, ties going to the earliest.
-    Returns (value, left, right, sweeps, converged, history).
+    less than tol, or for at most MAX_SWEEPS sweeps; the best restart
+    wins, ties going to the earliest.  Returns (value, left, right,
+    sweeps, converged).
     """
     d_left, d_right = grouped.shape[0], grouped.shape[1]
     pick = 0 if minimize else -1
@@ -198,9 +200,8 @@ def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options,
         left = None
         value = None
         converged = False
-        history = []
         sweeps = 0
-        for sweep in range(options.max_sweeps):
+        for sweep in range(MAX_SWEEPS):
             sweeps = sweep + 1
             eff_left = np.einsum("abcd,b,d->ac", grouped, right.conj(), right)
             w, vecs = np.linalg.eigh((eff_left + eff_left.conj().T) / 2)
@@ -209,14 +210,12 @@ def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options,
             w, vecs = np.linalg.eigh((eff_right + eff_right.conj().T) / 2)
             right = vecs[:, pick]
             new_value = float(w[pick])
-            if options.track_history:
-                history.append(new_value)
             if value is not None and abs(new_value - value) < options.tol:
                 value = new_value
                 converged = True
                 break
             value = new_value
-        candidate = (value, left, right, sweeps, converged, history)
+        candidate = (value, left, right, sweeps, converged)
         if best is None or better(value, best[0]):
             best = candidate
     return best

@@ -222,6 +222,16 @@ def test_chebotarev_requires_order(tmp_path):
     assert run(["chebotarev", "--p", "1"], tmp_path) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "flags",
+    (["--p", "1000000007"], ["--p", "100003", "--max-size", "2"], ["--p", "2000", "--max-size", "2"]),
+    ids=("1000000007", "100003-size2", "2000-size2"),
+)
+def test_chebotarev_huge_order_exits_invalid(tmp_path, capsys, flags):
+    assert run(["chebotarev", *flags], tmp_path) == EXIT_INVALID
+    assert "above the supported" in capsys.readouterr().err
+
+
 def test_basis_outputs(tmp_path, capsys):
     assert run(["construct", "--n", "3", "--d", "2", "--k", "5"], tmp_path) == EXIT_OK
     code = run(["basis", "--in", "vectors.json"], tmp_path)
@@ -281,21 +291,55 @@ def test_large_prime_root_order_below_the_limit_certifies(tmp_path):
     assert run(argv, tmp_path) == EXIT_OK
 
 
+def test_large_prime_root_order_proves_a_tampered_table(tmp_path, capsys):
+    # the zero proofs of a rank-deficient table run at this order too: its
+    # CRT bound needs max|R| = 1, not the 10**6 x 10**6 reduction matrix
+    assert run(["construct", "--n", "2", "--d", "2", "--k", "3", "--p", "1000003"], tmp_path) == EXIT_OK
+    doc = read_json(tmp_path / "vectors.json")
+    doc["exponent_table"][-1] = doc["exponent_table"][0]
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--in", "tampered.json", "--restarts", "2"], tmp_path) == EXIT_FAILED
+    assert "exact: rank 2/3, FAILED" in capsys.readouterr().out
+
+
+VERIFY_SMALL = ["verify", "--n", "2", "--d", "2", "--k", "3", "--restarts", "2", "--out", "r.json"]
+
+
 def test_seed_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GESFORGE_SEED", "42")
-    run(["construct", "--n", "2", "--d", "2", "--k", "3"], tmp_path)
-    doc = read_json(tmp_path / "vectors.json")
-    assert doc["run_config"]["seed"] == 42
+    assert run(VERIFY_SMALL, tmp_path) == EXIT_OK
+    doc = read_json(tmp_path / "r.json")
+    assert doc["run_config"]["seed"] == doc["numeric"]["options"]["seed"] == 42
     # explicit flag wins over the environment
-    run(["construct", "--n", "2", "--d", "2", "--k", "3", "--seed", "7"], tmp_path)
-    doc = read_json(tmp_path / "vectors.json")
-    assert doc["run_config"]["seed"] == 7
+    assert run(VERIFY_SMALL + ["--seed", "7"], tmp_path) == EXIT_OK
+    doc = read_json(tmp_path / "r.json")
+    assert doc["run_config"]["seed"] == doc["numeric"]["options"]["seed"] == 7
 
 
 def test_bad_seed_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GESFORGE_SEED", "not-a-number")
-    code = run(["construct", "--n", "2", "--d", "2", "--k", "3"], tmp_path)
+    code = run(VERIFY_SMALL, tmp_path)
     assert code == EXIT_INVALID
+    assert "GESFORGE_SEED must be an integer" in capsys.readouterr().err
+
+
+SEEDLESS = {
+    "construct": (["construct", "--n", "2", "--d", "2", "--k", "3"], "vectors.json"),
+    "chebotarev": (["chebotarev", "--p", "5", "--max-size", "2", "--out", "scan.json"], "scan.json"),
+    "basis": (["basis", "--in", "vectors.json"], "basis.json"),
+}
+
+
+@pytest.mark.parametrize("command", SEEDLESS)
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, monkeypatch, command):
+    argv, out = SEEDLESS[command]
+    assert run(SEEDLESS["construct"][0], tmp_path) == EXIT_OK
+    assert run(argv + ["--seed", "1"], tmp_path) == EXIT_INVALID
+    # nor do they read the environment's seed
+    monkeypatch.setenv("GESFORGE_SEED", "not-a-number")
+    assert run(argv, tmp_path) == EXIT_OK
+    assert "seed" not in read_json(tmp_path / out)["run_config"]
 
 
 def test_missing_input_file(tmp_path, capsys):

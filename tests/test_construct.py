@@ -1,5 +1,6 @@
 """Family construction: parameters, exponent tables, vectors, JSON forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from gesforge.construct import (
     vectors_from_doc,
     vectors_to_doc,
 )
-from gesforge.partition import build_nupb
+from gesforge.partition import build_nupb, enumerate_bipartitions
 
 # the three-qubit family: party exponents (4i, 2i, i) modulo 11
 THREE_QUBIT_TABLE = [
@@ -144,6 +145,18 @@ def test_min_vectors_is_worst_cut():
     p = make_params(n=3, d=3, num_vectors=11)
     assert p.min_vectors == 11
     assert p.root_order == 29
+
+
+@given(st.lists(st.integers(2, 5), min_size=2, max_size=5))
+def test_min_vectors_matches_every_canonical_cut(dims):
+    # verify_all_bipartitions relies on this: validation's lower bound leaves
+    # no canonical cut short of D_S + D_Sbar - 1 vectors
+    p = ConstructionParams(dims=tuple(dims), num_vectors=1, root_order=2)
+    demands = [
+        math.prod(dims[m] for m in cut.members) + math.prod(dims[m] for m in cut.complement) - 1
+        for cut in enumerate_bipartitions(len(dims))
+    ]
+    assert p.min_vectors == max(demands)
 
 
 # -- exponent tables ----------------------------------------------------------

@@ -289,6 +289,7 @@ def test_verify_standard_three_qubit_family():
         assert cut.ok
         assert cut.required_vectors == 5
     doc = report.to_doc()
+    assert all(cut["count_ok"] is True for cut in doc["bipartitions"])
     assert doc["passed"] is True
     assert doc["root_order"] == "11"
 
@@ -313,6 +314,10 @@ def test_verify_rejects_invalid_params():
     bad = ConstructionParams(dims=(2, 2, 2), num_vectors=5, root_order=8)
     with pytest.raises(ValueError, match="not prime"):
         verify_all_bipartitions(bad)
+    # below the worst cut's D_S + D_Sbar - 1, before any cut is checked
+    short = ConstructionParams(dims=(2, 2, 2), num_vectors=4, root_order=11)
+    with pytest.raises(ValueError, match="cannot span every cut"):
+        verify_all_bipartitions(short)
 
 
 def test_verify_rejects_malformed_table():
@@ -430,7 +435,6 @@ def test_scan_clamps_requested_size():
     scan = chebotarev_scan(3, 6)
     assert scan.max_size == 3
     assert scan.requested_size == 6
-    assert scan.clamped
     assert scan.clean
 
 
@@ -557,3 +561,22 @@ def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch)
 def test_scan_rejects_tiny_order():
     with pytest.raises(ValueError):
         chebotarev_scan(1, 1)
+
+
+@pytest.mark.parametrize(
+    "order,max_size", ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8193, 1))
+)
+def test_scan_refuses_tables_beyond_the_limit(order, max_size):
+    # refused before any table, power or unit list is built
+    with pytest.raises(ValueError, match="above the supported"):
+        chebotarev_scan(order, max_size)
+
+
+def test_scan_limit_applies_to_the_largest_table(monkeypatch):
+    # for order 7 the largest table is at size 4 (4 * 7 * C(7, 4) = 980),
+    # not at the requested size 7 (7 * 7 * 1)
+    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 980)
+    assert chebotarev_scan(7, 7).clean
+    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 979)
+    with pytest.raises(ValueError, match="980 residues at size 4"):
+        chebotarev_scan(7, 7)
