@@ -24,7 +24,7 @@ from .construct import (
     vectors_to_doc,
     SCHEMA_VERSION,
 )
-from .exactverify import chebotarev_scan, rank_full, verify_all_bipartitions
+from .exactverify import chebotarev_scan, largest_scan_size, rank_full, verify_all_bipartitions
 from .partition import build_nupb, coefficient_matrix
 from .numcert import OptimizerOptions, certify_ges_numeric, ges_basis
 
@@ -209,7 +209,14 @@ def cmd_chebotarev(args) -> int:
         raise InputError("--p is required")
     if args.p < 2:
         raise InputError("--p must be at least 2")
-    max_size = args.max_size if args.max_size is not None else min(args.p, 6)
+    max_size = args.max_size
+    if max_size is None:
+        default = min(args.p, 6)
+        # past the limits, the default shrinks to the largest scan in reach;
+        # with none in reach, the scan itself refuses
+        max_size = largest_scan_size(args.p, default) or default
+        if max_size < default:
+            print(f"note: default max size lowered from {default} to {max_size}, the largest scan in reach")
     if max_size < 1:
         raise InputError("--max-size must be positive")
     if max_size > args.p:

@@ -4,11 +4,23 @@ Every exact verdict here comes down to "no minor vanishes", and one pass
 decides it: `_zero_minors` takes the image mod q of every square minor of
 a matrix by a depth-first Laplace expansion, and only the zero images
 need a zero proof.  All verdicts are exact; floating point never
-participates.  No structural theorem is assumed on the way in, so
-user-supplied exponent tables get the same treatment as the standard
-recipe.  Nonzero column scales, exact or floating, change neither a rank
-nor a minor's zero-ness, so the exact verdicts read the exponent table
+participates.  Nonzero column scales, exact or floating, change neither a
+rank nor a minor's zero-ness, so the exact verdicts read the exponent table
 alone.
+
+Before any pass, the table is checked exactly for Fourier form
+(`_fourier_form`): with p prime and f = E - E[:, 0] - E[0, :] + E[0, 0]
+mod p, the form holds when f = r c^T mod p with the r_i distinct and the
+c_j distinct.  Then E[i, j] = E[i, 0] + E[0, j] - E[0, 0] + r_i c_j, so
+w**E is F_p[r, c], a submatrix of the order-p Fourier matrix, with its
+rows and columns scaled by roots of unity.  By Chebotarev's theorem no
+square minor of F_p vanishes (Stevenhagen & Lenstra, Math. Intelligencer
+18, 1996; Tao, Math. Res. Lett. 12, 2005), so the matrix has rank
+min(k, D) and every maximal minor is nonzero, with no elimination and no
+pass ("chebotarev").  The standard recipe and every relabelling of it
+have this form; the structure is checked, not assumed, and every other
+table (a copied row, a party with a repeated level, a composite order)
+goes through the scan below.
 
 The spanning property asks every D-row subset of a side's k x D matrix M
 to have full rank.  Gauss-Jordan elimination of M^T mod q picks basis
@@ -52,11 +64,15 @@ from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
-# The Fourier scan's Laplace pass holds, per size s, a table of s * n * C(n, s)
-# residues (`_zero_minors`), 8 bytes each, and a product of the same shape
-# while it expands.  A scan whose largest table would exceed this is refused
-# before any work; (14, 6) needs 252,252.
+# A Laplace pass over a rows x cols matrix holds, per size s, a table of
+# s * rows * C(cols, s) residues (`_zero_minors`), 8 bytes each, and a
+# product of the same shape while it expands; it decides
+# sum_s C(rows, s) * C(cols, s) minors.  A pass above either bound is refused
+# before any table is built (`_check_scan_reach`).  The Fourier survey's
+# (14, 6) needs 252,252 residues and 14.2M minors, the 9-dimensional sides
+# of 3x3x3 at k=26 1,969,110 residues and 3.1M minors.
 MAX_SCAN_RESIDUES = 2**26
+MAX_SCAN_MINORS = 2**27
 # Zero images reach the multimodular proof in batches of at most this many
 # matrix entries, which bounds the proof's memory.
 _PROOF_BATCH = 1 << 22
@@ -64,7 +80,11 @@ _PROOF_BATCH = 1 << 22
 
 @dataclass
 class SpanningCheck:
-    """Outcome of the all-subsets rank check for one side of a cut."""
+    """Outcome of the all-subsets rank check for one side of a cut.
+
+    `methods` maps the deciding method, "chebotarev" (Fourier form) or
+    "modular" (the scan), to the row subsets it decided.
+    """
 
     parties: tuple[int, ...]
     dimension: int
@@ -217,10 +237,38 @@ def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int], 
     return sorted(origin[:r]), pivot_cols, a[:r]
 
 
+def _fourier_form(flat: FlatMatrix) -> bool:
+    """Whether w**E is a scaled submatrix of F_p (module docstring).
+
+    f = r c^T has rank one, so any nonzero entry f[i, j] pins it down:
+    f[i, j] * f = f[:, j] f[i, :]^T mod p, and f[:, j] and f[i, :] are unit
+    multiples of r - r_0 and c - c_0, which are distinct exactly when r and
+    c are.  An all-zero f (a single row or column, or repeated r or c) does
+    not qualify.
+    """
+    p = flat.root_order
+    if not is_prime(p):
+        return False
+    e = flat.exponents % p
+    f = (e - e[:, :1] - e[:1, :] + e[0, 0]) % p
+    nonzero = np.flatnonzero(f)
+    if not nonzero.size:
+        return False
+    i, j = divmod(int(nonzero[0]), f.shape[1])
+    r, c = f[:, j], f[i, :]
+    return bool(
+        (f * f[i, j] % p == np.outer(r, c) % p).all()
+        and np.unique(r).size == r.size
+        and np.unique(c).size == c.size
+    )
+
+
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     """(has full row rank, exact rank, deciding method) for a FlatMatrix.
 
-    A modular image of full rank certifies the exact rank ("modular").
+    A matrix of Fourier form has rank min(k, D) by Chebotarev's theorem
+    ("chebotarev").  For any other matrix a modular image of full rank
+    certifies the exact rank ("modular").
     Otherwise the image's pivot block gives rank >= r, and r is exact when
     every bordered minor is proven zero ("bordered"); a nonzero bordered
     minor means the image lost rank, and the next prime field is tried.
@@ -229,6 +277,8 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     if not is_prime(order):
         raise ValueError(f"exact rank needs a prime root order, got {order}")
     k, dim = flat.exponents.shape
+    if _fourier_form(flat):
+        return k <= dim, min(k, dim), "chebotarev"
     for index in itertools.count():
         ctx = minors.modular_context(order, index)
         rows, cols, _ = _modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)
@@ -275,6 +325,37 @@ def _column_tables(ncols: int, max_size: int) -> tuple[list, list]:
         without = [_colex(np.delete(combos[s], pos, axis=1), binom) for pos in range(s)]
         drops.append(lex_index[without])
     return combos, drops
+
+
+def _check_scan_reach(what: str, rows: int, cols: int, max_size: int) -> None:
+    """Raise ValueError unless a Laplace pass over the square minors up to
+    max_size of a rows x cols matrix fits MAX_SCAN_RESIDUES and
+    MAX_SCAN_MINORS (their comment); it builds no table."""
+    # s * C(cols, s) grows up to s = cols // 2 + 1, so the largest table is
+    # the last one checked, and a huge order fails at s = 1 without forming a
+    # huge binomial
+    for size in range(1, min(max_size, cols // 2 + 1) + 1):
+        residues = size * rows * math.comb(cols, size)
+        if residues > MAX_SCAN_RESIDUES:
+            raise ValueError(
+                f"{what} needs a table of {residues} residues at size {size}, "
+                f"above the supported {MAX_SCAN_RESIDUES}"
+            )
+    work = sum(math.comb(rows, s) * math.comb(cols, s) for s in range(1, max_size + 1))
+    if work > MAX_SCAN_MINORS:
+        raise ValueError(f"{what} needs {work} minors, above the supported {MAX_SCAN_MINORS}")
+
+
+def largest_scan_size(order: int, max_size: int) -> int:
+    """The largest size up to min(max_size, order) whose scan of this order
+    `chebotarev_scan` admits, or 0 when even size 1 is out of reach."""
+    for size in range(min(max_size, order), 0, -1):
+        try:
+            _check_scan_reach("", order, order, size)
+        except ValueError:
+            continue
+        return size
+    return 0
 
 
 def _zero_minors(matrix: np.ndarray, q: int, max_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -337,37 +418,58 @@ def _proven_zero(minor_exponents, count: int, size: int, order: int) -> np.ndarr
 def spanning_property(flat: FlatMatrix) -> SpanningCheck:
     """Check that every dimension-sized row subset has full rank.
 
-    The maximal minors are scanned as the square minors of the Schur
-    complement A (module docstring) in one Laplace pass mod q, and the zero
-    images escalate to the multimodular zero proof.  A field whose image
-    of the side has rank below D gives no A; the exact rank then either
-    proves every maximal minor zero or sends the check to the next field.
+    A side of Fourier form passes by Chebotarev's theorem ("chebotarev");
+    every other side gets the scan of `_spanning_scan` ("modular").
 
     Raises when the row count is below the side dimension, where the
-    spanning hypothesis cannot hold.
+    spanning hypothesis cannot hold, and when the scan is out of reach
+    (`_check_scan_reach`).
     """
     k, dim = flat.exponents.shape
     if k < dim:
         raise ValueError(
             f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
         )
-    order = flat.root_order
+    if _fourier_form(flat):
+        failures, witness, method = 0, None, "chebotarev"
+    else:
+        (failures, witness), method = _spanning_scan(flat), "modular"
     total = math.comb(k, dim)
-    failures, witness = total, tuple(range(dim))
+    return SpanningCheck(
+        parties=flat.parties, dimension=dim, subsets_total=total, ok=failures == 0,
+        witness=witness, failures=failures, methods={method: total},
+    )
+
+
+def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
+    """(failing row subsets, the first of them) of a side with k >= D rows.
+
+    The maximal minors are scanned as the square minors of the Schur
+    complement A (module docstring) in one Laplace pass mod q, and the zero
+    images escalate to the multimodular zero proof.  A field whose image
+    of the side has rank below D gives no A; the exact rank then either
+    proves every maximal minor zero or sends the check to the next field.
+    """
+    k, dim = flat.exponents.shape
+    order = flat.root_order
     for index in itertools.count():
         ctx = minors.modular_context(order, index)
         _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
         if len(basis) < dim:
             if index == 0 and rank_full(flat)[1] < dim:
-                break  # every maximal minor vanishes
+                return math.comb(k, dim), tuple(range(dim))  # every maximal minor vanishes
             continue
         rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
         basis = np.array(basis, dtype=np.int64)
         schur = np.array(reduced, dtype=np.int64)[:, rest]  # A^T: rows follow basis, columns rest
         # the pass recurses over row sets, so it runs on the side with fewer rows
         flipped = len(rest) < dim
+        size = min(dim, len(rest))
+        _check_scan_reach(
+            f"a spanning scan of a {k} x {dim} side", size, max(dim, len(rest)), size
+        )
         members = [np.zeros((0, k), dtype=bool)]
-        for rows, cols in _zero_minors(schur.T if flipped else schur, ctx.modulus, min(dim, len(rest))):
+        for rows, cols in _zero_minors(schur.T if flipped else schur, ctx.modulus, size):
             dropped, added = (cols, rows) if flipped else (rows, cols)
             member = np.zeros((len(rows), k), dtype=bool)
             member[:, basis] = True
@@ -377,18 +479,27 @@ def spanning_property(flat: FlatMatrix) -> SpanningCheck:
         sets = np.nonzero(np.concatenate(members))[1].reshape(-1, dim)  # sorted row sets
         zero = _proven_zero(lambda batch: flat.exponents[sets[batch]], len(sets), dim, order)
         failures = int(zero.sum())
-        witness = min(map(tuple, sets[zero].tolist())) if failures else None
-        break
-    return SpanningCheck(
-        parties=flat.parties, dimension=dim, subsets_total=total, ok=failures == 0,
-        witness=witness, failures=failures, methods={"modular": total},
-    )
+        return failures, min(map(tuple, sets[zero].tolist())) if failures else None
 
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:
     """Full-rank plus per-cut spanning over every canonical bipartition."""
     ensure_valid(params, table)
     start = time.perf_counter()
+    # the cuts go first, so that a scan out of reach is refused before the
+    # rank proof of a rank-deficient table, which can take seconds
+    cuts = []
+    for cut in enumerate_bipartitions(params.num_parties):
+        left_flat, right_flat = factor_matrices(params, cut, table)
+        cuts.append(
+            BipartitionCheck(
+                members=cut.members,
+                complement=cut.complement,
+                required_vectors=left_flat.dimension + right_flat.dimension - 1,
+                left=spanning_property(left_flat),
+                right=spanning_property(right_flat),
+            )
+        )
     full_rank, rank, method = rank_full(coefficient_matrix(params, table))
     report = ExactReport(
         dims=params.dims,
@@ -398,18 +509,8 @@ def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactRepo
         matrix_rank=rank,
         full_rank=full_rank,
         rank_method=method,
+        bipartitions=cuts,
     )
-    for cut in enumerate_bipartitions(params.num_parties):
-        left_flat, right_flat = factor_matrices(params, cut, table)
-        report.bipartitions.append(
-            BipartitionCheck(
-                members=cut.members,
-                complement=cut.complement,
-                required_vectors=left_flat.dimension + right_flat.dimension - 1,
-                left=spanning_property(left_flat),
-                right=spanning_property(right_flat),
-            )
-        )
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -454,23 +555,13 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     field's zero images.  Every recorded witness is re-evaluated with
     mpmath at 50 digits and must fall below 1e-30.
 
-    Raises ValueError when a table of the pass would exceed
-    MAX_SCAN_RESIDUES residues.
+    Raises ValueError when the pass is out of reach (`_check_scan_reach`).
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     requested = max_size
     max_size = min(max_size, order)
-    # s * C(n, s) grows up to s = n // 2 + 1, so the largest table is the
-    # last one checked, and a huge order fails at s = 1 without forming a
-    # huge binomial
-    for size in range(1, min(max_size, order // 2 + 1) + 1):
-        residues = size * order * math.comb(order, size)
-        if residues > MAX_SCAN_RESIDUES:
-            raise ValueError(
-                f"a scan of order {order} to size {max_size} needs a table of {residues} "
-                f"residues at size {size}, above the supported {MAX_SCAN_RESIDUES}"
-            )
+    _check_scan_reach(f"a scan of order {order} to size {max_size}", order, order, max_size)
     start = time.perf_counter()
     combos, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)

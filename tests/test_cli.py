@@ -209,6 +209,17 @@ def test_chebotarev_prime_clean(tmp_path, capsys):
     assert doc["scan"]["witnesses"] == []
 
 
+def test_chebotarev_default_size_shrinks_into_reach(tmp_path, capsys):
+    # size 6 of order 17 would decide 197.6M minors, above MAX_SCAN_MINORS
+    code = run(["chebotarev", "--p", "17", "--out", "scan.json"], tmp_path)
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "default max size lowered from 6 to 5" in out
+    assert "no zero minors" in out
+    assert read_json(tmp_path / "scan.json")["scan"]["max_size"] == 5
+    assert run(["chebotarev", "--p", "17", "--max-size", "6"], tmp_path) == EXIT_INVALID
+
+
 def test_chebotarev_composite_witnesses(tmp_path, capsys):
     code = run(["chebotarev", "--p", "4", "--max-size", "2", "--out", "scan.json"], tmp_path)
     assert code == EXIT_FAILED
@@ -224,8 +235,13 @@ def test_chebotarev_requires_order(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    (["--p", "1000000007"], ["--p", "100003", "--max-size", "2"], ["--p", "2000", "--max-size", "2"]),
-    ids=("1000000007", "100003-size2", "2000-size2"),
+    (
+        ["--p", "1000000007"],
+        ["--p", "100003", "--max-size", "2"],
+        ["--p", "2000", "--max-size", "2"],
+        ["--p", "400", "--max-size", "2"],
+    ),
+    ids=("1000000007", "100003-size2", "2000-size2", "400-size2"),
 )
 def test_chebotarev_huge_order_exits_invalid(tmp_path, capsys, flags):
     assert run(["chebotarev", *flags], tmp_path) == EXIT_INVALID
@@ -301,6 +317,32 @@ def test_large_prime_root_order_proves_a_tampered_table(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "--in", "tampered.json", "--restarts", "2"], tmp_path) == EXIT_FAILED
     assert "exact: rank 2/3, FAILED" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_scan_out_of_reach(tmp_path, capsys):
+    # a tampered 4x4x4 table at k=40 needs a 16-dimensional side's
+    # C(40, 16) = 6.3e10 maximal minors: invalid input, not a crash
+    assert run(["construct", "--dims", "4,4,4", "--k", "40"], tmp_path) == EXIT_OK
+    doc = read_json(tmp_path / "vectors.json")
+    doc["exponent_table"][39] = doc["exponent_table"][0]
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--in", "tampered.json", "--restarts", "2"], tmp_path) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the supported" in err
+
+
+@pytest.mark.parametrize(
+    "dims, k", (("3,3,3,3", 29), ("2,2,2,2,2,2", 33), ("4,4,4", 40))
+)
+def test_verify_certifies_shapes_past_the_scan(tmp_path, capsys, dims, k):
+    argv = ["verify", "--dims", dims, "--k", str(k), "--restarts", "2", "--seed", "1"]
+    assert run(argv + ["--out", "r.json"], tmp_path) == EXIT_OK
+    assert "verdict: certified" in capsys.readouterr().out
+    exact = read_json(tmp_path / "r.json")["exact"]
+    assert exact["rank_method"] == "chebotarev" and exact["passed"] is True
+    sides = [cut[s] for cut in exact["bipartitions"] for s in ("left", "right")]
+    assert all(side["methods"] == {"chebotarev": side["subsets_total"]} for side in sides)
 
 
 VERIFY_SMALL = ["verify", "--n", "2", "--d", "2", "--k", "3", "--restarts", "2", "--out", "r.json"]

@@ -18,8 +18,11 @@ from gesforge.construct import (
     make_params,
 )
 from gesforge.exactverify import (
+    _fourier_form,
     _modular_echelon,
+    _spanning_scan,
     chebotarev_scan,
+    largest_scan_size,
     rank_full,
     spanning_property,
     verify_all_bipartitions,
@@ -54,7 +57,7 @@ def test_rank_full_standard_family():
     p = make_params(n=3, d=2, num_vectors=5)
     ok, rank, method = rank_full(coefficient_matrix(p))
     assert ok and rank == 5
-    assert method == "modular"
+    assert method == "chebotarev"
 
 
 def test_rank_deficiency_settled_exactly():
@@ -148,7 +151,8 @@ def test_spanning_holds_on_standard_factors():
             assert check.ok
             assert check.failures == 0
             assert check.witness is None
-            assert sum(check.methods.values()) == check.subsets_total
+            assert check.methods == {"chebotarev": check.subsets_total}
+            assert _spanning_scan(side) == (0, None)
 
 
 def test_spanning_witness_on_duplicate_rows():
@@ -189,6 +193,7 @@ def test_spanning_engines_agree():
         check = spanning_property(side)
         assert check.ok
         assert (check.failures, check.witness) == leibniz_spanning(side) == (0, None)
+        assert _spanning_scan(side) == (0, None)
 
 
 def test_spanning_engines_agree_on_failure():
@@ -238,7 +243,10 @@ def test_spanning_matches_leibniz_on_planted_dependent_rows(case):
     check = spanning_property(side)
     assert check.ok == (check.failures == 0)
     assert (check.failures, check.witness) == leibniz_spanning(side)
-    assert check.methods == {"modular": check.subsets_total}
+    # a planted table can still have Fourier form, and then nothing fails
+    (method,) = check.methods
+    assert check.methods == {method: check.subsets_total}
+    assert method == "modular" or check.failures == 0
 
 
 def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
@@ -274,6 +282,126 @@ def test_spanning_on_a_rank_deficient_side():
                 assert check.witness == tuple(range(side.dimension))
             else:
                 assert (check.failures, check.witness) == leibniz_spanning(side)
+
+
+# -- Fourier form --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, n", ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
+def test_scan_agrees_with_the_theorem_on_the_exact_grid(d, n):
+    # the exact grid of acceptance criterion 3 passes by Chebotarev's theorem,
+    # so the scan and the modular-echelon rank are run on it here
+    probe = make_params(d=d, n=n, num_vectors=d**n - 1)
+    for k in range(probe.min_vectors, probe.max_vectors + 1):
+        params = make_params(d=d, n=n, num_vectors=k)
+        flat = coefficient_matrix(params)
+        assert rank_full(flat) == (True, k, "chebotarev")
+        ctx = minors.modular_context(params.root_order)
+        assert len(_modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)[0]) == k
+        for cut in enumerate_bipartitions(n):
+            for side in factor_matrices(params, cut):
+                total = math.comb(k, side.dimension)
+                assert spanning_property(side).methods == {"chebotarev": total}
+                assert _spanning_scan(side) == (0, None)
+
+
+@st.composite
+def relabelled_recipes(draw):
+    """A recipe coefficient matrix, w**(i * j) on rows i and columns j,
+    relabelled: rows permuted, a subset of two or more columns in any
+    order, the row and column labels times units mod p, and per-row and
+    per-column exponent shifts."""
+    d, n = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))))
+    probe = make_params(d=d, n=n, num_vectors=d**n - 1)
+    params = make_params(
+        d=d, n=n, num_vectors=draw(st.integers(probe.min_vectors, probe.max_vectors))
+    )
+    order, exps = params.root_order, coefficient_matrix(params).exponents
+    k, dim = exps.shape
+    rows = draw(st.permutations(range(k)))
+    cols = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=dim, unique=True))
+    u, v = draw(st.integers(1, order - 1)), draw(st.integers(1, order - 1))
+    shift = st.integers(0, order - 1)
+    a = np.array(draw(st.lists(shift, min_size=k, max_size=k)))
+    b = np.array(draw(st.lists(shift, min_size=len(cols), max_size=len(cols))))
+    relabelled = (u * v * exps[np.ix_(rows, cols)] + a[:, None] + b[None, :]) % order
+    return FlatMatrix(order, (0,), (len(cols),), relabelled)
+
+
+@given(relabelled_recipes())
+@settings(max_examples=60)
+def test_fourier_form_recognises_relabelled_recipes(flat):
+    k, dim = flat.exponents.shape
+    assert _fourier_form(flat)
+    assert rank_full(flat) == (k <= dim, min(k, dim), "chebotarev")
+    if k >= dim:
+        check = spanning_property(flat)
+        assert check.ok and check.methods == {"chebotarev": check.subsets_total}
+    size = min(k, dim)
+    if size <= 5 and math.comb(max(k, dim), size) <= 200:
+        # every maximal minor is nonzero by the Leibniz oracle, and the scan agrees
+        tall = flat.exponents if k >= dim else flat.exponents.T
+        subsets = np.array(list(itertools.combinations(range(len(tall)), size)))
+        counts = det_leibniz_counts(tall[subsets], flat.root_order)
+        assert not power_counts_are_zero(counts, flat.root_order).any()
+        if k >= dim:
+            assert _spanning_scan(flat) == (0, None)
+
+
+def fourier_rows_with(case):
+    """Rows 0..5 and columns 0..3 of F_11, changed so Fourier form fails."""
+    order, i, j = 11, np.arange(6), np.arange(4)
+    exps = np.outer(i, j) % order
+    if case == "copied row":  # r_5 = r_0: the product holds, the rows repeat
+        exps[5] = (exps[0] + 3) % order
+    elif case == "copied column":  # c_3 = c_0
+        exps[:, 3] = (exps[:, 0] + 5) % order
+    elif case == "composite order":  # F_8 has zero minors
+        order = 8
+        exps = np.outer(i, j) % order
+    elif case == "rank-two f":  # f[:, 1] and f[1, :] are distinct, f is no product
+        exps = (np.outer(i, j) + np.outer(i**2, j**3)) % order
+    return FlatMatrix(order, (0,), (4,), exps)
+
+
+@pytest.mark.parametrize(
+    "case", ("copied row", "copied column", "composite order", "rank-two f")
+)
+def test_fourier_form_rejects_and_the_scan_decides(case):
+    flat = fourier_rows_with(case)
+    assert not _fourier_form(flat)
+    if case != "composite order":
+        assert rank_full(flat)[2] != "chebotarev"
+    check = spanning_property(flat)
+    assert check.methods == {"modular": check.subsets_total}
+    assert (check.failures, check.witness) == _spanning_scan(flat) == leibniz_spanning(flat)
+    if case.startswith("copied"):
+        assert check.failures > 0
+
+
+def test_spanning_refuses_a_scan_beyond_the_limit():
+    # with row 0 copied over row 39, a 16-dimensional side of 4x4x4 has no
+    # Fourier form, and its scan would hold tables of up to 5.2e8 residues
+    # for C(40, 16) = 6.3e10 minors: refused before any table is built
+    params = make_params(dims=(4, 4, 4), num_vectors=40)
+    table = [[list(loc) for loc in row] for row in exponent_table(params)]
+    table[39] = [list(loc) for loc in table[0]]
+    with pytest.raises(ValueError, match="a spanning scan of a 40 x 16 side needs a table of"):
+        verify_all_bipartitions(params, table)
+
+
+def test_spanning_scan_bounds_the_minor_count(monkeypatch):
+    # the pass over A covers the C(k, D) maximal minors but the one of M_B:
+    # a 5 x 3 side takes C(5, 3) - 1 = 9
+    p = make_params(dims=(2, 3), num_vectors=5)
+    table = [[list(loc) for loc in row] for row in exponent_table(p)]
+    table[3] = [list(loc) for loc in table[0]]
+    _, right = factor_matrices(p, Bipartition(2, (0,)), table)
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 9)
+    assert spanning_property(right).failures > 0
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 8)
+    with pytest.raises(ValueError, match="5 x 3 side needs 9 minors"):
+        spanning_property(right)
 
 
 # -- whole-family verification --------------------------------------------------
@@ -564,7 +692,8 @@ def test_scan_rejects_tiny_order():
 
 
 @pytest.mark.parametrize(
-    "order,max_size", ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8193, 1))
+    "order,max_size",
+    ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8193, 1), (400, 2), (16, 8)),
 )
 def test_scan_refuses_tables_beyond_the_limit(order, max_size):
     # refused before any table, power or unit list is built
@@ -580,3 +709,23 @@ def test_scan_limit_applies_to_the_largest_table(monkeypatch):
     monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 979)
     with pytest.raises(ValueError, match="980 residues at size 4"):
         chebotarev_scan(7, 7)
+
+
+def test_scan_limit_bounds_the_minor_count(monkeypatch):
+    # order 5 to size 3 decides 25 + 100 + 100 minors
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 225)
+    assert chebotarev_scan(5, 3).clean
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 224)
+    with pytest.raises(ValueError, match="needs 225 minors"):
+        chebotarev_scan(5, 3)
+
+
+@pytest.mark.parametrize(
+    "order, max_size, size",
+    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (8192, 6, 1), (8193, 6, 0)),
+)
+def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
+    assert largest_scan_size(order, max_size) == size
+    if size < min(order, max_size):
+        with pytest.raises(ValueError, match="above the supported"):
+            exactverify._check_scan_reach("", order, order, size + 1)
