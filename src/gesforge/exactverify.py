@@ -31,21 +31,34 @@ coordinates of the row span of [I; A] are the minors of A (Fomin &
 Zelevinsky, Math. Intelligencer 22, 2000).  So one scan of A's square
 minors covers all C(k, D) maximal minors.
 
-Rank deficiency is proved without field elimination: a modular echelon
-form names pivot rows P and columns C with M[P, C] nonsingular, and the
-rank is exactly |P| when every bordered minor M[P + i, C + j] is proven
-zero by the multimodular test, because those minors are the entries of
-the Schur complement of M[P, C] up to its nonzero determinant.
+Rank deficiency is proved without field elimination, one circuit at a
+time.  A circuit is a minimal dependent row set (Oxley, Matroid Theory,
+2nd ed., ch. 1); every row set that contains a dependent one is
+dependent.  A row set singular mod q names a candidate: the echelon form
+of its image's transpose gives, for each non-pivot row, a null vector mod
+q whose support is a circuit mod q.  The candidate C is proven dependent
+(`_proven_dependent`) when the modular echelon form of M[C] names pivot
+rows P and columns K with M[P, K] nonsingular, |P| < |C|, and every
+bordered minor M[P + i, K + j] is proven zero by the multimodular test of
+`minors`: those minors are the entries of the Schur complement of
+M[P, K] up to its nonzero determinant.  A copied row makes a circuit of
+two rows and 2 x 2 bordered minors.  For the rank, the image of M names
+independent rows B and, for each other row i, a candidate within B + i;
+the rank is |B| when every candidate is proven, and a candidate that
+fails was dependent only mod q, so the next field is tried.  The spanning
+check proves the candidate of the first zero image that no proven circuit
+covers, settles every zero image that contains a proven circuit, and
+leaves the images whose candidate fails (they vanish only mod q) to the
+multimodular test, one minor each.
 
-The spanning and rank checks prove zero images by the multimodular test
-of `minors`.  The Fourier-minor scan (`chebotarev_scan`) runs the same
-pass on F_n, for prime and composite orders alike, and proves its zero
-images from the pass's own output: the embedding w -> root**a multiplies
-every exponent r * c by the unit a, so the image of det F[R, C] under it
-is +-det F[R, sorted(a * C mod n)] under w -> root.  A zero image is
-proven zero when the images of its whole orbit vanish, in as many fields
-as the multimodular bound m! * max|R| asks for; at the 10**6 modulus
-floor that is one field up to size 9 (max|R| = 1 below order 105).
+The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
+for prime and composite orders alike, and proves its zero images from
+the pass's own output: the embedding w -> root**a multiplies every
+exponent r * c by the unit a, so the image of det F[R, C] under it is
++-det F[R, sorted(a * C mod n)] under w -> root.  A zero image is proven
+zero when the images of its whole orbit vanish, in as many fields as the
+multimodular bound m! * max|R| asks for; at the 10**6 modulus floor that
+is one field up to size 9 (max|R| = 1 below order 105).
 """
 
 from __future__ import annotations
@@ -64,13 +77,17 @@ from .cyclo import is_prime
 from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
 
 _WITNESS_CAP = 20
-# A Laplace pass over a rows x cols matrix holds, per size s, a table of
-# s * rows * C(cols, s) residues (`_zero_minors`), 8 bytes each, and a
-# product of the same shape while it expands; it decides
-# sum_s C(rows, s) * C(cols, s) minors.  A pass above either bound is refused
-# before any table is built (`_check_scan_reach`).  The Fourier survey's
-# (14, 6) needs 252,252 residues and 14.2M minors, the 9-dimensional sides
-# of 3x3x3 at k=26 1,969,110 residues and 3.1M minors.
+# A Laplace pass over a rows x cols matrix (`_zero_minors`) holds, 8 bytes
+# a residue, the matrix and its image mod q (2 * rows * cols) and per size s
+# a signed table of s * rows * C(cols, s) residues, the row sums of
+# rows * C(cols, s) kept along the walk and two column tables of
+# s * C(cols, s); while the largest of these expands, it holds them once
+# more.  It decides sum_s C(rows, s) * C(cols, s) minors.  A pass above
+# either bound is refused before any table is built (`_check_scan_reach`).
+# The Fourier survey's (14, 6) needs 954,492 residues and 14.2M minors, the
+# sides of 3x3x3 at k=26 at most 12.1M residues and 3.1M minors.  The
+# zero images come on top: a handful for a prime order, but often more
+# than the tables for a composite one.
 MAX_SCAN_RESIDUES = 2**26
 MAX_SCAN_MINORS = 2**27
 # Zero images reach the multimodular proof in batches of at most this many
@@ -263,15 +280,45 @@ def _fourier_form(flat: FlatMatrix) -> bool:
     )
 
 
+def _circuit(basis: list[int], reduced: list[list[int]], free: int) -> list[int]:
+    """The support of the null vector that `_modular_echelon` of an image's
+    transpose gives for its non-pivot column `free`: free and every pivot
+    whose reduced row is nonzero there.  The image's rows on it are a
+    circuit mod q, a minimal dependent set (module docstring)."""
+    return sorted([free] + [b for b, row in zip(basis, reduced) if row[free]])
+
+
+def _proven_dependent(exponents: np.ndarray, ctx: minors.ModularContext) -> bool:
+    """Whether the rows of w**exponents are proven linearly dependent.
+
+    The modular echelon form in ctx's field names pivot rows P and columns
+    K with M[P, K] nonsingular.  The rows are proven dependent when |P| is
+    below their count and every bordered minor M[P + i, K + j] is proven
+    zero by the multimodular test (module docstring).  False means either
+    that the rows are independent or that their image lost rank mod q.
+    """
+    k, dim = exponents.shape
+    rows, cols, _ = _modular_echelon(ctx.power_table()[exponents], ctx.modulus)
+    r = len(rows)
+    if r == k:
+        return False
+    row_sets = np.array([rows + [i] for i in range(k) if i not in rows], dtype=np.int64)
+    col_sets = np.array([cols + [j] for j in range(dim) if j not in cols], dtype=np.int64)
+    bordered = exponents[row_sets[:, None, :, None], col_sets[None, :, None, :]]
+    return bool(minors.multimodular_zero(bordered.reshape(-1, r + 1, r + 1), ctx.order).all())
+
+
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     """(has full row rank, exact rank, deciding method) for a FlatMatrix.
 
     A matrix of Fourier form has rank min(k, D) by Chebotarev's theorem
     ("chebotarev").  For any other matrix a modular image of full rank
     certifies the exact rank ("modular").
-    Otherwise the image's pivot block gives rank >= r, and r is exact when
-    every bordered minor is proven zero ("bordered"); a nonzero bordered
-    minor means the image lost rank, and the next prime field is tried.
+    Otherwise the echelon form of the image's transpose names independent
+    rows P and, for each other row i, a candidate circuit within P + i; the
+    rank is exactly |P| when every candidate is proven dependent
+    ("bordered").  A candidate that fails means the image lost rank, and
+    the next prime field is tried.
     """
     order = flat.root_order
     if not is_prime(order):
@@ -281,14 +328,13 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
         return k <= dim, min(k, dim), "chebotarev"
     for index in itertools.count():
         ctx = minors.modular_context(order, index)
-        rows, cols, _ = _modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)
-        r = len(rows)
+        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
+        r = len(basis)
         if r == k or r == dim:
             return r == k, r, "modular"
-        row_sets = np.array([rows + [i] for i in range(k) if i not in rows], dtype=np.int64)
-        col_sets = np.array([cols + [j] for j in range(dim) if j not in cols], dtype=np.int64)
-        bordered = flat.exponents[row_sets[:, None, :, None], col_sets[None, :, None, :]]
-        if minors.multimodular_zero(bordered.reshape(-1, r + 1, r + 1), order).all():
+        # a circuit found in this field is proven in it, where it is dependent
+        circuits = (_circuit(basis, reduced, i) for i in range(k) if i not in basis)
+        if all(_proven_dependent(flat.exponents[c], ctx) for c in circuits):
             return False, r, "bordered"
 
 
@@ -331,14 +377,16 @@ def _check_scan_reach(what: str, rows: int, cols: int, max_size: int) -> None:
     """Raise ValueError unless a Laplace pass over the square minors up to
     max_size of a rows x cols matrix fits MAX_SCAN_RESIDUES and
     MAX_SCAN_MINORS (their comment); it builds no table."""
-    # s * C(cols, s) grows up to s = cols // 2 + 1, so the largest table is
-    # the last one checked, and a huge order fails at s = 1 without forming a
-    # huge binomial
-    for size in range(1, min(max_size, cols // 2 + 1) + 1):
-        residues = size * rows * math.comb(cols, size)
-        if residues > MAX_SCAN_RESIDUES:
+    # the peak grows with the size, so a huge order fails at size 1 without
+    # forming a huge binomial
+    held = largest = 0
+    for size in range(1, max_size + 1):
+        table = ((size + 1) * rows + 2 * size) * math.comb(cols, size)
+        held, largest = held + table, max(largest, table)
+        peak = 2 * rows * cols + held + largest
+        if peak > MAX_SCAN_RESIDUES:
             raise ValueError(
-                f"{what} needs a table of {residues} residues at size {size}, "
+                f"{what} needs {peak} residues at once up to size {size}, "
                 f"above the supported {MAX_SCAN_RESIDUES}"
             )
     work = sum(math.comb(rows, s) * math.comb(cols, s) for s in range(1, max_size + 1))
@@ -415,6 +463,44 @@ def _proven_zero(minor_exponents, count: int, size: int, order: int) -> np.ndarr
     ])
 
 
+def _circuit_zeros(
+    flat: FlatMatrix, ctx: minors.ModularContext, masks: np.ndarray, sets: np.ndarray
+) -> np.ndarray:
+    """Which of the zero-image row sets (rows of `sets`, with their boolean
+    `masks` over the k rows) are exactly singular.
+
+    The first set that no proven circuit covers yet names a candidate
+    circuit C, the smallest support of a null vector of its image mod q.
+    If C is proven dependent, every set that contains it is singular.
+    Otherwise the set's image vanishes only mod q so far, and it joins the
+    leftovers, which the multimodular test decides one minor each.  So
+    does a set whose candidate is the whole set: proving C would be
+    proving the set's own minor, and it covers no other set.
+    """
+    count, dim = sets.shape
+    zero = np.zeros(count, dtype=bool)
+    open_sets = np.ones(count, dtype=bool)
+    leftovers = []
+    while open_sets.any():
+        first = int(np.argmax(open_sets))
+        rows = sets[first]
+        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents[rows]].T, ctx.modulus)
+        free = (j for j in range(dim) if j not in basis)
+        circuit = rows[min((_circuit(basis, reduced, j) for j in free), key=len)]
+        if len(circuit) < dim and _proven_dependent(flat.exponents[circuit], ctx):
+            covered = masks[:, circuit].all(axis=1)
+            zero |= covered
+            open_sets &= ~covered
+        else:
+            leftovers.append(first)
+            open_sets[first] = False
+    leftovers = np.array(leftovers, dtype=np.int64)
+    zero[leftovers] = _proven_zero(
+        lambda batch: flat.exponents[sets[leftovers[batch]]], len(leftovers), dim, flat.root_order
+    )
+    return zero
+
+
 def spanning_property(flat: FlatMatrix) -> SpanningCheck:
     """Check that every dimension-sized row subset has full rank.
 
@@ -446,7 +532,7 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
 
     The maximal minors are scanned as the square minors of the Schur
     complement A (module docstring) in one Laplace pass mod q, and the zero
-    images escalate to the multimodular zero proof.  A field whose image
+    images are proven by circuits (`_circuit_zeros`).  A field whose image
     of the side has rank below D gives no A; the exact rank then either
     proves every maximal minor zero or sends the check to the next field.
     """
@@ -476,8 +562,9 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
             member[np.arange(len(rows))[:, None], basis[dropped]] = False
             member[np.arange(len(rows))[:, None], rest[added]] = True
             members.append(member)
-        sets = np.nonzero(np.concatenate(members))[1].reshape(-1, dim)  # sorted row sets
-        zero = _proven_zero(lambda batch: flat.exponents[sets[batch]], len(sets), dim, order)
+        masks = np.concatenate(members)
+        sets = np.nonzero(masks)[1].reshape(-1, dim)  # sorted row sets
+        zero = _circuit_zeros(flat, ctx, masks, sets)
         failures = int(zero.sum())
         return failures, min(map(tuple, sets[zero].tolist())) if failures else None
 

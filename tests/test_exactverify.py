@@ -125,6 +125,23 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
         assert rank_full(flat)[:2] == (exact == 4, exact)
 
 
+def test_rank_full_moves_on_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
+    # rows 0-3 are exactly independent but dependent mod the first field;
+    # row 4 is row 0 times w**2 and column 4 column 0 times w, so the exact
+    # rank is 4.  The first field's candidate circuit among rows 0-3 is
+    # refuted in that field, and a later field proves the rank
+    order = 7
+    ctx = minors.modular_context(order, 0)
+    block = spurious_block(order)
+    exps = np.hstack([block, (block[:, :1] + 1) % order])
+    exps = np.vstack([exps, (exps[0] + 2) % order])
+    circuits = spy_on_circuit_proofs(monkeypatch)
+    flat = FlatMatrix(order, (0,), (5,), exps)
+    assert rank_full(flat) == (False, rank_by_minors(exps, order), "bordered") == (False, 4, "bordered")
+    assert (exps[:4].tolist(), ctx.modulus, False) in circuits
+    assert circuits[-1][1] != ctx.modulus and circuits[-1][2]
+
+
 def test_modular_echelon_pivot_block_is_nonsingular():
     q = 101
     values = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 5]])
@@ -249,21 +266,73 @@ def test_spanning_matches_leibniz_on_planted_dependent_rows(case):
     assert method == "modular" or check.failures == 0
 
 
+def spurious_block(order, size=4):
+    """A square exponent block whose determinant vanishes mod the first
+    (small) field but not exactly."""
+    ctx = minors.modular_context(order, 0)
+    assert ctx.modulus < 200
+    batch = np.random.default_rng(2).integers(0, order, size=(20000, size, size))
+    nonzero = ~power_counts_are_zero(det_leibniz_counts(batch, order), order)
+    return batch[np.nonzero(nonzero & ~minors.certify_nonzero_mod(batch, ctx))[0][0]]
+
+
+def spy_on_circuit_proofs(monkeypatch):
+    """Record (rows, modulus, verdict) of each `_proven_dependent` call."""
+    calls = []
+    real = exactverify._proven_dependent
+
+    def spy(exponents, ctx):
+        proven = real(exponents, ctx)
+        calls.append((exponents.tolist(), ctx.modulus, proven))
+        return proven
+
+    monkeypatch.setattr(exactverify, "_proven_dependent", spy)
+    return calls
+
+
 def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
     # a 4 x 4 block whose determinant vanishes mod the first field but not
     # exactly, and two rows equal to block rows times powers of w: the first
     # field's image of the side has rank 3, so the next field must decide
     order = 7
     ctx = minors.modular_context(order, 0)
-    assert ctx.modulus < 200
-    batch = np.random.default_rng(2).integers(0, order, size=(5000, 4, 4))
-    nonzero = ~power_counts_are_zero(det_leibniz_counts(batch, order), order)
-    block = batch[np.nonzero(nonzero & ~minors.certify_nonzero_mod(batch, ctx))[0][0]]
+    block = spurious_block(order)
     exps = np.vstack([block, (block[[0, 2]] + [[1], [3]]) % order])
     assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) < 4
     side = FlatMatrix(order, (0,), (4,), exps)
     check = spanning_property(side)
     assert (check.failures, check.witness) == leibniz_spanning(side) == (11, (0, 1, 2, 4))
+
+
+def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
+    # rows 0-2 are a 3 x 3 block singular mod the first field but not
+    # exactly, with a fourth column that is column 0 times w: they are
+    # dependent mod q only, so their candidate circuit is refuted and the
+    # row sets holding them go to the minor-by-minor proof.  Row 5 is row 0
+    # times w, a circuit proven once for every set that holds both
+    order = 13
+    ctx = minors.modular_context(order, 0)
+    block = spurious_block(order, 3)
+    block = np.hstack([block, (block[:, :1] + 1) % order])
+    extra = np.random.default_rng(3).integers(0, order, size=(2, 4))
+    exps = np.vstack([block, extra, (block[0] + 1) % order])
+    assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) == 4
+    circuits = spy_on_circuit_proofs(monkeypatch)
+    leftovers = []
+    real = exactverify._proven_zero
+
+    def spy(minor_exponents, count, size, order):
+        leftovers.extend(minor_exponents(slice(0, count)).tolist())
+        return real(minor_exponents, count, size, order)
+
+    monkeypatch.setattr(exactverify, "_proven_zero", spy)
+    side = FlatMatrix(order, (0,), (4,), exps)
+    check = spanning_property(side)
+    assert (block.tolist(), ctx.modulus, False) in circuits
+    assert ([exps[0].tolist(), exps[5].tolist()], ctx.modulus, True) in circuits
+    assert exps[[0, 1, 2, 3]].tolist() in leftovers and exps[[0, 1, 2, 4]].tolist() in leftovers
+    assert (check.failures, check.witness) == leibniz_spanning(side)
+    assert check.failures > 0
 
 
 def test_spanning_on_a_rank_deficient_side():
@@ -386,7 +455,7 @@ def test_spanning_refuses_a_scan_beyond_the_limit():
     params = make_params(dims=(4, 4, 4), num_vectors=40)
     table = [[list(loc) for loc in row] for row in exponent_table(params)]
     table[39] = [list(loc) for loc in table[0]]
-    with pytest.raises(ValueError, match="a spanning scan of a 40 x 16 side needs a table of"):
+    with pytest.raises(ValueError, match="a spanning scan of a 40 x 16 side needs .* residues"):
         verify_all_bipartitions(params, table)
 
 
@@ -509,6 +578,48 @@ def test_edge_families_match_svd(dims, k, order):
                 assert spanning.failures == int((~ok).sum())
                 first = None if ok.all() else rows[int(np.argmin(ok))]
                 assert spanning.witness == first
+
+
+def count_zero_proofs(monkeypatch):
+    """The size of every minor sent to `minors.multimodular_zero`."""
+    sizes = []
+    real = minors.multimodular_zero
+
+    def spy(exponents, order):
+        exponents = np.asarray(exponents)
+        sizes.extend([exponents.shape[1]] * len(exponents))
+        return real(exponents, order)
+
+    monkeypatch.setattr(minors, "multimodular_zero", spy)
+    return sizes
+
+
+def tampered_table(params):
+    """The standard table with row 0 copied over the last row."""
+    table = [[list(loc) for loc in row] for row in exponent_table(params)]
+    table[-1] = [list(loc) for loc in table[0]]
+    return table
+
+
+def test_circuits_keep_large_minors_from_the_zero_proof(monkeypatch):
+    # with row 0 copied over row 16 every 8-dimensional side of 2^5 holds
+    # 5,005 exactly-zero maximal minors; the circuit of rows 0 and 16
+    # settles them all, and those of the other sides, through 2 x 2
+    # bordered minors
+    params = make_params(dims=(2, 2, 2, 2, 2), num_vectors=17)
+    sizes = count_zero_proofs(monkeypatch)
+    report = verify_all_bipartitions(params, tampered_table(params))
+    assert not report.passed and report.matrix_rank == 16
+    assert sizes and max(sizes) == 2
+
+
+def test_rank_proof_of_a_large_tampered_table_sends_only_small_minors(monkeypatch):
+    # one circuit (rows 0 and 39) proves the rank, through its 63 bordered
+    # 2 x 2 minors, not through bordered minors of the whole 39-row block
+    params = make_params(dims=(4, 4, 4), num_vectors=40)
+    sizes = count_zero_proofs(monkeypatch)
+    assert rank_full(coefficient_matrix(params, tampered_table(params))) == (False, 39, "bordered")
+    assert sizes == [2] * 63
 
 
 @given(
@@ -693,7 +804,8 @@ def test_scan_rejects_tiny_order():
 
 @pytest.mark.parametrize(
     "order,max_size",
-    ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8193, 1), (400, 2), (16, 8)),
+    ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8192, 1), (8193, 1), (400, 2),
+     (16, 8)),
 )
 def test_scan_refuses_tables_beyond_the_limit(order, max_size):
     # refused before any table, power or unit list is built
@@ -702,13 +814,32 @@ def test_scan_refuses_tables_beyond_the_limit(order, max_size):
 
 
 def test_scan_limit_applies_to_the_largest_table(monkeypatch):
-    # for order 7 the largest table is at size 4 (4 * 7 * C(7, 4) = 980),
-    # not at the requested size 7 (7 * 7 * 1)
-    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 980)
+    # order 7 to size 7 holds 2 * 49 residues of matrix and image, and per
+    # size s (9s + 7) * C(7, s) (table, row sums, column tables), 4,921 in
+    # all; the expansion peak adds the largest of them, size 4's 1,505, not
+    # the requested size 7's 70
+    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 6524)
     assert chebotarev_scan(7, 7).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 979)
-    with pytest.raises(ValueError, match="980 residues at size 4"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 6523)
+    with pytest.raises(ValueError, match="6524 residues at once up to size 7"):
         chebotarev_scan(7, 7)
+
+
+@pytest.mark.parametrize("order, max_size", ((11, 6), (13, 6), (43, 2), (401, 1)))
+def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
+    # a prime order has few zero images, so the pass's tables are its
+    # memory: with the limit just below what the scan really holds at its
+    # peak (8 bytes a residue), the check must refuse it
+    exactverify._column_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        chebotarev_scan(order, max_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", peak // 8 - 1)
+    with pytest.raises(ValueError, match="residues at once"):
+        chebotarev_scan(order, max_size)
 
 
 def test_scan_limit_bounds_the_minor_count(monkeypatch):
@@ -722,7 +853,8 @@ def test_scan_limit_bounds_the_minor_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "order, max_size, size",
-    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (8192, 6, 1), (8193, 6, 0)),
+    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (3344, 6, 1), (3345, 6, 0),
+     (8193, 6, 0)),
 )
 def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
     assert largest_scan_size(order, max_size) == size
