@@ -2,11 +2,11 @@
 
 Every exact verdict here comes down to "no minor vanishes", and one pass
 decides it: `_zero_minors` takes the image mod q of every square minor of
-a matrix by a depth-first Laplace expansion, and only the zero images
-need a zero proof.  All verdicts are exact; floating point never
-participates.  Nonzero column scales, exact or floating, change neither a
-rank nor a minor's zero-ness, so the exact verdicts read the exponent table
-alone.
+a matrix by a depth-first Laplace expansion and marks the zero images in
+one boolean table per minor size; only those need a zero proof.  All
+verdicts are exact; floating point never participates.  Nonzero column
+scales, exact or floating, change neither a rank nor a minor's zero-ness,
+so the exact verdicts read the exponent table alone.
 
 Before any pass, the table is checked exactly for Fourier form
 (`_fourier_form`): with p prime and f = E - E[:, 0] - E[0, :] + E[0, 0]
@@ -53,12 +53,14 @@ multimodular test, one minor each.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
 for prime and composite orders alike, and proves its zero images from
-the pass's own output: the embedding w -> root**a multiplies every
+the pass's own tables: the embedding w -> root**a multiplies every
 exponent r * c by the unit a, so the image of det F[R, C] under it is
-+-det F[R, sorted(a * C mod n)] under w -> root.  A zero image is proven
++-det F[sorted(a * R mod n), C] under w -> root.  A zero image is proven
 zero when the images of its whole orbit vanish, in as many fields as the
 multimodular bound m! * max|R| asks for; at the 10**6 modulus floor that
-is one field up to size 9 (max|R| = 1 below order 105).
+is one field up to size 9 (max|R| = 1 below order 105).  Each table is
+and-ed with itself, rows permuted by R -> sorted(a * R mod n), once per
+unit a; what stays True is a union of whole orbits that vanish.
 """
 
 from __future__ import annotations
@@ -80,15 +82,16 @@ _WITNESS_CAP = 20
 # A Laplace pass over a rows x cols matrix (`_zero_minors`) holds, 8 bytes
 # a residue, the matrix and its image mod q (2 * rows * cols) and per size s
 # a signed table of s * rows * C(cols, s) residues, the row sums of
-# rows * C(cols, s) kept along the walk and two column tables of
-# s * C(cols, s); while the largest of these expands, it holds them once
-# more.  It decides sum_s C(rows, s) * C(cols, s) minors.  A pass above
-# either bound is refused before any table is built (`_check_scan_reach`).
-# The Fourier survey's (14, 6) needs 954,492 residues and 14.2M minors, the
-# sides of 3x3x3 at k=26 at most 12.1M residues and 3.1M minors.  The
-# zero images come on top: a handful for a prime order, but often more
-# than the tables for a composite one.
-MAX_SCAN_RESIDUES = 2**26
+# rows * C(cols, s) kept along the walk and three column tables of
+# (2s + 1) * C(cols, s); while the largest of these expands, it holds them
+# once more.  Its answer takes a byte a minor: per size s a boolean table
+# of C(rows, s) * C(cols, s), and the orbit proof of a Fourier scan makes
+# one permuted copy of the largest.  It decides
+# sum_s C(rows, s) * C(cols, s) minors.  A pass above either bound is
+# refused before any table is built (`_check_scan_reach`).  The Fourier
+# survey's (14, 6) needs 30.9 MB and 14.2M minors, the sides of 3x3x3 at
+# k=26 at most 91.2 MB and 3.1M minors.
+MAX_SCAN_BYTES = 2**29
 MAX_SCAN_MINORS = 2**27
 # Zero images reach the multimodular proof in batches of at most this many
 # matrix entries, which bounds the proof's memory.
@@ -342,7 +345,7 @@ def _binomials(n: int, max_size: int) -> np.ndarray:
     """binom[c, i] = C(c, i) for c < n and i <= max_size."""
     return np.array(
         [[math.comb(c, i) for i in range(max_size + 1)] for c in range(n)], dtype=np.int64
-    )
+    ).reshape(n, max_size + 1)
 
 
 def _colex(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -355,39 +358,42 @@ def _colex(sets: np.ndarray, binom: np.ndarray) -> np.ndarray:
 # 32 serves any call up to five parties (2**5 - 2 sides) without a rebuild,
 # yet bounds a long-lived process (3x3x3 at k=26 alone needs a 10 MB table).
 @lru_cache(maxsize=32)
-def _column_tables(ncols: int, max_size: int) -> tuple[list, list]:
-    """Column sets of each size s up to max_size, in lexicographic order,
-    and per size an (s, C(ncols, s)) array: the index of each set without
-    its pos-th column among the sets one smaller."""
+def _column_tables(ncols: int, max_size: int) -> tuple[list, list, list]:
+    """Column sets of each size s up to max_size, in lexicographic order;
+    per size the index in that order of each set by its colex rank; and per
+    size an (s, C(ncols, s)) array: the index of each set without its
+    pos-th column among the sets one smaller."""
     combos = [
         np.array(list(itertools.combinations(range(ncols), s)), dtype=np.int64)
         .reshape(math.comb(ncols, s), s)
         for s in range(max_size + 1)
     ]
     binom = _binomials(ncols, max_size)
-    drops = [None]
-    for s in range(1, max_size + 1):
-        lex_index = np.argsort(_colex(combos[s - 1], binom))
-        without = [_colex(np.delete(combos[s], pos, axis=1), binom) for pos in range(s)]
-        drops.append(lex_index[without])
-    return combos, drops
+    lex = [np.argsort(_colex(sets, binom)) for sets in combos]
+    drops = [None] + [
+        lex[s - 1][[_colex(np.delete(combos[s], pos, axis=1), binom) for pos in range(s)]]
+        for s in range(1, max_size + 1)
+    ]
+    return combos, lex, drops
 
 
 def _check_scan_reach(what: str, rows: int, cols: int, max_size: int) -> None:
     """Raise ValueError unless a Laplace pass over the square minors up to
-    max_size of a rows x cols matrix fits MAX_SCAN_RESIDUES and
+    max_size of a rows x cols matrix fits MAX_SCAN_BYTES and
     MAX_SCAN_MINORS (their comment); it builds no table."""
     # the peak grows with the size, so a huge order fails at size 1 without
     # forming a huge binomial
-    held = largest = 0
+    held = largest = tables = largest_table = 0
     for size in range(1, max_size + 1):
-        table = ((size + 1) * rows + 2 * size) * math.comb(cols, size)
-        held, largest = held + table, max(largest, table)
-        peak = 2 * rows * cols + held + largest
-        if peak > MAX_SCAN_RESIDUES:
+        residues = ((size + 1) * rows + 2 * size + 1) * math.comb(cols, size)
+        table = math.comb(rows, size) * math.comb(cols, size)
+        held, largest = held + residues, max(largest, residues)
+        tables, largest_table = tables + table, max(largest_table, table)
+        peak = 8 * (2 * rows * cols + held + largest) + tables + largest_table
+        if peak > MAX_SCAN_BYTES:
             raise ValueError(
-                f"{what} needs {peak} residues at once up to size {size}, "
-                f"above the supported {MAX_SCAN_RESIDUES}"
+                f"{what} needs {peak} bytes at once up to size {size}, "
+                f"above the supported {MAX_SCAN_BYTES}"
             )
     work = sum(math.comb(rows, s) * math.comb(cols, s) for s in range(1, max_size + 1))
     if work > MAX_SCAN_MINORS:
@@ -406,19 +412,25 @@ def largest_scan_size(order: int, max_size: int) -> int:
     return 0
 
 
-def _zero_minors(matrix: np.ndarray, q: int, max_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, cols) of every square minor up to max_size whose image mod q is zero.
+def _zero_minors(matrix: np.ndarray, q: int, max_size: int, zero: list | None = None) -> list:
+    """Per size s up to max_size, which s x s minors have a zero image mod q.
 
-    matrix holds residues mod q.  One pair of (N, s) arrays per size s
-    that has zero images, sizes ascending, each in lexicographic order of
-    rows, then columns.  The pass visits the row sets R depth first in
-    lexicographic order and keeps the images det X[R, C] over every column
-    set C with |C| = |R|.  Each child R + x (x > max R) takes its images
-    from the parent's by expansion along the new row, so a minor costs |C|
+    matrix holds residues mod q.  zero[s][i, j] is True when the minor on
+    the i-th s-set of rows and the j-th s-set of columns, in lexicographic
+    order, has a zero image; zero[0], the empty minor, is False.  Tables
+    passed in (a previous field's) are and-ed in place.  The pass visits
+    the row sets R depth first in lexicographic order and keeps the images
+    det X[R, C] over every column set C with |C| = |R|.  The children
+    R + x (x > max R) are consecutive row sets and take their images from
+    the parent's by expansion along the new row, so a minor costs |C|
     multiply-adds, and memory stays near max_size * rows * C(cols, max_size)
-    residues.
+    residues besides the tables.
     """
-    combos, drops = _column_tables(matrix.shape[1], max_size)
+    combos, _, drops = _column_tables(matrix.shape[1], max_size)
+    if zero is None:
+        zero = [
+            np.full((math.comb(len(matrix), s), len(combos[s])), s > 0) for s in range(max_size + 1)
+        ]
     # per size, expansion position pos and row x: X[x, C[pos]] times the
     # Laplace sign of position pos along the last row
     entries = [None]
@@ -426,31 +438,19 @@ def _zero_minors(matrix: np.ndarray, q: int, max_size: int) -> list[tuple[np.nda
         signed = matrix[:, combos[s].T].swapaxes(0, 1)
         signed[s % 2 :: 2] *= -1
         entries.append(signed)
-    found_rows = [[] for _ in range(max_size + 1)]
-    found_cols = [[] for _ in range(max_size + 1)]
-
-    def expand(rows: tuple, images: np.ndarray) -> None:
-        size = len(rows) + 1
-        first = rows[-1] + 1 if rows else 0
+    filled = [0] * (max_size + 1)
+    # (size of the children, their first new row, the parent's images); the
+    # children of a row set go on in reverse, so the smallest comes off first
+    stack = [(1, 0, np.ones(1, dtype=np.int64))] if max_size else []
+    while stack:
+        size, first, images = stack.pop()
         acc = (entries[size][:, first:] * images[drops[size]][:, None]).sum(axis=0) % q
-        xs, cs = np.nonzero(acc == 0)
-        if xs.size:
-            block = np.empty((xs.size, size), dtype=np.int64)
-            block[:, :-1] = rows
-            block[:, -1] = xs + first
-            found_rows[size].append(block)
-            found_cols[size].append(combos[size][cs])
+        zero[size][filled[size] : filled[size] + len(acc)] &= acc == 0
+        filled[size] += len(acc)
         if size < max_size:
-            for x in range(first, len(matrix) - 1):
-                expand(rows + (x,), acc[x - first])
-
-    if max_size:
-        expand((), np.ones(1, dtype=np.int64))
-    return [
-        (np.concatenate(found_rows[s]), np.concatenate(found_cols[s]))
-        for s in range(1, max_size + 1)
-        if found_rows[s]
-    ]
+            children = range(first, len(matrix) - 1)
+            stack += [(size + 1, x + 1, acc[x - first]) for x in reversed(children)]
+    return zero
 
 
 def _proven_zero(minor_exponents, count: int, size: int, order: int) -> np.ndarray:
@@ -548,14 +548,20 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
         rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
         basis = np.array(basis, dtype=np.int64)
         schur = np.array(reduced, dtype=np.int64)[:, rest]  # A^T: rows follow basis, columns rest
-        # the pass recurses over row sets, so it runs on the side with fewer rows
+        # the pass walks the row sets, so it runs on the side with fewer rows
         flipped = len(rest) < dim
         size = min(dim, len(rest))
         _check_scan_reach(
             f"a spanning scan of a {k} x {dim} side", size, max(dim, len(rest)), size
         )
+        zero = _zero_minors(schur.T if flipped else schur, ctx.modulus, size)
+        col_sets = _column_tables(max(dim, len(rest)), size)[0]
         members = [np.zeros((0, k), dtype=bool)]
-        for rows, cols in _zero_minors(schur.T if flipped else schur, ctx.modulus, size):
+        for s, table in enumerate(zero):
+            i, j = np.nonzero(table)
+            if not len(i):
+                continue
+            rows, cols = np.array(list(itertools.combinations(range(size), s)))[i], col_sets[s][j]
             dropped, added = (cols, rows) if flipped else (rows, cols)
             member = np.zeros((len(rows), k), dtype=bool)
             member[:, basis] = True
@@ -564,9 +570,10 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
             members.append(member)
         masks = np.concatenate(members)
         sets = np.nonzero(masks)[1].reshape(-1, dim)  # sorted row sets
-        zero = _circuit_zeros(flat, ctx, masks, sets)
-        failures = int(zero.sum())
-        return failures, min(map(tuple, sets[zero].tolist())) if failures else None
+        failing = sets[_circuit_zeros(flat, ctx, masks, sets)]
+        if not len(failing):
+            return 0, None
+        return len(failing), tuple(failing[np.lexsort(failing.T[::-1])[0]].tolist())
 
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:
@@ -619,13 +626,6 @@ def _check_witnesses(witnesses, order: int) -> None:
                 )
 
 
-def _lookup(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Where each probe occurs in the ascending array keys."""
-    if not keys.size:
-        return np.zeros(probe.shape, dtype=bool)
-    return keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
-
-
 def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     """Enumerate all square minors of the order-n Fourier matrix up to a size.
 
@@ -634,13 +634,15 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
 
     One Laplace pass mod q (`_zero_minors`) gives every minor's image; a
     nonzero image proves a minor nonzero.  A zero image (R, C) is proven
-    zero by its orbit (module docstring): each (R, sorted(a * C mod n)),
-    a a unit mod n, must be a zero image too, in every field that the
-    bound m! * max|R| asks for (`minors.proof_fields`; one field up to
-    size 9 when max|R| = 1).  So the pass runs once per field that the
-    largest size needs, and each orbit is checked by lookup among that
-    field's zero images.  Every recorded witness is re-evaluated with
-    mpmath at 50 digits and must fall below 1e-30.
+    zero by its orbit (module docstring): each (sorted(a * R mod n), C), a
+    a unit mod n, must be a zero image too, in every field that the bound
+    m! * max|R| asks for (`minors.proof_fields`; one field up to size 9
+    when max|R| = 1).  So the pass runs once per field that the largest
+    size needs, each and-ed into one table per size; a field beyond those
+    a size needs changes nothing there, since the minors they prove zero
+    vanish in every field.  The orbits are then checked on the table
+    itself, one row-permuted copy per unit.  Every recorded witness is
+    re-evaluated with mpmath at 50 digits and must fall below 1e-30.
 
     Raises ValueError when the pass is out of reach (`_check_scan_reach`).
     """
@@ -650,44 +652,22 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     max_size = min(max_size, order)
     _check_scan_reach(f"a scan of order {order} to size {max_size}", order, order, max_size)
     start = time.perf_counter()
-    combos, _ = _column_tables(order, max_size)
+    combos, lex, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)
-    # lex[s][colex rank] is the set's index in combos[s]
-    lex = [np.argsort(_colex(sets, binom)) for sets in combos]
-
-    def rank(sets: np.ndarray) -> np.ndarray:
-        return lex[sets.shape[1]][_colex(sets, binom)]
-
     grid = np.outer(np.arange(order), np.arange(order)) % order
-    # keys[index][s]: the zero images of size s in that field, each (R, C) as
-    # rank(R) * C(n, s) + rank(C) (below C(n, s)**2 < MAX_SCAN_RESIDUES**2,
-    # inside int64), ascending since the pass lists them in lexicographic
-    # order of rows, then columns
-    keys, candidates = [], {}
-    for index, ctx in enumerate(minors.proof_fields(order, max_size)):
-        keys.append({})
-        for rows, cols in _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size):
-            size = rows.shape[1]
-            row_keys, col_ranks = rank(rows) * len(combos[size]), rank(cols)
-            keys[index][size] = row_keys + col_ranks
-            if index == 0:
-                candidates[size] = rows, cols, row_keys, col_ranks
+    zero = None
+    for ctx in minors.proof_fields(order, max_size):
+        zero = _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
     zero_total = 0
     witnesses = []
-    for size, (rows, cols, row_keys, col_ranks) in candidates.items():
-        # per unit a, the rank of sorted(a * C mod n) for each rank of C
-        orbit = [rank(np.sort(a * combos[size] % order, axis=1)) for a in minors.units(order)]
-        zero = np.arange(len(rows))
-        # the fields this size needs are the first of those the largest size needs
-        for field_keys, _ in zip(keys, minors.proof_fields(order, size)):
-            size_keys = field_keys.get(size, np.zeros(0, dtype=np.int64))
-            for image in orbit:
-                zero = zero[_lookup(size_keys, row_keys[zero] + image[col_ranks[zero]])]
-        zero_total += len(zero)
-        witnesses += zip(
-            map(tuple, rows[zero[:_WITNESS_CAP]].tolist()),
-            map(tuple, cols[zero[:_WITNESS_CAP]].tolist()),
-        )
+    for size, (sets, table) in enumerate(zip(combos, zero)):
+        if table.any():  # a prime order's tables rarely hold a zero image
+            for a in minors.units(order):
+                table &= table[lex[size][_colex(np.sort(a * sets % order, axis=1), binom)]]
+        zero_total += int(np.count_nonzero(table))
+        rows = np.flatnonzero(table.any(axis=1))[:_WITNESS_CAP]
+        at, cols = np.divmod(np.flatnonzero(table[rows])[:_WITNESS_CAP], len(sets))
+        witnesses += zip(map(tuple, sets[rows[at]].tolist()), map(tuple, sets[cols].tolist()))
     witnesses = witnesses[:_WITNESS_CAP]
     _check_witnesses(witnesses, order)
     return ChebotarevScan(

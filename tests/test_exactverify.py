@@ -450,12 +450,12 @@ def test_fourier_form_rejects_and_the_scan_decides(case):
 
 def test_spanning_refuses_a_scan_beyond_the_limit():
     # with row 0 copied over row 39, a 16-dimensional side of 4x4x4 has no
-    # Fourier form, and its scan would hold tables of up to 5.2e8 residues
-    # for C(40, 16) = 6.3e10 minors: refused before any table is built
+    # Fourier form, and its scan would hold 2.7e9 bytes by size 6 of 16, for
+    # C(40, 16) = 6.3e10 minors: refused before any table is built
     params = make_params(dims=(4, 4, 4), num_vectors=40)
     table = [[list(loc) for loc in row] for row in exponent_table(params)]
     table[39] = [list(loc) for loc in table[0]]
-    with pytest.raises(ValueError, match="a spanning scan of a 40 x 16 side needs .* residues"):
+    with pytest.raises(ValueError, match="a spanning scan of a 40 x 16 side needs .* bytes"):
         verify_all_bipartitions(params, table)
 
 
@@ -687,8 +687,7 @@ def test_scan_counts_all_minors():
 @pytest.mark.parametrize("order", (*range(2, 13), 33, 34))
 def test_scan_matches_per_minor_enumeration(order):
     # every minor decided on its own by the integer subset expansion, in the
-    # order rows-then-columns, lexicographic within each size; orders above
-    # 31 guard the key encoding of the orbit proof against any 32-bit limit
+    # order rows-then-columns, lexicographic within each size
     max_size = min(order, 4) if order < 13 else 2
     scan = chebotarev_scan(order, max_size)
     checked, zero_count, witnesses = {}, 0, []
@@ -723,13 +722,14 @@ def test_scan_memory_stays_small():
 
 
 def spy_on_laplace_passes(monkeypatch):
-    """Record (modulus, zero images) of each Laplace pass."""
+    """Record (modulus, zero images) of each Laplace pass; a later field's
+    count is of the minors whose images vanish in every field so far."""
     calls = []
     real = exactverify._zero_minors
 
-    def spy(matrix, q, max_size):
-        found = real(matrix, q, max_size)
-        calls.append((q, sum(len(rows) for rows, _ in found)))
+    def spy(matrix, q, max_size, zero=None):
+        found = real(matrix, q, max_size, zero)
+        calls.append((q, sum(int(table.sum()) for table in found)))
         return found
 
     monkeypatch.setattr(exactverify, "_zero_minors", spy)
@@ -738,8 +738,8 @@ def spy_on_laplace_passes(monkeypatch):
 
 def test_scan_escalates_spurious_zero_images(small_fields, monkeypatch):
     # with q = 199 thousands of order-11 minors have a zero image mod q;
-    # size 6 needs a second field (6! > 199), and the orbit proof clears
-    # every one of them
+    # size 6 needs a second field (6! > 199), and the second pass with the
+    # orbit proof clears every one of them
     assert minors.modular_context(11).modulus < 200
     calls = spy_on_laplace_passes(monkeypatch)
     scan = chebotarev_scan(11, 6)
@@ -748,20 +748,27 @@ def test_scan_escalates_spurious_zero_images(small_fields, monkeypatch):
     assert scan.clean and scan.witnesses == []
 
 
+def test_scan_orbit_proof_clears_spurious_zero_images(small_fields, monkeypatch):
+    # up to size 5 one field near q = 199 is enough (5! < 199), so no second
+    # pass clears the first field's spurious zero images: the orbit proof must
+    calls = spy_on_laplace_passes(monkeypatch)
+    scan = chebotarev_scan(11, 5)
+    assert len(calls) == 1 and calls[0][1] > 0
+    assert scan.clean and scan.witnesses == []
+
+
 def test_scan_proves_in_every_field_the_bound_asks_for(small_fields, monkeypatch):
     # near q = 199 a size-6 minor needs two fields (6! > 199).  Let the first
     # field's pass claim every size-6 image zero, as it would if every such
     # determinant were divisible by q: the second field must clear them all
     order, q = 11, minors.modular_context(11).modulus
-    sets = np.array(list(itertools.combinations(range(order), 6)))
     real = exactverify._zero_minors
 
-    def first_field_claims_all(matrix, modulus, max_size):
-        found = real(matrix, modulus, max_size)
-        if modulus != q:
-            return found
-        every = np.repeat(sets, len(sets), axis=0), np.tile(sets, (len(sets), 1))
-        return [(rows, cols) for rows, cols in found if rows.shape[1] < 6] + [every]
+    def first_field_claims_all(matrix, modulus, max_size, zero=None):
+        found = real(matrix, modulus, max_size, zero)
+        if modulus == q:
+            found[6][:] = True
+        return found
 
     monkeypatch.setattr(exactverify, "_zero_minors", first_field_claims_all)
     scan = chebotarev_scan(order, 6)
@@ -776,8 +783,12 @@ def test_scan_zero_claims_are_checked_in_a_prime_field():
     ctx = minors.modular_context(order)
     units = [a for a in range(1, order) if math.gcd(a, order) == 1]
     fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
+    tables = exactverify._zero_minors(fourier, ctx.modulus, max_size)
     proven = []
-    for rows, cols in exactverify._zero_minors(fourier, ctx.modulus, max_size):
+    for size in range(1, max_size + 1):
+        sets = np.array(list(itertools.combinations(range(order), size)))
+        at_rows, at_cols = np.nonzero(tables[size])
+        rows, cols = sets[at_rows], sets[at_cols]
         exps = rows[:, :, None] * cols[:, None, :] % order
         images = [minors.certify_nonzero_mod(a * exps % order, ctx) for a in units]
         zero = ~np.any(images, axis=0)
@@ -788,11 +799,17 @@ def test_scan_zero_claims_are_checked_in_a_prime_field():
 
 def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch):
     # an orbit proof that wrongly confirmed the spurious zero images of
-    # order 11 is caught by the 50-digit re-evaluation of the witnesses
-    def claim_all(keys, probe):
-        return np.ones(probe.shape, dtype=bool)
+    # order 11 is caught by the 50-digit re-evaluation of the witnesses:
+    # with no unit but 1 and a second field that clears nothing, every zero
+    # image of the first field's pass stands as proven
+    q = minors.modular_context(11).modulus
+    real = exactverify._zero_minors
 
-    monkeypatch.setattr(exactverify, "_lookup", claim_all)
+    def first_field_only(matrix, modulus, max_size, zero=None):
+        return real(matrix, modulus, max_size, zero) if modulus == q else zero
+
+    monkeypatch.setattr(exactverify, "_zero_minors", first_field_only)
+    monkeypatch.setattr(minors, "units", lambda order: (1,))
     with pytest.raises(RuntimeError, match="proved zero but its value"):
         chebotarev_scan(11, 6)
 
@@ -815,21 +832,27 @@ def test_scan_refuses_tables_beyond_the_limit(order, max_size):
 
 def test_scan_limit_applies_to_the_largest_table(monkeypatch):
     # order 7 to size 7 holds 2 * 49 residues of matrix and image, and per
-    # size s (9s + 7) * C(7, s) (table, row sums, column tables), 4,921 in
-    # all; the expansion peak adds the largest of them, size 4's 1,505, not
-    # the requested size 7's 70
-    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 6524)
+    # size s (9s + 8) * C(7, s) (table, row sums, column tables), 5,146 in
+    # all; the expansion peak adds the largest of them, size 4's 1,540, not
+    # the requested size 7's 71.  At 8 bytes a residue that is 53,488
+    # bytes; the boolean tables add C(14, 7) - 1 = 3,431 and the orbit
+    # proof's copy the largest of them, size 3's (or 4's) 1,225
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 58144)
     assert chebotarev_scan(7, 7).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", 6523)
-    with pytest.raises(ValueError, match="6524 residues at once up to size 7"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 58143)
+    with pytest.raises(ValueError, match="58144 bytes at once up to size 7"):
         chebotarev_scan(7, 7)
 
 
-@pytest.mark.parametrize("order, max_size", ((11, 6), (13, 6), (43, 2), (401, 1)))
+@pytest.mark.parametrize(
+    "order, max_size", ((11, 6), (13, 6), (43, 2), (401, 1), (12, 6), (14, 6))
+)
 def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
-    # a prime order has few zero images, so the pass's tables are its
-    # memory: with the limit just below what the scan really holds at its
-    # peak (8 bytes a residue), the check must refuse it
+    # the pass's tables and the boolean zero tables are the scan's memory,
+    # for a prime and a composite order alike: with the limit just below
+    # what the scan really holds at its peak, the check must refuse it
+    import mpmath  # noqa: F401  (the witness check's import is not the scan's memory)
+
     exactverify._column_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -837,8 +860,8 @@ def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(exactverify, "MAX_SCAN_RESIDUES", peak // 8 - 1)
-    with pytest.raises(ValueError, match="residues at once"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="bytes at once"):
         chebotarev_scan(order, max_size)
 
 
@@ -853,7 +876,7 @@ def test_scan_limit_bounds_the_minor_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "order, max_size, size",
-    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (3344, 6, 1), (3345, 6, 0),
+    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (3276, 6, 1), (3277, 6, 0),
      (8193, 6, 0)),
 )
 def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
