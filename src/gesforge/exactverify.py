@@ -34,22 +34,22 @@ minors covers all C(k, D) maximal minors.
 Rank deficiency is proved without field elimination, one circuit at a
 time.  A circuit is a minimal dependent row set (Oxley, Matroid Theory,
 2nd ed., ch. 1); every row set that contains a dependent one is
-dependent.  A row set singular mod q names a candidate: the echelon form
-of its image's transpose gives, for each non-pivot row, a null vector mod
-q whose support is a circuit mod q.  The candidate C is proven dependent
-(`_proven_dependent`) when the modular echelon form of M[C] names pivot
-rows P and columns K with M[P, K] nonsingular, |P| < |C|, and every
-bordered minor M[P + i, K + j] is proven zero by the multimodular test of
-`minors`: those minors are the entries of the Schur complement of
-M[P, K] up to its nonzero determinant.  A copied row makes a circuit of
-two rows and 2 x 2 bordered minors.  For the rank, the image of M names
-independent rows B and, for each other row i, a candidate within B + i;
-the rank is |B| when every candidate is proven, and a candidate that
-fails was dependent only mod q, so the next field is tried.  The spanning
-check proves the candidate of the first zero image that no proven circuit
-covers, settles every zero image that contains a proven circuit, and
-leaves the images whose candidate fails (they vanish only mod q) to the
-multimodular test, one minor each.
+dependent.  `_proven_circuits` takes the echelon form of the image mod q
+of M's transpose: it names independent rows P and, for each other row i,
+a null vector mod q within P + i whose support is a candidate circuit.
+The candidate C is proven dependent (`_proven_dependent`) when the
+modular echelon form of M[C] names pivot rows P' and columns K with
+M[P', K] nonsingular, |P'| < |C|, and every bordered minor
+M[P' + i, K + j] is proven zero by the multimodular test of `minors`:
+those minors are the entries of the Schur complement of M[P', K] up to
+its nonzero determinant.  A copied row makes a circuit of two rows and
+2 x 2 bordered minors.  When every candidate is proven the rank is
+exactly |P|; a candidate that fails was dependent only mod q, and the
+next field is tried.  The rank of a matrix and each zero image of the
+spanning check go through this one proof: the first zero image still
+open is either cleared by a field where its image has full rank, or
+proven singular by its circuits, and each of them settles every zero
+image that contains it.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
 for prime and composite orders alike, and proves its zero images from
@@ -93,9 +93,6 @@ _WITNESS_CAP = 20
 # k=26 at most 91.2 MB and 3.1M minors.
 MAX_SCAN_BYTES = 2**29
 MAX_SCAN_MINORS = 2**27
-# Zero images reach the multimodular proof in batches of at most this many
-# matrix entries, which bounds the proof's memory.
-_PROOF_BATCH = 1 << 22
 
 
 @dataclass
@@ -283,14 +280,6 @@ def _fourier_form(flat: FlatMatrix) -> bool:
     )
 
 
-def _circuit(basis: list[int], reduced: list[list[int]], free: int) -> list[int]:
-    """The support of the null vector that `_modular_echelon` of an image's
-    transpose gives for its non-pivot column `free`: free and every pivot
-    whose reduced row is nonzero there.  The image's rows on it are a
-    circuit mod q, a minimal dependent set (module docstring)."""
-    return sorted([free] + [b for b, row in zip(basis, reduced) if row[free]])
-
-
 def _proven_dependent(exponents: np.ndarray, ctx: minors.ModularContext) -> bool:
     """Whether the rows of w**exponents are proven linearly dependent.
 
@@ -311,34 +300,49 @@ def _proven_dependent(exponents: np.ndarray, ctx: minors.ModularContext) -> bool
     return bool(minors.multimodular_zero(bordered.reshape(-1, r + 1, r + 1), ctx.order).all())
 
 
+def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
+    """Circuits that prove the rows of w**exponents rank-deficient, or [].
+
+    In each field of the modular_context sequence the echelon form of the
+    image's transpose names independent rows P.  An image of rank min(k, D)
+    proves that rank, and the answer is [].  Otherwise each other row i
+    gives the support of a null vector within P + i, a candidate circuit
+    (module docstring); when `_proven_dependent` proves every candidate in
+    that field, where it was found, the candidates are returned and the
+    rank is exactly |P|.  A candidate that fails means the image lost rank
+    mod q, and the next field is tried.
+    """
+    k, dim = exponents.shape
+    for index in itertools.count():
+        ctx = minors.modular_context(order, index)
+        _, basis, reduced = _modular_echelon(ctx.power_table()[exponents].T, ctx.modulus)
+        if len(basis) == min(k, dim):
+            return []
+        circuits = [
+            sorted([i] + [b for b, row in zip(basis, reduced) if row[i]])
+            for i in range(k) if i not in basis
+        ]
+        if all(_proven_dependent(exponents[c], ctx) for c in circuits):
+            return circuits
+
+
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     """(has full row rank, exact rank, deciding method) for a FlatMatrix.
 
     A matrix of Fourier form has rank min(k, D) by Chebotarev's theorem
-    ("chebotarev").  For any other matrix a modular image of full rank
-    certifies the exact rank ("modular").
-    Otherwise the echelon form of the image's transpose names independent
-    rows P and, for each other row i, a candidate circuit within P + i; the
-    rank is exactly |P| when every candidate is proven dependent
-    ("bordered").  A candidate that fails means the image lost rank, and
-    the next prime field is tried.
+    ("chebotarev").  Any other matrix gets `_proven_circuits`: a modular
+    image of rank min(k, D) certifies that rank ("modular"), and otherwise
+    each proven circuit takes one row off the rank ("bordered").  Any
+    root order will do: `minors` picks the fields and the proof bound for
+    composite orders too.
     """
-    order = flat.root_order
-    if not is_prime(order):
-        raise ValueError(f"exact rank needs a prime root order, got {order}")
     k, dim = flat.exponents.shape
     if _fourier_form(flat):
         return k <= dim, min(k, dim), "chebotarev"
-    for index in itertools.count():
-        ctx = minors.modular_context(order, index)
-        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
-        r = len(basis)
-        if r == k or r == dim:
-            return r == k, r, "modular"
-        # a circuit found in this field is proven in it, where it is dependent
-        circuits = (_circuit(basis, reduced, i) for i in range(k) if i not in basis)
-        if all(_proven_dependent(flat.exponents[c], ctx) for c in circuits):
-            return False, r, "bordered"
+    circuits = _proven_circuits(flat.exponents, flat.root_order)
+    if not circuits:
+        return k <= dim, min(k, dim), "modular"
+    return False, k - len(circuits), "bordered"
 
 
 def _binomials(n: int, max_size: int) -> np.ndarray:
@@ -453,51 +457,25 @@ def _zero_minors(matrix: np.ndarray, q: int, max_size: int, zero: list | None = 
     return zero
 
 
-def _proven_zero(minor_exponents, count: int, size: int, order: int) -> np.ndarray:
-    """multimodular_zero over `count` size x size minors, whose exponents
-    minor_exponents(batch) gives for a slice of them, in bounded batches."""
-    step = max(1, _PROOF_BATCH // size**2)
-    return np.concatenate([np.zeros(0, dtype=bool)] + [
-        minors.multimodular_zero(minor_exponents(slice(lo, lo + step)), order)
-        for lo in range(0, count, step)
-    ])
+def _circuit_zeros(flat: FlatMatrix, masks: np.ndarray) -> np.ndarray:
+    """Which of the zero-image row sets, the rows of the boolean `masks`
+    over the k rows, are exactly singular.
 
-
-def _circuit_zeros(
-    flat: FlatMatrix, ctx: minors.ModularContext, masks: np.ndarray, sets: np.ndarray
-) -> np.ndarray:
-    """Which of the zero-image row sets (rows of `sets`, with their boolean
-    `masks` over the k rows) are exactly singular.
-
-    The first set that no proven circuit covers yet names a candidate
-    circuit C, the smallest support of a null vector of its image mod q.
-    If C is proven dependent, every set that contains it is singular.
-    Otherwise the set's image vanishes only mod q so far, and it joins the
-    leftovers, which the multimodular test decides one minor each.  So
-    does a set whose candidate is the whole set: proving C would be
-    proving the set's own minor, and it covers no other set.
+    The first set still open is closed by `_proven_circuits` of its rows:
+    none means a field proved it nonsingular; otherwise every circuit
+    returned is proven dependent, so every set that contains one,
+    this set among them, is singular and closed too.
     """
-    count, dim = sets.shape
-    zero = np.zeros(count, dtype=bool)
-    open_sets = np.ones(count, dtype=bool)
-    leftovers = []
+    zero = np.zeros(len(masks), dtype=bool)
+    open_sets = np.ones(len(masks), dtype=bool)
     while open_sets.any():
         first = int(np.argmax(open_sets))
-        rows = sets[first]
-        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents[rows]].T, ctx.modulus)
-        free = (j for j in range(dim) if j not in basis)
-        circuit = rows[min((_circuit(basis, reduced, j) for j in free), key=len)]
-        if len(circuit) < dim and _proven_dependent(flat.exponents[circuit], ctx):
-            covered = masks[:, circuit].all(axis=1)
+        open_sets[first] = False
+        rows = np.flatnonzero(masks[first])
+        for circuit in _proven_circuits(flat.exponents[rows], flat.root_order):
+            covered = masks[:, rows[circuit]].all(axis=1)
             zero |= covered
             open_sets &= ~covered
-        else:
-            leftovers.append(first)
-            open_sets[first] = False
-    leftovers = np.array(leftovers, dtype=np.int64)
-    zero[leftovers] = _proven_zero(
-        lambda batch: flat.exponents[sets[leftovers[batch]]], len(leftovers), dim, flat.root_order
-    )
     return zero
 
 
@@ -569,11 +547,12 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
             member[np.arange(len(rows))[:, None], rest[added]] = True
             members.append(member)
         masks = np.concatenate(members)
-        sets = np.nonzero(masks)[1].reshape(-1, dim)  # sorted row sets
-        failing = sets[_circuit_zeros(flat, ctx, masks, sets)]
+        failing = masks[_circuit_zeros(flat, masks)]
         if not len(failing):
             return 0, None
-        return len(failing), tuple(failing[np.lexsort(failing.T[::-1])[0]].tolist())
+        # the lexicographically first sorted row set has the greatest mask
+        first = failing[np.lexsort(failing.T[::-1])[-1]]
+        return len(failing), tuple(np.flatnonzero(first).tolist())
 
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:

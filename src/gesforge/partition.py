@@ -64,9 +64,10 @@ class FlatMatrix:
     """Coefficient matrix of a family restricted to some parties.
 
     Entry (i, j) is w**exponents[i, j] up to a nonzero column scale, where
-    w has the given prime root order.  The scales are left out: they never
-    change a rank or the zero-ness of a minor, so the exponents are the
-    whole exact content.
+    w is a primitive root of unity of the given order (prime for a family;
+    the exact checks accept any order).  The scales are left out: they
+    never change a rank or the zero-ness of a minor, so the exponents are
+    the whole exact content.
     """
 
     root_order: int

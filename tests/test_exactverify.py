@@ -304,33 +304,42 @@ def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
     assert (check.failures, check.witness) == leibniz_spanning(side) == (11, (0, 1, 2, 4))
 
 
+def spy_on_echelons(monkeypatch):
+    """Record (values, modulus, rank) of each `_modular_echelon` call."""
+    calls = []
+    real = exactverify._modular_echelon
+
+    def spy(values, q):
+        result = real(values, q)
+        calls.append((np.asarray(values).tolist(), q, len(result[0])))
+        return result
+
+    monkeypatch.setattr(exactverify, "_modular_echelon", spy)
+    return calls
+
+
 def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
     # rows 0-2 are a 3 x 3 block singular mod the first field but not
     # exactly, with a fourth column that is column 0 times w: they are
-    # dependent mod q only, so their candidate circuit is refuted and the
-    # row sets holding them go to the minor-by-minor proof.  Row 5 is row 0
-    # times w, a circuit proven once for every set that holds both
+    # dependent mod q only, so their candidate circuit is refuted there and
+    # the row sets holding them are cleared in a later field, where their
+    # image has full rank.  Row 5 is row 0 times w, a circuit proven once
+    # for every set that holds both
     order = 13
-    ctx = minors.modular_context(order, 0)
+    ctx, later = minors.modular_context(order, 0), minors.modular_context(order, 1)
     block = spurious_block(order, 3)
     block = np.hstack([block, (block[:, :1] + 1) % order])
     extra = np.random.default_rng(3).integers(0, order, size=(2, 4))
     exps = np.vstack([block, extra, (block[0] + 1) % order])
     assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) == 4
     circuits = spy_on_circuit_proofs(monkeypatch)
-    leftovers = []
-    real = exactverify._proven_zero
-
-    def spy(minor_exponents, count, size, order):
-        leftovers.extend(minor_exponents(slice(0, count)).tolist())
-        return real(minor_exponents, count, size, order)
-
-    monkeypatch.setattr(exactverify, "_proven_zero", spy)
+    echelons = spy_on_echelons(monkeypatch)
     side = FlatMatrix(order, (0,), (4,), exps)
     check = spanning_property(side)
     assert (block.tolist(), ctx.modulus, False) in circuits
     assert ([exps[0].tolist(), exps[5].tolist()], ctx.modulus, True) in circuits
-    assert exps[[0, 1, 2, 3]].tolist() in leftovers and exps[[0, 1, 2, 4]].tolist() in leftovers
+    for rows in ([0, 1, 2, 3], [0, 1, 2, 4]):
+        assert (later.power_table()[exps[rows]].T.tolist(), later.modulus, 4) in echelons
     assert (check.failures, check.witness) == leibniz_spanning(side)
     assert check.failures > 0
 
@@ -351,6 +360,26 @@ def test_spanning_on_a_rank_deficient_side():
                 assert check.witness == tuple(range(side.dimension))
             else:
                 assert (check.failures, check.witness) == leibniz_spanning(side)
+
+
+def test_composite_order_sides_get_a_proven_verdict():
+    # a side whose image has rank below D takes the exact rank, and the
+    # circuit proof needs no prime order: `minors.proof_fields` covers every
+    # order.  Each planted column drops the rank of the whole side
+    side = FlatMatrix(8, (0,), (2,), [[0, 0], [1, 1], [2, 2]])
+    check = spanning_property(side)
+    assert (check.failures, check.witness) == leibniz_spanning(side) == (3, (0, 1))
+    assert rank_full(side) == (False, rank_by_minors(side.exponents, 8), "bordered") == (False, 1, "bordered")
+    rng = np.random.default_rng(5)
+    for order in (4, 6, 8, 9, 10, 12):
+        for dim, planted in itertools.product((2, 3), (False, True)):
+            exps = rng.integers(0, order, size=(dim + 2, dim))
+            if planted:
+                exps[:, -1] = (exps[:, 0] + rng.integers(order)) % order
+            side = FlatMatrix(order, (0,), (dim,), exps)
+            check = spanning_property(side)
+            assert (check.failures, check.witness) == leibniz_spanning(side)
+            assert rank_full(side)[:2] == (False, rank_by_minors(exps, order))
 
 
 # -- Fourier form --------------------------------------------------------------
