@@ -6,8 +6,10 @@ minimizes sum_i |<psi_i|x>|^2 over normalized biproduct states
 x = a (x) b, by alternating exact eigenvector updates (fixing one factor
 makes the objective a Hermitian quadratic form in the other, so each half
 step is a smallest-eigenvalue problem and the objective never increases).
-All seeded restarts of a cut run together: each half step is one stacked
-eigen-solve over the restarts that have not yet converged.
+Each cut draws the starts of all its restarts from one seeded stream, and
+every cut with the same (left, right) dimensions runs in one search: each
+half step is one stacked eigen-solve over the restarts of those cuts that
+have not yet converged.
 A strictly positive minimum over every cut witnesses that the orthogonal
 complement of the span contains no biproduct state, i.e. it is genuinely
 entangled.  The dual diagnostic maximizes overlap with the complement
@@ -18,6 +20,7 @@ projector and must stay strictly below one.  The family comes in as its
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,15 @@ _RESIDUAL_TOL = 1e-10
 # Sweeps of one restart stop here; a restart that reaches the cap reports
 # converged = False.
 MAX_SWEEPS = 500
+# A stacked search over R restarts of (d_left, d_right) cuts holds, 16 bytes
+# a complex entry, per restart its two factors and their start draw, twice
+# (the active set and the finished one), and per half step its outer
+# products, effective operators and their eigenvectors, each at most
+# max(d_left, d_right)**2 entries.  A search above the bound is refused
+# before any start is drawn (`_biproduct_searches`), and the cuts of one
+# shape run in as few stacked searches as the bound allows.  50 restarts of
+# a 64|2 cut of 2^7 need 10 MB.
+MAX_SEARCH_BYTES = 2**26
 
 
 @dataclass(frozen=True)
@@ -38,8 +50,11 @@ class OptimizerOptions:
 
     Defaults: 50 restarts, 1e-12 convergence tolerance, pass threshold
     1e-6, seed 0; each restart stops after at most MAX_SWEEPS sweeps.
-    Restart seeds are derived from the seed and a (bipartition, restart)
-    counter, so results are reproducible and independent of scheduling.
+    Each cut's starts come from one stream, seeded by the seed, the
+    search's direction (0 minimises, 1 maximises) and the cut's index in
+    `enumerate_bipartitions`; restart r takes block r of it.  So restart
+    r's start depends on (seed, cut, r) only, not on the restart count or
+    on which cuts run together, and a seed reproduces a run bit for bit.
     """
 
     restarts: int = 50
@@ -132,6 +147,7 @@ class NumericCertificate:
     threshold: float
     options: OptimizerOptions
     outcomes: list = field(default_factory=list)
+    elapsed: float = 0.0
 
     @property
     def min_value(self) -> float:
@@ -150,6 +166,7 @@ class NumericCertificate:
             "passed": self.passed,
             "min_value": self.min_value,
             "bipartitions": [o.to_doc() for o in self.outcomes],
+            "elapsed_seconds": self.elapsed,
         }
 
 
@@ -187,81 +204,115 @@ def _ungroup_state(left: np.ndarray, right: np.ndarray, dims, cut: Bipartition) 
     return state.transpose(inverse).reshape(-1)
 
 
-def _random_unit(rng, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _start_factors(seed: int, stream: tuple[int, int], restarts: int, dim: int) -> np.ndarray:
+    """Unit right factors of one cut's restarts, read in order from its stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=stream))
+    draw = rng.standard_normal((restarts, 2, dim))
+    starts = draw[:, 0] + 1j * draw[:, 1]
+    return starts / np.linalg.norm(starts, axis=1, keepdims=True)
+
+
+def _search_bytes(restarts: int, d_left: int, d_right: int) -> int:
+    """Peak bytes of a stacked search over restarts of (d_left, d_right) cuts."""
+    side = max(d_left, d_right)
+    return 16 * restarts * (4 * (d_left + d_right) + 3 * side * side)
 
 
 def _alternating_extremum(
-    grouped: np.ndarray,
+    groupeds: list[np.ndarray],
     minimize: bool,
     options: OptimizerOptions,
-    spawn_prefix: tuple[int, ...],
-) -> tuple[float, np.ndarray, np.ndarray, int, bool, np.ndarray]:
-    """Alternating eigenvector search from every restart at once.
+    streams: list[tuple[int, int]],
+) -> list[tuple[float, np.ndarray, np.ndarray, int, bool, np.ndarray]]:
+    """Alternating eigenvector search from every restart of every cut at once.
 
-    Each restart starts from its own seeded random right factor.  A half
-    step builds the effective operators of all restarts still active with
-    one matmul against the operator reshaped to (a c),(b d), and solves
-    them with one stacked eigh; a restart leaves the active set once its
-    value moves by less than tol.  Returns the best restart's (value,
-    left, right, sweeps, converged), ties going to the lowest
-    restart index, and the final values of all restarts.
+    All cuts share one (d_left, d_right) shape; cut c starts its restarts
+    from `streams[c]`.  The restarts still active are kept compacted in cut
+    order, so each cut owns one contiguous slice.  A half step builds each
+    cut's effective operators with one matmul of its slice against its
+    operator reshaped to (a c),(b d), and solves all of them with one
+    stacked eigh; a restart is written out and leaves the active set once
+    its value moves by less than tol.  Nothing a cut computes reads another
+    cut's rows, so its outcome does not depend on the others.  Returns per
+    cut the best restart's (value, left, right, sweeps, converged), ties
+    going to the lowest restart index, and the final values of all its
+    restarts.
     """
-    d_left, d_right = grouped.shape[0], grouped.shape[1]
+    d_left, d_right = groupeds[0].shape[0], groupeds[0].shape[1]
+    restarts = options.restarts
+    total = len(groupeds) * restarts
     pick = 0 if minimize else -1
     # by_pairs[(a c), (b d)] = G[a, b, c, d]; conj(r)_b r_d contracts the right legs
-    by_pairs = grouped.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right)
+    by_pairs = [
+        g.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right) for g in groupeds
+    ]
+    to_left = [m.T for m in by_pairs]
 
-    def half_step(vectors: np.ndarray, reshaped: np.ndarray, dim: int):
+    def half_step(vectors: np.ndarray, operators, counts, dim: int):
         outer = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
-        eff = (outer @ reshaped).reshape(-1, dim, dim)
-        w, vecs = np.linalg.eigh((eff + eff.conj().transpose(0, 2, 1)) / 2)
-        return w[:, pick], vecs[:, :, pick]
+        eff = np.empty((len(vectors), dim * dim), dtype=complex)
+        start = 0
+        for operator, count in zip(operators, counts):
+            if count:
+                np.matmul(outer[start:start + count], operator, out=eff[start:start + count])
+            start += count
+        eff = eff.reshape(-1, dim, dim)
+        # eigh reads the lower triangle, the Hermitian operator up to rounding
+        w, vecs = np.linalg.eigh(eff)
+        return w[:, pick], np.ascontiguousarray(vecs[:, :, pick])
 
-    rights = np.array([
-        _random_unit(
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=options.seed, spawn_key=spawn_prefix + (restart,))
-            ),
-            d_right,
-        )
-        for restart in range(options.restarts)
+    rights = np.concatenate([
+        _start_factors(options.seed, stream, restarts, d_right) for stream in streams
     ])
-    lefts = np.empty((options.restarts, d_left), dtype=complex)
-    values = np.full(options.restarts, np.nan)
-    sweeps = np.zeros(options.restarts, dtype=int)
-    converged = np.zeros(options.restarts, dtype=bool)
-    active = np.arange(options.restarts)
+    counts = [restarts] * len(groupeds)
+    owner = np.arange(total)
+    values = np.full(total, np.nan)
+    final_values = np.empty(total)
+    final_lefts = np.empty((total, d_left), dtype=complex)
+    final_rights = np.empty((total, d_right), dtype=complex)
+    sweeps = np.full(total, MAX_SWEEPS)
+    converged = np.zeros(total, dtype=bool)
     for sweep in range(MAX_SWEEPS):
-        _, lefts[active] = half_step(rights[active], by_pairs.T, d_left)
-        new_values, rights[active] = half_step(lefts[active], by_pairs, d_right)
-        sweeps[active] = sweep + 1
-        done = np.abs(new_values - values[active]) < options.tol
-        values[active] = new_values
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
-    best = int(np.argmin(values) if minimize else np.argmax(values))
-    return (
-        float(values[best]),
-        lefts[best],
-        rights[best],
-        int(sweeps[best]),
-        bool(converged[best]),
-        values,
-    )
+        _, lefts = half_step(rights, to_left, counts, d_left)
+        new_values, rights = half_step(lefts, by_pairs, counts, d_right)
+        done = np.abs(new_values - values) < options.tol
+        values = new_values
+        if done.any():
+            finished = owner[done]
+            final_values[finished] = values[done]
+            final_lefts[finished] = lefts[done]
+            final_rights[finished] = rights[done]
+            sweeps[finished] = sweep + 1
+            converged[finished] = True
+            keep = ~done
+            owner, values, lefts, rights = owner[keep], values[keep], lefts[keep], rights[keep]
+            counts = np.bincount(owner // restarts, minlength=len(groupeds)).tolist()
+            if not owner.size:
+                break
+    else:
+        # the restarts still active at MAX_SWEEPS end unconverged
+        final_values[owner] = values
+        final_lefts[owner] = lefts
+        final_rights[owner] = rights
+
+    results = []
+    for cut in range(len(groupeds)):
+        block = slice(cut * restarts, (cut + 1) * restarts)
+        finals = final_values[block]
+        best = cut * restarts + int(np.argmin(finals) if minimize else np.argmax(finals))
+        results.append((
+            float(final_values[best]),
+            final_lefts[best],
+            final_rights[best],
+            int(sweeps[best]),
+            bool(converged[best]),
+            finals,
+        ))
+    return results
 
 
-def _biproduct_search(
-    operator: np.ndarray, dims, cut: Bipartition, minimize: bool, options: OptimizerOptions
-) -> BiproductSearch:
-    grouped, _, _ = _grouped_operator(operator, dims, cut)
-    cut_index = enumerate_bipartitions(cut.num_parties).index(cut)
-    value, left, right, sweeps, converged, finals = _alternating_extremum(
-        grouped, minimize, options, (0 if minimize else 1, cut_index)
-    )
+def _search_result(outcome, minimize: bool, dims, cut: Bipartition) -> BiproductSearch:
+    value, left, right, sweeps, converged, finals = outcome
     agreeing = np.abs(finals - value) <= 1e-6 * abs(value) + 1e-15
     return BiproductSearch(
         value=max(value, 0.0) if minimize else min(value, 1.0),
@@ -272,6 +323,40 @@ def _biproduct_search(
         converged=converged,
         restarts_agreeing=int(np.count_nonzero(agreeing)),
     )
+
+
+def _biproduct_searches(
+    operator: np.ndarray, dims, cuts: list[Bipartition], minimize: bool, options: OptimizerOptions
+) -> list[BiproductSearch]:
+    """Stacked searches over `cuts`, one per cut shape as far as MAX_SEARCH_BYTES
+    allows; the results follow the order of `cuts`."""
+    dims = tuple(dims)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for position, cut in enumerate(cuts):
+        d_left = math.prod(dims[m] for m in cut.members)
+        d_right = math.prod(dims[m] for m in cut.complement)
+        need = _search_bytes(options.restarts, d_left, d_right)
+        if need > MAX_SEARCH_BYTES:
+            raise ValueError(
+                f"{options.restarts} restarts on a {d_left}x{d_right} cut need {need} bytes "
+                f"at once, above the supported {MAX_SEARCH_BYTES}; use fewer restarts"
+            )
+        shapes.setdefault((d_left, d_right), []).append(position)
+    every = enumerate_bipartitions(len(dims))
+    found: list[BiproductSearch | None] = [None] * len(cuts)
+    for shape, positions in shapes.items():
+        batch = MAX_SEARCH_BYTES // _search_bytes(options.restarts, *shape)
+        for first in range(0, len(positions), batch):
+            chunk = [cuts[position] for position in positions[first:first + batch]]
+            outcomes = _alternating_extremum(
+                [_grouped_operator(operator, dims, cut)[0] for cut in chunk],
+                minimize,
+                options,
+                [(0 if minimize else 1, every.index(cut)) for cut in chunk],
+            )
+            for position, cut, outcome in zip(positions[first:], chunk, outcomes):
+                found[position] = _search_result(outcome, minimize, dims, cut)
+    return found
 
 
 def min_biproduct_value(
@@ -289,7 +374,7 @@ def min_biproduct_value(
     """
     options = options or OptimizerOptions()
     _check_hermitian(operator)
-    return _biproduct_search(operator, dims, cut, True, options)
+    return _biproduct_searches(operator, dims, [cut], True, options)[0]
 
 
 def max_product_overlap(
@@ -304,7 +389,7 @@ def max_product_overlap(
     """
     options = options or OptimizerOptions()
     projector = basis.columns @ basis.columns.conj().T
-    return _biproduct_search(projector, basis.dims, cut, False, options)
+    return _biproduct_searches(projector, basis.dims, [cut], False, options)[0]
 
 
 def ges_basis(rows, dims, exact_rank: int) -> GesBasis:
@@ -340,30 +425,35 @@ def certify_ges_numeric(rows, dims, options: OptimizerOptions | None = None) -> 
 
     Passes when each minimum clears the threshold, certifying (numerically)
     that nothing in the complement of the span is biproduct along any cut.
+    Cuts of one shape share a stacked search; each cut's outcome is the one
+    `min_biproduct_value` finds on that cut alone.
     """
+    start = time.perf_counter()
     options = options or OptimizerOptions()
     dims = tuple(dims)
     operator = family_operator(rows)
-    certificate = NumericCertificate(
+    _check_hermitian(operator)
+    cuts = enumerate_bipartitions(len(dims))
+    found = _biproduct_searches(operator, dims, cuts, True, options)
+    return NumericCertificate(
         dims=dims,
         num_vectors=len(rows),
         threshold=options.threshold,
         options=options,
-    )
-    for cut in enumerate_bipartitions(len(dims)):
-        found = min_biproduct_value(operator, dims, cut, options)
-        certificate.outcomes.append(
+        outcomes=[
             CutOutcome(
                 members=cut.members,
                 complement=cut.complement,
-                value=found.value,
-                converged=found.converged,
-                sweeps=found.sweeps,
-                restarts_agreeing=found.restarts_agreeing,
-                witness=found.state,
+                value=search.value,
+                converged=search.converged,
+                sweeps=search.sweeps,
+                restarts_agreeing=search.restarts_agreeing,
+                witness=search.state,
             )
-        )
-    return certificate
+            for cut, search in zip(cuts, found)
+        ],
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def sample_ges_state(basis: GesBasis, seed: int = 0) -> np.ndarray:

@@ -179,23 +179,24 @@ def max_overlap_grid(grouped: np.ndarray, n_theta: int = 121, n_phi: int = 240) 
     return -min(best, float(res.fun))
 
 
-def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options, spawn_prefix):
+def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options, stream):
     """The alternating eigenvector search, one restart after another.
 
-    Each restart draws the same seeded start as the package's stacked
-    search and runs its own einsum/eigh sweeps until its value moves by
-    less than tol, or for at most MAX_SWEEPS sweeps; the best restart
-    wins, ties going to the earliest.  Returns (value, left, right,
-    sweeps, converged).
+    The restarts read their starts in order from the cut's one seeded
+    stream, block r of a (restarts, 2, d_right) normal draw for restart r,
+    as the package's stacked search does.  Each restart runs its own
+    einsum/eigh sweeps until its value moves by less than tol, or for at
+    most MAX_SWEEPS sweeps; the best restart wins, ties going to the
+    earliest.  Returns (value, left, right, sweeps, converged).
     """
     d_left, d_right = grouped.shape[0], grouped.shape[1]
     pick = 0 if minimize else -1
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    seq = np.random.SeedSequence(entropy=options.seed, spawn_key=stream)
+    draw = np.random.default_rng(seq).standard_normal((options.restarts, 2, d_right))
     best = None
     for restart in range(options.restarts):
-        seq = np.random.SeedSequence(entropy=options.seed, spawn_key=spawn_prefix + (restart,))
-        rng = np.random.default_rng(seq)
-        right = rng.standard_normal(d_right) + 1j * rng.standard_normal(d_right)
+        right = draw[restart, 0] + 1j * draw[restart, 1]
         right = right / np.linalg.norm(right)
         left = None
         value = None

@@ -412,6 +412,9 @@ def test_verify_reruns_reproduce_verdict(tmp_path):
         ) == EXIT_OK
     a = read_json(tmp_path / "a.json")
     b = read_json(tmp_path / "b.json")
+    # the stage's own wall time is the one key a rerun may change
+    assert a["numeric"].pop("elapsed_seconds") >= 0.0
+    assert b["numeric"].pop("elapsed_seconds") >= 0.0
     assert a["numeric"] == b["numeric"]
     assert a["exact"]["passed"] == b["exact"]["passed"]
 
@@ -459,6 +462,22 @@ def test_bad_numeric_options_exit_invalid(tmp_path, capsys, command, flag, value
     assert code == EXIT_INVALID
     assert flag.lstrip("-") in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+def test_restart_count_past_the_search_bound_exits_invalid(tmp_path, capsys, command):
+    argv = [command, "--n", "2", "--d", "2", "--k", "3", "--restarts", "100000000", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_INVALID
+    assert "use fewer restarts" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+def test_numeric_stage_reports_its_elapsed_time(tmp_path, command):
+    argv = [command, "--n", "2", "--d", "2", "--k", "3", "--restarts", "2", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_OK
+    numeric = read_json(tmp_path / "r.json")["numeric"]
+    assert 0.0 < numeric["elapsed_seconds"] < 60.0
 
 
 def golden_vectors_doc():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesforge.construct import make_params
+from gesforge import numcert
 from gesforge.numcert import (
+    MAX_SEARCH_BYTES,
     MAX_SWEEPS,
     GesBasis,
     OptimizerOptions,
@@ -18,7 +20,7 @@ from gesforge.numcert import (
     sample_ges_state,
     schmidt_coefficients,
 )
-from gesforge.numcert import _alternating_extremum, _grouped_operator
+from gesforge.numcert import _alternating_extremum, _grouped_operator, _search_bytes, _start_factors
 from gesforge.partition import Bipartition, build_nupb, enumerate_bipartitions
 
 from .oracles import (
@@ -192,6 +194,85 @@ def test_restarts_agreeing_counts_restarts_at_the_best_value():
     assert cert.to_doc()["bipartitions"][0]["restarts_agreeing"] == s.restarts_agreeing
 
 
+def test_fewer_restarts_draw_a_prefix_of_the_same_starts():
+    # restart r reads block r of its cut's stream, whatever the restart count
+    np.testing.assert_array_equal(_start_factors(3, (0, 1), 7, 9), _start_factors(3, (0, 1), 50, 9)[:7])
+    p = make_params(n=3, d=2, num_vectors=5)
+    G = family_operator(build_nupb(p))
+    few, many = OptimizerOptions(restarts=7, seed=3), OptimizerOptions(restarts=50, seed=3)
+    for index, cut in enumerate(enumerate_bipartitions(3)):
+        grouped, _, _ = _grouped_operator(G, (2, 2, 2), cut)
+        head = _alternating_extremum([grouped], True, few, [(0, index)])[0][5]
+        tail = _alternating_extremum([grouped], True, many, [(0, index)])[0][5]
+        # the same seven runs; a larger stack moves their values by rounding only
+        np.testing.assert_allclose(tail[:7], head, rtol=0, atol=few.tol)
+        low = min_biproduct_value(G, (2, 2, 2), cut, few).value
+        assert min_biproduct_value(G, (2, 2, 2), cut, many).value <= low + few.tol
+
+
+SHARED_SHAPES = (((3, 3, 3), 12), ((2, 2, 2, 2), 10), ((2, 2, 3), 8))
+
+
+def assert_certificate_matches_single_cuts(rows, dims, opts):
+    cert = certify_ges_numeric(rows, dims, opts)
+    G = family_operator(rows)
+    for cut, outcome in zip(enumerate_bipartitions(len(dims)), cert.outcomes):
+        alone = min_biproduct_value(G, dims, cut, opts)
+        assert outcome.value == alone.value, cut.label()
+        np.testing.assert_array_equal(outcome.witness, alone.state)
+        assert (outcome.sweeps, outcome.converged, outcome.restarts_agreeing) == (
+            alone.sweeps, alone.converged, alone.restarts_agreeing
+        )
+    return cert
+
+
+@pytest.mark.parametrize(
+    "dims,k", SHARED_SHAPES, ids=[f"{'x'.join(map(str, d))}-k{k}" for d, k in SHARED_SHAPES]
+)
+def test_certificate_cuts_match_the_single_cut_search_bit_for_bit(dims, k):
+    # the three cuts of 3x3x3 share one search, the seven of 2^4 two (1|3
+    # and 2|2); 2x2x3 has three shapes of one cut each
+    rows = build_nupb(make_params(dims=dims, num_vectors=k))
+    assert_certificate_matches_single_cuts(rows, dims, OptimizerOptions(seed=3))
+
+
+def test_cuts_of_a_shape_split_into_batches_under_the_byte_bound(monkeypatch):
+    # room for two of the three 3|1 cuts of 2^4 (8x2, the largest shape):
+    # they run as two searches
+    rows = build_nupb(make_params(dims=(2, 2, 2, 2), num_vectors=10))
+    opts = OptimizerOptions(seed=3)
+    whole = certify_ges_numeric(rows, (2, 2, 2, 2), opts)
+    monkeypatch.setattr(numcert, "MAX_SEARCH_BYTES", 2 * _search_bytes(opts.restarts, 8, 2))
+    stacks = []
+
+    def spy(groupeds, *args):
+        stacks.append(len(groupeds))
+        return _alternating_extremum(groupeds, *args)
+
+    monkeypatch.setattr(numcert, "_alternating_extremum", spy)
+    split = certify_ges_numeric(rows, (2, 2, 2, 2), opts)
+    assert sorted(stacks) == [1, 1, 2, 3]
+    assert [o.value for o in split.outcomes] == [o.value for o in whole.outcomes]
+    for a, b in zip(split.outcomes, whole.outcomes):
+        np.testing.assert_array_equal(a.witness, b.witness)
+
+
+def test_restart_count_past_the_byte_bound_is_refused():
+    G = family_operator(build_nupb(make_params(n=2, d=2, num_vectors=3)))
+    restarts = MAX_SEARCH_BYTES // _search_bytes(1, 2, 2) + 1
+    with pytest.raises(ValueError, match="use fewer restarts"):
+        min_biproduct_value(G, (2, 2), Bipartition(2, (0,)), OptimizerOptions(restarts=restarts))
+    with pytest.raises(ValueError, match="use fewer restarts"):
+        certify_ges_numeric(np.eye(3, 4, dtype=complex), (2, 2), OptimizerOptions(restarts=10**8))
+
+
+def test_certificate_times_its_own_search():
+    p = make_params(n=3, d=2, num_vectors=5)
+    cert = certify_ges_numeric(build_nupb(p), p.dims, QUICK)
+    assert cert.elapsed > 0.0
+    assert cert.to_doc()["elapsed_seconds"] == cert.elapsed
+
+
 def test_witness_state_is_unit_biproduct():
     p = make_params(n=3, d=2, num_vectors=5)
     G = family_operator(build_nupb(p))
@@ -221,9 +302,9 @@ STACKED_FAMILIES = (
 def assert_stacked_matches_reference(operator, dims, minimize, opts):
     for index, cut in enumerate(enumerate_bipartitions(len(dims))):
         grouped, _, _ = _grouped_operator(operator, dims, cut)
-        prefix = (0 if minimize else 1, index)
-        got = _alternating_extremum(grouped, minimize, opts, prefix)[0]
-        want = alternating_extremum_reference(grouped, minimize, opts, prefix)[0]
+        stream = (0 if minimize else 1, index)
+        got = _alternating_extremum([grouped], minimize, opts, [stream])[0][0]
+        want = alternating_extremum_reference(grouped, minimize, opts, stream)[0]
         assert abs(got - want) <= 1e-12 + 1e-6 * abs(want), (dims, cut.label(), got, want)
 
 
