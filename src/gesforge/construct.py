@@ -313,7 +313,7 @@ def scale_to_json(value: Scale):
 def scale_from_json(obj) -> Scale:
     """A rational string, a {"re", "im"} object of them, or an [re, im] pair of numbers."""
     if isinstance(obj, dict):
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+        return GaussianRational(_rational_from_json(obj["re"]), _rational_from_json(obj["im"]))
     if isinstance(obj, str):
         return GaussianRational(Fraction(obj))
     if not (
@@ -326,6 +326,13 @@ def scale_from_json(obj) -> Scale:
         return complex(*obj)
     except OverflowError:
         raise ValueError(f"scale {obj!r} does not fit a double")
+
+
+def _rational_from_json(value) -> Fraction:
+    """An exact scale part: a rational string or an int; floats and booleans raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"an exact scale part is a rational string or an int, got {value!r}")
+    return Fraction(value)
 
 
 def params_to_json(params: ConstructionParams) -> dict:

@@ -37,19 +37,16 @@ time.  A circuit is a minimal dependent row set (Oxley, Matroid Theory,
 dependent.  `_proven_circuits` takes the echelon form of the image mod q
 of M's transpose: it names independent rows P and, for each other row i,
 a null vector mod q within P + i whose support is a candidate circuit.
-The candidate C is proven dependent (`_proven_dependent`) when the
-modular echelon form of M[C] names pivot rows P' and columns K with
-M[P', K] nonsingular, |P'| < |C|, and every bordered minor
-M[P' + i, K + j] is proven zero by the multimodular test of `minors`:
-those minors are the entries of the Schur complement of M[P', K] up to
-its nonzero determinant.  A copied row makes a circuit of two rows and
-2 x 2 bordered minors.  When every candidate is proven the rank is
-exactly |P|; a candidate that fails was dependent only mod q, and the
-next field is tried.  The rank of a matrix and each zero image of the
-spanning check go through this one proof: the first zero image still
-open is either cleared by a field where its image has full rank, or
-proven singular by its circuits, and each of them settles every zero
-image that contains it.
+The candidate C is proven dependent when `minors.exact_rank` of M[C] is
+below |C|: every image of M[C], under each embedding w -> root**a in each
+field the multimodular bound for min(|C|, D) asks for, has rank below
+|C|, so every maximal minor of M[C] is zero.  A copied row makes a circuit
+of two rows.  When every candidate is proven the rank is exactly |P|; a
+candidate that fails was dependent only mod q, and the next field is
+tried.  The rank of a matrix and each zero image of the spanning check go
+through this one proof: the first zero image still open is either cleared
+by a field where its image has full rank, or proven singular by its
+circuits, and each of them settles every zero image that contains it.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
 for prime and composite orders alike, and proves its zero images from
@@ -280,26 +277,6 @@ def _fourier_form(flat: FlatMatrix) -> bool:
     )
 
 
-def _proven_dependent(exponents: np.ndarray, ctx: minors.ModularContext) -> bool:
-    """Whether the rows of w**exponents are proven linearly dependent.
-
-    The modular echelon form in ctx's field names pivot rows P and columns
-    K with M[P, K] nonsingular.  The rows are proven dependent when |P| is
-    below their count and every bordered minor M[P + i, K + j] is proven
-    zero by the multimodular test (module docstring).  False means either
-    that the rows are independent or that their image lost rank mod q.
-    """
-    k, dim = exponents.shape
-    rows, cols, _ = _modular_echelon(ctx.power_table()[exponents], ctx.modulus)
-    r = len(rows)
-    if r == k:
-        return False
-    row_sets = np.array([rows + [i] for i in range(k) if i not in rows], dtype=np.int64)
-    col_sets = np.array([cols + [j] for j in range(dim) if j not in cols], dtype=np.int64)
-    bordered = exponents[row_sets[:, None, :, None], col_sets[None, :, None, :]]
-    return bool(minors.multimodular_zero(bordered.reshape(-1, r + 1, r + 1), ctx.order).all())
-
-
 def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
     """Circuits that prove the rows of w**exponents rank-deficient, or [].
 
@@ -307,10 +284,10 @@ def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
     image's transpose names independent rows P.  An image of rank min(k, D)
     proves that rank, and the answer is [].  Otherwise each other row i
     gives the support of a null vector within P + i, a candidate circuit
-    (module docstring); when `_proven_dependent` proves every candidate in
-    that field, where it was found, the candidates are returned and the
-    rank is exactly |P|.  A candidate that fails means the image lost rank
-    mod q, and the next field is tried.
+    (module docstring); when `minors.exact_rank` proves every candidate of
+    that field dependent, the candidates are returned and the rank is
+    exactly |P|.  A candidate that fails means the image lost rank mod q,
+    and the next field is tried.
     """
     k, dim = exponents.shape
     for index in itertools.count():
@@ -322,7 +299,7 @@ def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
             sorted([i] + [b for b, row in zip(basis, reduced) if row[i]])
             for i in range(k) if i not in basis
         ]
-        if all(_proven_dependent(exponents[c], ctx) for c in circuits):
+        if all(minors.exact_rank(exponents[c], order) < len(c) for c in circuits):
             return circuits
 
 

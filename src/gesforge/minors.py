@@ -1,4 +1,4 @@
-"""Batched exact zero and nonzero tests for minors of root-power matrices.
+"""Exact zero proofs and ranks for root-power matrices, batched mod q.
 
 Every matrix handled here has entries of the form scale_j * w**e[i, j]
 where w is a primitive root of unity of a fixed order n and scale_j is a
@@ -13,20 +13,26 @@ and a running over the phi(n) units mod n:
 
 * certificates: a determinant that is nonzero mod q is nonzero, full stop.
   The converse does not hold, so a zero image only escalates the minor.
-* multimodular zero proofs (von zur Gathen & Gerhard, Modern Computer
-  Algebra, ch. 5): an m x m minor is sum_t c_t w**t with
-  sum_t |c_t| <= m!.  Reduced modulo the cyclotomic polynomial Phi_n it
-  is sum_i r_i w**i (i < phi(n)) with |r_i| <= m! * max|R|, R the
-  reduction matrix of `cyclo.power_reduction_matrix`, and it is zero
-  exactly when r = 0.  Phi_n splits into the distinct linear factors
-  x - root**a mod q, so if the images under all phi(n) embeddings vanish,
-  then r = 0 (mod q) by the invertible Vandermonde matrix on the root**a.
-  Vanishing modulo primes whose product exceeds m! * max|R| therefore
-  proves zero, and a single nonzero image proves nonzero.  For a prime
-  order max|R| = 1 and the units are 1..p-1.  `proof_fields` owns this
-  stopping rule.  The Fourier-minor scan of `exactverify` applies it
-  without `multimodular_zero`: there each embedding of a minor is a
-  column-permuted minor that its own pass has already reduced.
+* zero proofs (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5):
+  an m x m minor is sum_t c_t w**t with sum_t |c_t| <= m!.  Reduced
+  modulo the cyclotomic polynomial Phi_n it is sum_i r_i w**i
+  (i < phi(n)) with |r_i| <= m! * max|R|, R the reduction matrix of
+  `cyclo.power_reduction_matrix`, and it is zero exactly when r = 0.
+  Phi_n splits into the distinct linear factors x - root**a mod q, so if
+  the images under all phi(n) embeddings vanish, then r = 0 (mod q) by the
+  invertible Vandermonde matrix on the root**a.  Vanishing modulo primes
+  whose product exceeds m! * max|R| therefore proves zero, and a single
+  nonzero image proves nonzero.  For a prime order max|R| = 1 and the
+  units are 1..p-1.  `proof_fields` owns this stopping rule.
+* exact ranks: the rank r of a k x D matrix w**E is the size of its
+  largest nonzero minor.  No image has a larger nonzero minor, and a
+  nonzero r x r minor has a nonzero image under some unit in one of the
+  fields that the bound for min(k, D) asks for.  So `exact_rank` is the
+  largest image rank over those units and fields, and rows C are proven
+  dependent when every image of E[C] has rank below |C|: then every
+  maximal minor of E[C] is zero.  The Fourier-minor scan of `exactverify`
+  applies the zero proof by lookup instead: there each embedding of a
+  minor is a column-permuted minor that its own pass has already reduced.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from .cyclo import is_prime, power_reduction_matrix
 # Large moduli keep spurious zero images rare (about size/q per minor), so
 # escalations to the zero proof stay exceptional.
 _MODULUS_FLOOR = 1_000_000
-# Few survivors take several embeddings in one elimination of at most this
-# many entries, paying an elimination's fixed cost once per group.
+# An exact rank takes its embeddings in groups of at most this many entries,
+# paying a batched elimination's fixed cost once per group.
 _STACKED_ENTRIES = 1 << 16
 
 
@@ -98,43 +104,13 @@ def modular_context(order: int, index: int = 0) -> ModularContext:
     raise RuntimeError(f"no element of order {order} mod {q}")
 
 
-def certify_nonzero_mod(exponents: np.ndarray, ctx: ModularContext) -> np.ndarray:
-    """True where the minor's image in F_q is nonzero, which certifies it.
-
-    exponents: (N, k, k) integers modulo the order.  Division-free
-    elimination: rows below the pivot are replaced by piv*row - c*pivrow,
-    which scales the determinant by nonzero factors mod q.  A zero pivot is
-    swapped for the first nonzero entry below it, so False means the image
-    is zero, not merely that the certificate was withheld.
-    """
-    q = ctx.modulus
-    a = ctx.power_table()[exponents]
-    n, k, _ = a.shape
-    alive = np.ones(n, dtype=bool)
-    for r in range(k):
-        stuck = np.nonzero(alive & (a[:, r, r] == 0))[0]
-        if stuck.size:
-            below = a[stuck, r:, r] != 0
-            found = below.any(axis=1)
-            alive[stuck[~found]] = False
-            swap = stuck[found]
-            at = r + below[found].argmax(axis=1)
-            pivot_rows = a[swap, at]
-            a[swap, at] = a[swap, r]
-            a[swap, r] = pivot_rows
-        if r == k - 1:
-            break
-        piv = a[:, r, r][:, None, None]
-        coeff = a[:, r + 1 :, r][:, :, None]
-        block = a[:, r + 1 :, r + 1 :]
-        np.remainder(piv * block - coeff * a[:, r : r + 1, r + 1 :], q, out=block)
-    return alive
-
-
 @lru_cache(maxsize=None)
-def units(order: int) -> tuple[int, ...]:
+def units(order: int) -> np.ndarray:
     """The units a mod order: the embeddings w -> root**a onto the primitive roots."""
-    return tuple(a for a in range(1, order) if math.gcd(a, order) == 1)
+    a = np.arange(1, order, dtype=np.int64)
+    a = a[np.gcd(a, order) == 1]
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -153,30 +129,52 @@ def proof_fields(order: int, size: int) -> tuple[ModularContext, ...]:
     return tuple(fields)
 
 
-def multimodular_zero(exponents: np.ndarray, order: int) -> np.ndarray:
-    """True where a minor is exactly zero (see module docstring).
+def _rank_mod(values: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q of a stack of matrices, values (N, k, D) residues mod q.
 
-    exponents: (N, m, m) integers modulo `order`.  The batch runs through
-    the embeddings w -> root**a in each of the `proof_fields`; each group
-    of images drops the minors it proves nonzero, so work and memory
-    shrink to the zero survivors.
+    Division-free echelon form, one row at a time: row i is reduced by each
+    earlier reduced row s, in order, as piv_s * row - row[c_s] * row_s
+    (c_s the first nonzero column of row s, piv_s its entry there), which
+    scales the row by a nonzero factor and clears column c_s.  The rank is
+    the number of rows that stay nonzero; a zero row, given piv 1, leaves
+    the later rows as they are.
     """
-    exponents = np.asarray(exponents, dtype=np.int64)
-    n, m = exponents.shape[:2]
-    zero = np.ones(n, dtype=bool)
-    todo = np.arange(n)
-    batch = exponents
+    n, k, dim = values.shape
+    reduced = np.zeros((k, n, dim), dtype=np.int64)
+    cols = np.zeros((k, n), dtype=np.int64)
+    pivots = np.ones((k, n, 1), dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int64)
+    at = np.arange(n)
+    for i in range(k):
+        row = values[:, i]
+        for s in range(i):
+            row = (pivots[s] * row - row[at, cols[s]][:, None] * reduced[s]) % q
+        cols[i] = (row != 0).argmax(axis=1)
+        pivot = row[at, cols[i]]
+        rank += pivot != 0
+        reduced[i], pivots[i, :, 0] = row, np.where(pivot, pivot, 1)
+    return rank
+
+
+def exact_rank(exponents: np.ndarray, order: int) -> int:
+    """The rank of w**exponents over Q(w), for a (k, D) exponent table.
+
+    No image of the matrix under w -> root**a has more than its rank r, and
+    its nonzero r x r minor has a nonzero image under some unit in one of
+    the `proof_fields` of min(k, D) (module docstring).  So the rank is the
+    largest image rank; embeddings go in groups of at most _STACKED_ENTRIES
+    entries, and the search stops once an image reaches min(k, D).
+    """
+    exponents = np.asarray(exponents, dtype=np.int64) % order
+    k, dim = exponents.shape
+    full, rank = min(k, dim), 0
     embeddings = units(order)
-    for ctx in proof_fields(order, m):
-        if not todo.size:
-            break
-        step = max(1, _STACKED_ENTRIES // max(1, todo.size * m * m))
+    step = max(1, _STACKED_ENTRIES // max(1, k * dim))
+    for ctx in proof_fields(order, full):
         for lo in range(0, len(embeddings), step):
-            group = np.array(embeddings[lo : lo + step])[:, None, None, None]
-            certified = certify_nonzero_mod((batch * group % order).reshape(-1, m, m), ctx)
-            nonzero = certified.reshape(len(group), -1).any(axis=0)
-            zero[todo[nonzero]] = False
-            todo, batch = todo[~nonzero], batch[~nonzero]
-            if todo.size == 0:
-                break
-    return zero
+            group = embeddings[lo : lo + step, None, None]
+            images = ctx.power_table()[group * exponents % order]
+            rank = max(rank, int(_rank_mod(images, ctx.modulus).max()))
+            if rank == full:
+                return rank
+    return rank

@@ -65,6 +65,8 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("tol", "threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

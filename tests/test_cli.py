@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesforge import cli
 from gesforge.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "data" / "three_qubit_vectors.json"
@@ -146,6 +147,14 @@ def test_verify_non_finite_scale_rejected(tmp_path, capsys, entry):
     code = run(["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json"], tmp_path)
     assert code == EXIT_INVALID
     assert "scale for party 1 level 1 is not finite" in capsys.readouterr().err
+
+
+def test_verify_float_in_an_exact_scale_rejected(tmp_path, capsys):
+    # {"re": true, "im": 0.1} is no rational string: it must not pass as exact
+    (tmp_path / "h.json").write_text('[["1", "1"], ["1", {"re": true, "im": 0.1}], ["1", "1"]]')
+    code = run(["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json"], tmp_path)
+    assert code == EXIT_INVALID
+    assert "bad scale entry: an exact scale part is a rational string" in capsys.readouterr().err
 
 
 def test_verify_zero_scale_rejected(tmp_path, capsys):
@@ -364,6 +373,24 @@ def test_bad_seed_environment(tmp_path, monkeypatch, capsys):
     code = run(VERIFY_SMALL, tmp_path)
     assert code == EXIT_INVALID
     assert "GESFORGE_SEED must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+def test_negative_seed_rejected_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # by flag for verify, from the environment for report: exit 2 naming the
+    # seed, before the exact stage runs
+    def no_work(*args):
+        raise AssertionError("the exact stage ran")
+
+    monkeypatch.setattr(cli, "verify_all_bipartitions", no_work)
+    argv = [command, "--n", "2", "--d", "2", "--k", "3", "--restarts", "2"]
+    if command == "verify":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("GESFORGE_SEED", "-5")
+    assert run(argv, tmp_path) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer, got -")
 
 
 SEEDLESS = {

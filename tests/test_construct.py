@@ -290,6 +290,17 @@ def test_scale_json_float_form():
     assert scale_from_json("3/4") == GaussianRational(Fraction(3, 4))
 
 
+@pytest.mark.parametrize(
+    "part", (True, False, 0.1, 1.0, None, [1, 2]), ids=("true", "false", "0.1", "1.0", "null", "list")
+)
+def test_exact_scale_parts_are_rational_strings_or_ints(part):
+    # a float part would be read as its binary value and echoed as exact
+    assert scale_from_json({"re": 1, "im": "2/3"}) == GaussianRational(1, Fraction(2, 3))
+    for doc in ({"re": part, "im": "0"}, {"re": "1", "im": part}):
+        with pytest.raises(ValueError, match="rational string or an int"):
+            scale_from_json(doc)
+
+
 def test_vectors_doc_round_trip_standard():
     p = make_params(n=3, d=2, num_vectors=5)
     doc = vectors_to_doc(p)

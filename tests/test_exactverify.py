@@ -128,18 +128,21 @@ def test_rank_full_retries_after_spurious_rank_drops(small_fields):
 def test_rank_full_moves_on_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
     # rows 0-3 are exactly independent but dependent mod the first field;
     # row 4 is row 0 times w**2 and column 4 column 0 times w, so the exact
-    # rank is 4.  The first field's candidate circuit among rows 0-3 is
-    # refuted in that field, and a later field proves the rank
+    # rank is 4.  The first field's candidate circuit among rows 0-3 has
+    # exact rank 4, so it is refuted, and a later field proves the rank
     order = 7
     ctx = minors.modular_context(order, 0)
     block = spurious_block(order)
     exps = np.hstack([block, (block[:, :1] + 1) % order])
     exps = np.vstack([exps, (exps[0] + 2) % order])
     circuits = spy_on_circuit_proofs(monkeypatch)
+    echelons = spy_on_echelons(monkeypatch)
     flat = FlatMatrix(order, (0,), (5,), exps)
     assert rank_full(flat) == (False, rank_by_minors(exps, order), "bordered") == (False, 4, "bordered")
-    assert (exps[:4].tolist(), ctx.modulus, False) in circuits
-    assert circuits[-1][1] != ctx.modulus and circuits[-1][2]
+    assert (exps[:4].tolist(), False) in circuits
+    assert circuits[-1] == ([exps[0].tolist(), exps[4].tolist()], True)
+    # the refuted candidate sends the transpose's echelon form to a later field
+    assert [q for _, q, _ in echelons[:2]] == [ctx.modulus, minors.modular_context(order, 1).modulus]
 
 
 def test_modular_echelon_pivot_block_is_nonsingular():
@@ -273,20 +276,21 @@ def spurious_block(order, size=4):
     assert ctx.modulus < 200
     batch = np.random.default_rng(2).integers(0, order, size=(20000, size, size))
     nonzero = ~power_counts_are_zero(det_leibniz_counts(batch, order), order)
-    return batch[np.nonzero(nonzero & ~minors.certify_nonzero_mod(batch, ctx))[0][0]]
+    image_rank = minors._rank_mod(ctx.power_table()[batch], ctx.modulus)
+    return batch[np.nonzero(nonzero & (image_rank < size))[0][0]]
 
 
 def spy_on_circuit_proofs(monkeypatch):
-    """Record (rows, modulus, verdict) of each `_proven_dependent` call."""
+    """Record (rows, proven dependent) of each candidate circuit's exact rank."""
     calls = []
-    real = exactverify._proven_dependent
+    real = minors.exact_rank
 
-    def spy(exponents, ctx):
-        proven = real(exponents, ctx)
-        calls.append((exponents.tolist(), ctx.modulus, proven))
-        return proven
+    def spy(exponents, order):
+        rank = real(exponents, order)
+        calls.append((exponents.tolist(), rank < len(exponents)))
+        return rank
 
-    monkeypatch.setattr(exactverify, "_proven_dependent", spy)
+    monkeypatch.setattr(minors, "exact_rank", spy)
     return calls
 
 
@@ -336,8 +340,8 @@ def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields
     echelons = spy_on_echelons(monkeypatch)
     side = FlatMatrix(order, (0,), (4,), exps)
     check = spanning_property(side)
-    assert (block.tolist(), ctx.modulus, False) in circuits
-    assert ([exps[0].tolist(), exps[5].tolist()], ctx.modulus, True) in circuits
+    assert (block.tolist(), False) in circuits
+    assert ([exps[0].tolist(), exps[5].tolist()], True) in circuits
     for rows in ([0, 1, 2, 3], [0, 1, 2, 4]):
         assert (later.power_table()[exps[rows]].T.tolist(), later.modulus, 4) in echelons
     assert (check.failures, check.witness) == leibniz_spanning(side)
@@ -610,17 +614,16 @@ def test_edge_families_match_svd(dims, k, order):
 
 
 def count_zero_proofs(monkeypatch):
-    """The size of every minor sent to `minors.multimodular_zero`."""
-    sizes = []
-    real = minors.multimodular_zero
+    """The shape of every row set sent to `minors.exact_rank`."""
+    shapes = []
+    real = minors.exact_rank
 
     def spy(exponents, order):
-        exponents = np.asarray(exponents)
-        sizes.extend([exponents.shape[1]] * len(exponents))
+        shapes.append(np.shape(exponents))
         return real(exponents, order)
 
-    monkeypatch.setattr(minors, "multimodular_zero", spy)
-    return sizes
+    monkeypatch.setattr(minors, "exact_rank", spy)
+    return shapes
 
 
 def tampered_table(params):
@@ -633,22 +636,22 @@ def tampered_table(params):
 def test_circuits_keep_large_minors_from_the_zero_proof(monkeypatch):
     # with row 0 copied over row 16 every 8-dimensional side of 2^5 holds
     # 5,005 exactly-zero maximal minors; the circuit of rows 0 and 16
-    # settles them all, and those of the other sides, through 2 x 2
-    # bordered minors
+    # settles them all, and those of the other sides, through the exact
+    # rank of its two rows
     params = make_params(dims=(2, 2, 2, 2, 2), num_vectors=17)
-    sizes = count_zero_proofs(monkeypatch)
+    shapes = count_zero_proofs(monkeypatch)
     report = verify_all_bipartitions(params, tampered_table(params))
     assert not report.passed and report.matrix_rank == 16
-    assert sizes and max(sizes) == 2
+    assert shapes and {rows for rows, _ in shapes} == {2}
 
 
 def test_rank_proof_of_a_large_tampered_table_sends_only_small_minors(monkeypatch):
-    # one circuit (rows 0 and 39) proves the rank, through its 63 bordered
-    # 2 x 2 minors, not through bordered minors of the whole 39-row block
+    # one circuit (rows 0 and 39) proves the rank through one exact rank of
+    # its two rows, not through the whole 40-row table
     params = make_params(dims=(4, 4, 4), num_vectors=40)
-    sizes = count_zero_proofs(monkeypatch)
+    shapes = count_zero_proofs(monkeypatch)
     assert rank_full(coefficient_matrix(params, tampered_table(params))) == (False, 39, "bordered")
-    assert sizes == [2] * 63
+    assert shapes == [(2, 64)]
 
 
 @given(
@@ -819,8 +822,8 @@ def test_scan_zero_claims_are_checked_in_a_prime_field():
         at_rows, at_cols = np.nonzero(tables[size])
         rows, cols = sets[at_rows], sets[at_cols]
         exps = rows[:, :, None] * cols[:, None, :] % order
-        images = [minors.certify_nonzero_mod(a * exps % order, ctx) for a in units]
-        zero = ~np.any(images, axis=0)
+        ranks = [minors._rank_mod(ctx.power_table()[a * exps % order], ctx.modulus) for a in units]
+        zero = (np.array(ranks) < size).all(axis=0)
         proven += zip(map(tuple, rows[zero].tolist()), map(tuple, cols[zero].tolist()))
     assert scan.zero_count == len(proven) > 0
     assert scan.witnesses == proven[:20]

@@ -1,6 +1,9 @@
-"""Batched exact minor engines: modular certificates and multimodular zero
-proofs for prime and composite orders, checked against the Leibniz formula
-over count vectors and the integer subset expansion of `oracles`."""
+"""The exact minor engine: batched ranks mod q and exact ranks over Q(w) for
+prime and composite orders.  A square minor is zero exactly when
+`exact_rank` is below its size; the verdicts are checked against the
+Leibniz formula over count vectors, the integer subset expansion of
+`oracles` and ranks by minors, and the batched ranks against determinants
+mod q and `_modular_echelon`."""
 
 import itertools
 import math
@@ -12,18 +15,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesforge import GaussianRational
-from gesforge.minors import (
-    certify_nonzero_mod,
-    modular_context,
-    multimodular_zero,
-)
+from gesforge.exactverify import _modular_echelon
+from gesforge.minors import _rank_mod, exact_rank, modular_context
 
-from .oracles import det_leibniz_counts, det_permutation_sum, det_power_counts, power_counts_are_zero
+from .oracles import (
+    det_leibniz_counts,
+    det_permutation_sum,
+    det_power_counts,
+    power_counts_are_zero,
+    rank_by_minors,
+)
 
 
 def exact_nonzero(expmat, order):
     """Reference verdict: the Leibniz determinant as a count vector."""
     return not power_counts_are_zero(det_leibniz_counts(expmat, order), order)
+
+
+def nonzero_minors(exps, order):
+    """The engine's verdicts on a stack of square minors: full exact rank."""
+    return np.array([exact_rank(m, order) == len(m) for m in exps])
+
+
+def images(exps, ctx):
+    """The residues mod q of w**exps under w -> root."""
+    return ctx.power_table()[np.asarray(exps) % ctx.order]
 
 
 # -- modular context ---------------------------------------------------------
@@ -57,7 +73,7 @@ def test_modular_context_composite_root_has_exact_order():
     assert pow(ctx.root, 6, q) != 1 and pow(ctx.root, 4, q) != 1
 
 
-# -- modular certificates ----------------------------------------------------
+# -- modular certificates: a full-rank image mod q ---------------------------
 
 
 def test_certify_fourier_minors_nonzero():
@@ -65,14 +81,15 @@ def test_certify_fourier_minors_nonzero():
     rows = np.array(list(itertools.combinations(range(p), 3)), dtype=np.int64)
     exps = rows[:, :, None] * rows[:, None, :] % p  # symmetric 3x3 minors
     ctx = modular_context(p, 0)
-    assert certify_nonzero_mod(exps, ctx).all()
+    assert (_rank_mod(images(exps, ctx), ctx.modulus) == 3).all()
 
 
 def test_certificate_survives_a_zero_pivot():
-    # the first elimination step zeroes the (1, 1) entry; a row swap finds
-    # the pivot below it, and the determinant -(w - 1)**2 is nonzero
+    # row 1 reduced by row 0 is zero in column 0, so it pivots on a later
+    # column; the determinant -(w - 1)**2 is nonzero
     exps = np.array([[[0, 0, 0], [0, 0, 1], [0, 1, 0]]], dtype=np.int64)
-    assert certify_nonzero_mod(exps, modular_context(5, 0)).all()
+    ctx = modular_context(5, 0)
+    assert _rank_mod(images(exps, ctx), ctx.modulus).tolist() == [3]
 
 
 def test_certificate_withheld_for_singular():
@@ -80,7 +97,67 @@ def test_certificate_withheld_for_singular():
     exps = np.array([[[0, 1], [0, 1]]], dtype=np.int64)
     for index in (0, 1):
         ctx = modular_context(5, index)
-        assert not certify_nonzero_mod(exps, ctx).any()
+        assert _rank_mod(images(exps, ctx), ctx.modulus).tolist() == [1]
+    assert exact_rank(exps[0], 5) == 1
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.integers(1, 6),
+            st.lists(st.lists(st.integers(0, 12), min_size=6, max_size=6), min_size=k, max_size=k),
+            st.sampled_from(("none", "row", "column", "zero row")),
+            st.integers(0, k - 1),
+            st.integers(0, k - 1),
+        )
+    )
+)
+@settings(max_examples=60)
+def test_batched_rank_matches_echelon_and_determinant(case):
+    # square, wide (k < D) and tall (k > D) images in a field of about 100
+    # elements, where rank drops mod q are common, with planted dependent
+    # rows and columns and all-zero rows
+    dim, rows, plant, src, dst = case
+    q = 101
+    values = np.array(rows, dtype=np.int64)[:, :dim] % q
+    if plant == "row":
+        values[dst] = values[src] * 7 % q
+    if plant == "column":
+        values[:, -1] = values[:, 0] * 3 % q
+    if plant == "zero row":
+        values[dst] = 0
+    stack = np.stack([values, values[::-1], (values * 5 + 1) % q])
+    ranks = _rank_mod(stack, q)
+    for matrix, rank in zip(stack, ranks):
+        assert rank == len(_modular_echelon(matrix, q)[0])
+        if matrix.shape[0] == matrix.shape[1]:
+            assert (rank == dim) == (det_mod(matrix, q) != 0)
+
+
+@pytest.mark.parametrize(
+    "shape, planted, expected",
+    (
+        ((2, 5), "copied row", 1),  # a circuit of two rows
+        ((3, 6), "none", 3),  # k < D
+        ((6, 3), "none", 3),  # k > D: rank D
+        ((5, 3), "rank one", 1),
+        ((4, 4), "copied column", 3),
+    ),
+)
+def test_exact_rank_of_rectangular_tables(shape, planted, expected):
+    # distinct order-7 Fourier rows are independent by Chebotarev's
+    # theorem; each planted dependence is a row or column that repeats
+    # another times a power of w, and the oracle confirms the rank
+    k, dim = shape
+    order = 7
+    exps = np.outer(np.arange(1, k + 1), np.arange(dim)) % order
+    if planted == "copied row":
+        exps[1] = (exps[0] + 3) % order
+    if planted == "rank one":
+        exps = np.repeat(2 * np.arange(k)[:, None], dim, axis=1) % order
+    if planted == "copied column":
+        exps[:, -1] = (exps[:, 0] + 1) % order
+    assert exact_rank(exps, order) == rank_by_minors(exps, order) == expected
 
 
 # -- subset expansion (the reference in oracles) ------------------------------
@@ -124,7 +201,7 @@ def test_counts_agree_with_field_elimination(case):
     np.testing.assert_array_equal(det_power_counts(exps, order), det_leibniz_counts(exps, order))
 
 
-# -- nonzero verdicts: the negated zero proof ---------------------------------
+# -- nonzero verdicts: a minor of full exact rank ------------------------------
 
 
 @given(
@@ -145,7 +222,7 @@ def test_counts_agree_with_field_elimination(case):
 def test_decide_nonzero_matches_reference(case):
     k, order, batches = case
     exps = np.array(batches, dtype=np.int64) % order
-    verdicts = ~multimodular_zero(exps, order)
+    verdicts = nonzero_minors(exps, order)
     for t in range(exps.shape[0]):
         assert verdicts[t] == exact_nonzero(exps[t], order)
 
@@ -193,7 +270,7 @@ def test_scaling_preserves_verdicts(ss):
     rng = np.random.default_rng(3)
     exps = rng.integers(0, order, size=(6, 3, 3))
     exps[0, 2] = (exps[0, 0] + 1) % order  # a zero minor: row 2 is w * row 0
-    verdicts = ~multimodular_zero(exps, order)
+    verdicts = nonzero_minors(exps, order)
     assert not verdicts[0]
     for t in range(exps.shape[0]):
         assert verdicts[t] == scaled_nonzero(exps[t], order, scales)
@@ -202,7 +279,7 @@ def test_scaling_preserves_verdicts(ss):
 def test_decide_nonzero_detects_exact_zeros():
     # order 2 (w = -1): [[1,1],[1,-1]] is regular, [[1,1],[1,1]] is not
     exps = np.array([[[0, 0], [0, 1]], [[0, 0], [0, 0]]], dtype=np.int64)
-    verdicts = ~multimodular_zero(exps, 2)
+    verdicts = nonzero_minors(exps, 2)
     np.testing.assert_array_equal(verdicts, [True, False])
 
 
@@ -211,7 +288,7 @@ def test_decide_nonzero_composite_order():
     rows = np.array([0, 2])
     cols = np.array([0, 2])
     exps = (rows[:, None] * cols[None, :] % 4)[None, :, :]
-    assert multimodular_zero(exps, 4)[0]
+    assert exact_rank(exps[0], 4) == 1
 
 
 @given(
@@ -229,14 +306,14 @@ def test_planted_two_by_two_zeros_match_leibniz(order, abc, others):
     a, b, c = abc
     planted = [[a, b], [c, (b + c - a) % order]]
     exps = np.array([planted] + others, dtype=np.int64) % order
-    verdicts = ~multimodular_zero(exps, order)
+    verdicts = nonzero_minors(exps, order)
     assert not verdicts[0]
     np.testing.assert_array_equal(verdicts, [exact_nonzero(m, order) for m in exps])
     for t, m in enumerate(exps):
         assert verdicts[t] == ((m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0]) % order != 0)
 
 
-# -- multimodular zero proofs ------------------------------------------------
+# -- zero proofs: a rank below the size under every embedding ----------------
 
 
 def test_zero_proof_beyond_subset_expansion():
@@ -250,7 +327,7 @@ def test_zero_proof_beyond_subset_expansion():
         exps = np.stack([fourier, singular])
         assert math.factorial(16) > modular_context(order, 0).modulus ** 2
         assert abs(np.linalg.det(np.exp(2j * np.pi * fourier / order))) > 1.0
-        np.testing.assert_array_equal(multimodular_zero(exps, order), [False, True])
+        assert [exact_rank(m, order) for m in exps] == [16, 15]
 
 
 @given(
@@ -282,7 +359,7 @@ def test_zero_proof_matches_reduction_on_planted_zeros(case):
         # rows {0, 2} and columns {0, 2} at order 4
         exps = np.outer(exps[:, 0], exps[0]) % order
     expected = power_counts_are_zero(det_power_counts(exps[None], order), order)[0]
-    assert multimodular_zero(exps[None], order)[0] == expected
+    assert (exact_rank(exps, order) < len(exps)) == expected
     assert expected or not planted
 
 
@@ -300,13 +377,12 @@ def test_small_fields_make_spurious_zero_images(small_fields):
     assert ctx.modulus < 200
     rng = np.random.default_rng(5)
     exps = rng.integers(0, order, size=(600, 4, 4))
-    verdicts = ~multimodular_zero(exps, order)
+    verdicts = nonzero_minors(exps, order)
     reduction = ~power_counts_are_zero(det_power_counts(exps, order), order)
     np.testing.assert_array_equal(verdicts, reduction)
-    table = ctx.power_table()
-    image_zero = np.array([det_mod(table[e], ctx.modulus) == 0 for e in exps])
-    # with row pivoting, a withheld certificate means a zero image
-    np.testing.assert_array_equal(certify_nonzero_mod(exps, ctx), ~image_zero)
+    image_zero = np.array([det_mod(e, ctx.modulus) == 0 for e in images(exps, ctx)])
+    # a rank drop of the image mod q is exactly a zero image
+    np.testing.assert_array_equal(_rank_mod(images(exps, ctx), ctx.modulus) < 4, image_zero)
     spurious = list(np.nonzero(reduction & image_zero)[0])
     assert spurious, "no nonzero minor vanished mod q; the escalation path did not run"
     for t in spurious + list(range(0, 600, 60)):
@@ -322,7 +398,7 @@ def test_small_fields_need_several_primes(small_fields):
         rng = np.random.default_rng(8)
         exps = rng.integers(0, order, size=(200, 5, 5))
         exps[::2, 4] = (exps[::2, 0] + 2) % order
-        zero = multimodular_zero(exps, order)
+        zero = ~nonzero_minors(exps, order)
         expected = power_counts_are_zero(det_power_counts(exps, order), order)
         np.testing.assert_array_equal(zero, expected)
         assert zero[::2].all() and not zero[1::2].all()
