@@ -22,6 +22,19 @@ have this form; the structure is checked, not assumed, and every other
 table (a copied row, a party with a repeated level, a composite order)
 goes through the scan below.
 
+`verify_all_bipartitions` checks the form once, on the full matrix, and
+then builds no side.  A side S's matrix is the full matrix on the columns
+where every party outside S sits at level 0, less a shift per row: the
+shift is the row's sum of those parties' level-0 exponents.  A row shift
+cancels in f, so the side's own f_S is those columns of the full f.  When
+f = r c^T with distinct r and distinct c, f_S = r c_S^T, with c_S part of
+c and so distinct too, and it has a nonzero entry, since k >= 2 and the
+side dimension is at least 2.  So every side has Fourier form and gets
+the verdict `spanning_property` would give it.  When the full check
+fails, each side is built and checked on its own, and a side without the
+offending structure (a party outside it with a repeated level, say) can
+still pass by the theorem.
+
 The spanning property asks every D-row subset of a side's k x D matrix M
 to have full rank.  Gauss-Jordan elimination of M^T mod q picks basis
 rows B with M_B nonsingular and gives A = M_rest M_B^-1.  Every maximal
@@ -73,7 +86,7 @@ import numpy as np
 from . import minors
 from .construct import ConstructionParams, ensure_valid
 from .cyclo import is_prime
-from .partition import Bipartition, FlatMatrix, coefficient_matrix, enumerate_bipartitions, factor_matrices
+from .partition import FlatMatrix, enumerate_bipartitions, exponent_blocks, restricted_matrix
 
 _WITNESS_CAP = 20
 # A Laplace pass over a rows x cols matrix (`_zero_minors`) holds, 8 bytes
@@ -87,7 +100,15 @@ _WITNESS_CAP = 20
 # sum_s C(rows, s) * C(cols, s) minors.  A pass above either bound is
 # refused before any table is built (`_check_scan_reach`).  The Fourier
 # survey's (14, 6) needs 30.9 MB and 14.2M minors, the sides of 3x3x3 at
-# k=26 at most 91.2 MB and 3.1M minors.
+# k=26 at most 91.2 MB and 3.1M minors.  The zero images of a spanning
+# scan, whose number only the minor count bounds, are counted once the
+# pass is done and refused before any is read out (`_zero_image_reach`).
+# Then the zero tables and the column tables are still held, and each
+# zero image adds its row set as a k-byte mask, a k-byte copy of it (among
+# the failures, or gathered by a circuit proof) and three flags; while its
+# size s is read out, it also holds its two indices, its row and column
+# sets, their row numbers and its place, 24 + 32 s bytes.  A side of
+# 3x3x3 at k=26 counts 60.0 MB that way, for 346,104 zero images.
 MAX_SCAN_BYTES = 2**29
 MAX_SCAN_MINORS = 2**27
 
@@ -251,6 +272,11 @@ def _modular_echelon(values: np.ndarray, q: int) -> tuple[list[int], list[int], 
     return sorted(origin[:r]), pivot_cols, a[:r]
 
 
+def _distinct(values: np.ndarray) -> bool:
+    ordered = np.sort(values)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
 def _fourier_form(flat: FlatMatrix) -> bool:
     """Whether w**E is a scaled submatrix of F_p (module docstring).
 
@@ -258,23 +284,19 @@ def _fourier_form(flat: FlatMatrix) -> bool:
     f[i, j] * f = f[:, j] f[i, :]^T mod p, and f[:, j] and f[i, :] are unit
     multiples of r - r_0 and c - c_0, which are distinct exactly when r and
     c are.  An all-zero f (a single row or column, or repeated r or c) does
-    not qualify.
+    not qualify.  The distinctness test is the cheaper, so it goes first.
     """
     p = flat.root_order
     if not is_prime(p):
         return False
-    e = flat.exponents % p
+    e = flat.exponents
     f = (e - e[:, :1] - e[:1, :] + e[0, 0]) % p
     nonzero = np.flatnonzero(f)
     if not nonzero.size:
         return False
     i, j = divmod(int(nonzero[0]), f.shape[1])
     r, c = f[:, j], f[i, :]
-    return bool(
-        (f * f[i, j] % p == np.outer(r, c) % p).all()
-        and np.unique(r).size == r.size
-        and np.unique(c).size == c.size
-    )
+    return _distinct(r) and _distinct(c) and bool((f * f[i, j] % p == np.outer(r, c) % p).all())
 
 
 def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
@@ -316,6 +338,12 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     k, dim = flat.exponents.shape
     if _fourier_form(flat):
         return k <= dim, min(k, dim), "chebotarev"
+    return _proven_rank(flat)
+
+
+def _proven_rank(flat: FlatMatrix) -> tuple[bool, int, str]:
+    """`rank_full` of a matrix already known not to have Fourier form."""
+    k, dim = flat.exponents.shape
     circuits = _proven_circuits(flat.exponents, flat.root_order)
     if not circuits:
         return k <= dim, min(k, dim), "modular"
@@ -472,14 +500,37 @@ def spanning_property(flat: FlatMatrix) -> SpanningCheck:
             f"{k} vectors cannot satisfy the spanning hypothesis on a dimension-{dim} side"
         )
     if _fourier_form(flat):
-        failures, witness, method = 0, None, "chebotarev"
-    else:
-        (failures, witness), method = _spanning_scan(flat), "modular"
+        return _spanning_check(flat.parties, k, dim)
+    return _spanning_check(flat.parties, k, dim, *_spanning_scan(flat), method="modular")
+
+
+def _spanning_check(
+    parties, k: int, dim: int, failures: int = 0, witness=None, method: str = "chebotarev"
+) -> SpanningCheck:
     total = math.comb(k, dim)
     return SpanningCheck(
-        parties=flat.parties, dimension=dim, subsets_total=total, ok=failures == 0,
+        parties=tuple(parties), dimension=dim, subsets_total=total, ok=failures == 0,
         witness=witness, failures=failures, methods={method: total},
     )
+
+
+def _zero_image_reach(what: str, zero: list, k: int, cols: int) -> int:
+    """The number of zero images in the tables of a spanning scan's pass
+    over cols columns; raises ValueError unless, read out as row-set masks
+    over k rows, they fit MAX_SCAN_BYTES (its comment)."""
+    counts = [int(np.count_nonzero(table)) for table in zero]
+    held = (
+        sum(table.size for table in zero)
+        + 8 * sum((2 * s + 1) * math.comb(cols, s) for s in range(len(zero)))
+        + sum(counts) * (2 * k + 3)
+        + max(count * (24 + 32 * s) for s, count in enumerate(counts))
+    )
+    if held > MAX_SCAN_BYTES:
+        raise ValueError(
+            f"{what} has {sum(counts)} zero images, which need {held} bytes at once, "
+            f"above the supported {MAX_SCAN_BYTES}"
+        )
+    return sum(counts)
 
 
 def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
@@ -497,7 +548,7 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
         ctx = minors.modular_context(order, index)
         _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
         if len(basis) < dim:
-            if index == 0 and rank_full(flat)[1] < dim:
+            if index == 0 and _proven_rank(flat)[1] < dim:
                 return math.comb(k, dim), tuple(range(dim))  # every maximal minor vanishes
             continue
         rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
@@ -506,24 +557,21 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
         # the pass walks the row sets, so it runs on the side with fewer rows
         flipped = len(rest) < dim
         size = min(dim, len(rest))
-        _check_scan_reach(
-            f"a spanning scan of a {k} x {dim} side", size, max(dim, len(rest)), size
-        )
+        what, cols = f"a spanning scan of a {k} x {dim} side", max(dim, len(rest))
+        _check_scan_reach(what, size, cols, size)
         zero = _zero_minors(schur.T if flipped else schur, ctx.modulus, size)
-        col_sets = _column_tables(max(dim, len(rest)), size)[0]
-        members = [np.zeros((0, k), dtype=bool)]
+        masks = np.zeros((_zero_image_reach(what, zero, k, cols), k), dtype=bool)
+        masks[:, basis] = True
+        row_sets, col_sets = _column_tables(size, size)[0], _column_tables(cols, size)[0]
+        filled = 0
         for s, table in enumerate(zero):
             i, j = np.nonzero(table)
-            if not len(i):
-                continue
-            rows, cols = np.array(list(itertools.combinations(range(size), s)))[i], col_sets[s][j]
-            dropped, added = (cols, rows) if flipped else (rows, cols)
-            member = np.zeros((len(rows), k), dtype=bool)
-            member[:, basis] = True
-            member[np.arange(len(rows))[:, None], basis[dropped]] = False
-            member[np.arange(len(rows))[:, None], rest[added]] = True
-            members.append(member)
-        masks = np.concatenate(members)
+            row_set, col_set = row_sets[s][i], col_sets[s][j]
+            dropped, added = (col_set, row_set) if flipped else (row_set, col_set)
+            at = np.arange(filled, filled + len(i))[:, None]
+            masks[at, basis[dropped]] = False
+            masks[at, rest[added]] = True
+            filled += len(i)
         failing = masks[_circuit_zeros(flat, masks)]
         if not len(failing):
             return 0, None
@@ -533,24 +581,42 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
 
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:
-    """Full-rank plus per-cut spanning over every canonical bipartition."""
+    """Full-rank plus per-cut spanning over every canonical bipartition.
+
+    The exponents are read once, as one int block per party.  When the full
+    matrix has Fourier form, so does every side (module docstring), and no
+    side is built; otherwise each side is built and checked on its own.
+    """
     ensure_valid(params, table)
     start = time.perf_counter()
+    blocks = exponent_blocks(params, table)
+    full = restricted_matrix(params, range(params.num_parties), blocks)
+    fourier = _fourier_form(full)
+    k = params.num_vectors
+
+    def side_check(parties) -> SpanningCheck:
+        if fourier:
+            return _spanning_check(parties, k, math.prod(params.dims[m] for m in parties))
+        return spanning_property(restricted_matrix(params, parties, blocks))
+
     # the cuts go first, so that a scan out of reach is refused before the
     # rank proof of a rank-deficient table, which can take seconds
     cuts = []
     for cut in enumerate_bipartitions(params.num_parties):
-        left_flat, right_flat = factor_matrices(params, cut, table)
+        left, right = side_check(cut.members), side_check(cut.complement)
         cuts.append(
             BipartitionCheck(
                 members=cut.members,
                 complement=cut.complement,
-                required_vectors=left_flat.dimension + right_flat.dimension - 1,
-                left=spanning_property(left_flat),
-                right=spanning_property(right_flat),
+                required_vectors=left.dimension + right.dimension - 1,
+                left=left,
+                right=right,
             )
         )
-    full_rank, rank, method = rank_full(coefficient_matrix(params, table))
+    if fourier:
+        full_rank, rank, method = k <= full.dimension, min(k, full.dimension), "chebotarev"
+    else:
+        full_rank, rank, method = _proven_rank(full)
     report = ExactReport(
         dims=params.dims,
         num_vectors=params.num_vectors,

@@ -4,6 +4,12 @@ Vector i has amplitude w**e[i, j] on column j; columns run over the
 parties' levels in product order, party 0 most significant.  The exact
 exponents (`coefficient_matrix`, per cut side `factor_matrices`) and the
 scaled complex K x D family (`build_nupb`) come from one exponent sum.
+
+The sum reads one (k, d_m) int64 block per party, built once per family
+(`exponent_blocks`): from the params alone by broadcasting, block[i, s] =
+i * (s * W_m mod p) mod p, or from a nested exponent table, the JSON
+exchange format, by one conversion per party.  A side's matrix is then a
+broadcast sum of its parties' blocks, with no loop over the rows.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionParams, ensure_valid, exponent_table
+from .construct import ConstructionParams, ensure_valid, mixed_radix_weights
 
 
 @dataclass(frozen=True, order=True)
@@ -92,12 +98,28 @@ class FlatMatrix:
         return np.exp(2j * np.pi * self.exponents / self.root_order)
 
 
-def _restricted_matrix(params: ConstructionParams, parties, table) -> FlatMatrix:
+def exponent_blocks(params: ConstructionParams, table=None) -> tuple[np.ndarray, ...]:
+    """Per party m, the (k, dims[m]) int64 block of exponents table[i][m][s];
+    with table None, the standard recipe i * s * W_m mod p, from the params."""
+    if table is None:
+        p = params.root_order
+        rows = np.arange(params.num_vectors, dtype=np.int64)[:, None]
+        return tuple(
+            rows * (np.arange(d, dtype=np.int64) * w % p) % p
+            for d, w in zip(params.dims, mixed_radix_weights(params.dims))
+        )
+    return tuple(
+        np.array([row[m] for row in table], dtype=np.int64).reshape(len(table), d)
+        for m, d in enumerate(params.dims)
+    )
+
+
+def restricted_matrix(params: ConstructionParams, parties, blocks) -> FlatMatrix:
+    """The coefficient matrix of the given parties, from `exponent_blocks`."""
     parties = tuple(parties)
     exps = np.zeros((params.num_vectors, 1), dtype=np.int64)
     for m in parties:
-        local = np.array([row[m] for row in table], dtype=np.int64)  # (k, dims[m])
-        exps = (exps[:, :, None] + local[:, None, :]).reshape(len(local), -1)
+        exps = (exps[:, :, None] + blocks[m][:, None, :]).reshape(params.num_vectors, -1)
     return FlatMatrix(
         root_order=params.root_order,
         parties=parties,
@@ -108,9 +130,7 @@ def _restricted_matrix(params: ConstructionParams, parties, table) -> FlatMatrix
 
 def coefficient_matrix(params: ConstructionParams, table=None) -> FlatMatrix:
     """The full K x D coefficient matrix of the family."""
-    if table is None:
-        table = exponent_table(params)
-    return _restricted_matrix(params, range(params.num_parties), table)
+    return restricted_matrix(params, range(params.num_parties), exponent_blocks(params, table))
 
 
 def factor_matrices(
@@ -119,11 +139,10 @@ def factor_matrices(
     """The two one-sided coefficient matrices of a bipartition."""
     if bipartition.num_parties != params.num_parties:
         raise ValueError("bipartition does not match the party count")
-    if table is None:
-        table = exponent_table(params)
+    blocks = exponent_blocks(params, table)
     return (
-        _restricted_matrix(params, bipartition.members, table),
-        _restricted_matrix(params, bipartition.complement, table),
+        restricted_matrix(params, bipartition.members, blocks),
+        restricted_matrix(params, bipartition.complement, blocks),
     )
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -352,6 +353,46 @@ def test_verify_certifies_shapes_past_the_scan(tmp_path, capsys, dims, k):
     assert exact["rank_method"] == "chebotarev" and exact["passed"] is True
     sides = [cut[s] for cut in exact["bipartitions"] for s in ("left", "right")]
     assert all(side["methods"] == {"chebotarev": side["subsets_total"]} for side in sides)
+
+
+def spy_on_exponent_table(monkeypatch) -> list:
+    """Record the params of each `construct.exponent_table` call, through
+    every gesforge module that holds the function."""
+    from gesforge import construct
+
+    real, calls, holders = construct.exponent_table, [], []
+
+    def spy(params):
+        calls.append(params)
+        return real(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gesforge" and getattr(module, "exponent_table", None) is real:
+            monkeypatch.setattr(module, "exponent_table", spy)
+            holders.append(name)
+    assert {"gesforge", "gesforge.construct", "gesforge.cli"} <= set(holders)
+    return calls
+
+
+def test_exponent_table_runs_once_per_command(tmp_path, monkeypatch):
+    # the library builds its exponents as int blocks from the params; a
+    # command builds the nested table once, for the vectors document
+    from gesforge import build_nupb, coefficient_matrix, factor_matrices, make_params
+    from gesforge import verify_all_bipartitions
+    from gesforge.partition import Bipartition
+
+    calls = spy_on_exponent_table(monkeypatch)
+    params = make_params(n=3, d=2, num_vectors=5)
+    verify_all_bipartitions(params)
+    factor_matrices(params, Bipartition(3, (0,)))
+    coefficient_matrix(params)
+    build_nupb(params)
+    assert calls == []
+    for command in ("verify", "report"):
+        argv = [command, "--n", "3", "--d", "2", "--k", "5", "--restarts", "2", "--out", "r.json"]
+        assert run(argv, tmp_path) == EXIT_OK
+        assert calls == [params], command
+        calls.clear()
 
 
 VERIFY_SMALL = ["verify", "--n", "2", "--d", "2", "--k", "3", "--restarts", "2", "--out", "r.json"]

@@ -506,6 +506,24 @@ def test_spanning_scan_bounds_the_minor_count(monkeypatch):
         spanning_property(right)
 
 
+def test_spanning_scan_counts_its_zero_images(monkeypatch):
+    # with row 0 copied over row 19, the 9-dimensional side {1, 2} of 3x3x3
+    # has C(18, 7) = 31,824 zero maximal minors.  Its pass over 9 x 11 peaks
+    # at 1,652,035 bytes, within 2 MiB; after it the zero and column tables
+    # take 167,960 + 194,576 bytes, the masks 31,824 * (2 * 20 + 3), and the
+    # most zero images of one size, 11,760 of size 5, 11,760 * (24 + 32 * 5)
+    params = make_params(dims=(3, 3, 3), num_vectors=20)
+    _, side = factor_matrices(params, Bipartition(3, (0,)), tampered_table(params))
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 2**21)
+    exactverify._check_scan_reach("", 9, 11, 9)
+    with pytest.raises(
+        ValueError, match="20 x 9 side has 31824 zero images, which need 3894808 bytes at once"
+    ):
+        spanning_property(side)
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 3894808)
+    assert spanning_property(side).failures == math.comb(18, 7)
+
+
 # -- whole-family verification --------------------------------------------------
 
 
@@ -576,6 +594,148 @@ def test_non_finite_scales_rejected():
         p = make_params(n=3, d=2, num_vectors=5, scales=scales)
         with pytest.raises(ValueError, match="party 0 level 1 is not finite"):
             verify_all_bipartitions(p)
+
+
+# -- one Fourier-form check for the whole family ---------------------------------
+
+
+def per_side_doc(params, table=None) -> dict:
+    """The exact report as the per-side path writes it: `spanning_property`
+    on each side of every cut and `rank_full` of the full matrix."""
+    cuts = []
+    for cut in enumerate_bipartitions(params.num_parties):
+        left, right = (spanning_property(side) for side in factor_matrices(params, cut, table))
+        cuts.append({
+            "members": list(cut.members),
+            "complement": list(cut.complement),
+            "required_vectors": left.dimension + right.dimension - 1,
+            "count_ok": True,
+            "ok": left.ok and right.ok,
+            "left": left.to_doc(),
+            "right": right.to_doc(),
+        })
+    full_rank, rank, method = rank_full(coefficient_matrix(params, table))
+    return {
+        "dims": list(params.dims),
+        "num_vectors": params.num_vectors,
+        "root_order": str(params.root_order),
+        "scales_exact": params.scales_exact,
+        "skipped": False,
+        "skip_reason": None,
+        "matrix_rank": rank,
+        "full_rank": full_rank,
+        "rank_method": method,
+        "passed": full_rank and all(cut["ok"] for cut in cuts),
+        "bipartitions": cuts,
+    }
+
+
+def family_doc(params, table=None) -> dict:
+    doc = verify_all_bipartitions(params, table).to_doc()
+    del doc["elapsed_seconds"]
+    return doc
+
+
+def side_methods(doc) -> list[tuple[tuple[int, ...], list[str]]]:
+    return [
+        (tuple(cut[side]["parties"]), list(cut[side]["methods"]))
+        for cut in doc["bipartitions"] for side in ("left", "right")
+    ]
+
+
+LADDER = {(2, 2): 3, (2, 2, 2): 7, (2, 2, 2, 2): 15, (3, 3): 8, (3, 3, 3): 18}
+
+
+@pytest.mark.parametrize("dims", LADDER)
+def test_one_form_check_matches_the_per_side_path_up_the_ladder(dims):
+    probe = make_params(dims=dims, num_vectors=LADDER[dims])
+    for k in range(probe.min_vectors, LADDER[dims] + 1):
+        params = make_params(dims=dims, num_vectors=k)
+        doc = family_doc(params)
+        assert doc == per_side_doc(params)
+        assert doc["rank_method"] == "chebotarev"
+        assert all(methods == ["chebotarev"] for _, methods in side_methods(doc))
+
+
+@pytest.mark.parametrize("kind", ("exact", "float"))
+@pytest.mark.parametrize("dims, k", (((3, 3), 7), ((2, 2, 2), 6), ((2, 2, 2, 2), 12), ((3, 3, 3), 16)))
+def test_one_form_check_matches_the_per_side_path_with_scales(dims, k, kind):
+    scales = tuple(
+        tuple(
+            GaussianRational(Fraction(s + 2, m + 3), s - m) if kind == "exact" else complex(0.5 + s, m - s)
+            for s in range(d)
+        )
+        for m, d in enumerate(dims)
+    )
+    params = make_params(dims=dims, num_vectors=k, scales=scales)
+    doc = family_doc(params)
+    assert doc == per_side_doc(params)
+    assert doc["scales_exact"] is (kind == "exact") and doc["passed"]
+
+
+def test_one_form_check_matches_the_per_side_path_at_a_larger_prime():
+    params = make_params(dims=(2, 2, 2), num_vectors=7, root_order=13)
+    doc = family_doc(params)
+    assert doc == per_side_doc(params)
+    assert doc["root_order"] == "13" and doc["rank_method"] == "chebotarev"
+
+
+@st.composite
+def relabelled_tables(draw):
+    """(params, table): a recipe table with its rows reordered, each party's
+    levels reordered, its exponents times a unit, and exponent shifts per
+    row and party and per party and level.  Every side keeps Fourier form."""
+    dims = draw(st.sampled_from(((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3))))
+    probe = make_params(dims=dims, num_vectors=math.prod(dims) - 1)
+    k = draw(st.integers(probe.min_vectors, probe.max_vectors))
+    params = make_params(dims=dims, num_vectors=k)
+    order, base = params.root_order, exponent_table(params)
+    rows = draw(st.permutations(range(k)))
+    levels = [draw(st.permutations(range(d))) for d in dims]
+    unit = draw(st.integers(1, order - 1))
+    shift = st.integers(0, order - 1)
+    row_shifts = [draw(st.lists(shift, min_size=len(dims), max_size=len(dims))) for _ in range(k)]
+    level_shifts = [draw(st.lists(shift, min_size=d, max_size=d)) for d in dims]
+    table = [
+        [
+            [
+                (unit * base[rows[i]][m][levels[m][s]] + row_shifts[i][m] + level_shifts[m][s]) % order
+                for s in range(d)
+            ]
+            for m, d in enumerate(dims)
+        ]
+        for i in range(k)
+    ]
+    return params, table
+
+
+@given(relabelled_tables())
+@settings(max_examples=40)
+def test_one_form_check_matches_the_per_side_path_on_relabelled_tables(case):
+    params, table = case
+    doc = family_doc(params, table)
+    assert doc == per_side_doc(params, table)
+    assert doc["rank_method"] == "chebotarev"
+    assert all(methods == ["chebotarev"] for _, methods in side_methods(doc))
+
+
+@pytest.mark.parametrize(
+    "dims, k, party", (((3, 3), 6, 0), ((2, 2, 2), 7, 1), ((2, 2, 2, 2), 9, 3), ((3, 3, 3), 14, 2))
+)
+def test_a_repeated_level_fails_the_full_check_but_not_the_sides_without_it(dims, k, party):
+    # level 1 of one party equals its level 0 in every row: the full matrix
+    # has two equal columns, so every side holding that party falls to the
+    # scan, and every side without it still passes by the theorem
+    params = make_params(dims=dims, num_vectors=k)
+    table = [[list(loc) for loc in row] for row in exponent_table(params)]
+    for row in table:
+        row[party][1] = row[party][0]
+    assert not _fourier_form(coefficient_matrix(params, table))
+    doc = family_doc(params, table)
+    assert doc == per_side_doc(params, table)
+    assert doc["rank_method"] != "chebotarev" and not doc["passed"]
+    for parties, methods in side_methods(doc):
+        assert methods == (["modular"] if party in parties else ["chebotarev"])
 
 
 def svd_ranks(matrices: np.ndarray) -> np.ndarray:
