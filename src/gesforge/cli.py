@@ -18,7 +18,7 @@ from .construct import (
     ConstructionParams,
     exponent_table,
     make_params,
-    scale_from_json,
+    scales_from_json,
     validate_params,
     vectors_from_doc,
     vectors_to_doc,
@@ -84,7 +84,7 @@ def _load_scales(path: str | None):
     if not isinstance(doc, list):
         raise InputError("scale file must hold a list with one entry list per party")
     try:
-        return tuple(tuple(scale_from_json(s) for s in row) for row in doc)
+        return scales_from_json(doc)
     except Exception as exc:
         raise InputError(f"bad scale entry: {exc}")
 
@@ -134,12 +134,7 @@ def _family_from_args(args):
 
 
 def _options_from_args(args) -> OptimizerOptions:
-    return OptimizerOptions(
-        restarts=args.restarts,
-        tol=args.tol,
-        threshold=args.threshold,
-        seed=_resolve_seed(args),
-    )
+    return OptimizerOptions(restarts=args.restarts, seed=_resolve_seed(args))
 
 
 def _summary_lines(params: ConstructionParams) -> list[str]:
@@ -312,8 +307,7 @@ def _add_family_flags(sub, with_input: bool) -> None:
 
 def _add_numeric_flags(sub) -> None:
     sub.add_argument("--restarts", type=int, default=50)
-    sub.add_argument("--tol", type=float, default=1e-12)
-    sub.add_argument("--threshold", type=float, default=1e-6)
+    sub.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="exact plus numeric certification")
     _add_family_flags(v, with_input=True)
     _add_numeric_flags(v)
-    v.add_argument("--seed", type=int)
     v.add_argument("--out", help="write the combined report JSON here")
     v.set_defaults(func=cmd_verify)
 
@@ -351,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = subs.add_parser("report", help="construct, verify, and bundle everything")
     _add_family_flags(r, with_input=True)
     _add_numeric_flags(r)
-    r.add_argument("--seed", type=int)
     r.add_argument("--out", help="output path (default report.json)")
     r.set_defaults(func=cmd_report)
     return parser

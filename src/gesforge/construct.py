@@ -76,26 +76,6 @@ def mixed_radix_weights(dims) -> tuple[int, ...]:
     return tuple(reversed(weights))
 
 
-def _min_vectors(dims) -> int:
-    """Smallest family size supporting every bipartition's spanning demand.
-
-    A cut needs at least D_S + D_Sbar - 1 members; take the worst cut.
-    For n equal dimensions d this is d**(n-1) + d - 1.
-    """
-    n = len(dims)
-    worst = 0
-    for mask in range(1, 2 ** n - 1):
-        left = 1
-        right = 1
-        for m in range(n):
-            if mask >> m & 1:
-                left *= dims[m]
-            else:
-                right *= dims[m]
-        worst = max(worst, left + right - 1)
-    return worst
-
-
 @dataclass(frozen=True)
 class ConstructionParams:
     """Family shape: local dimensions, member count, root order, scales.
@@ -128,7 +108,14 @@ class ConstructionParams:
 
     @property
     def min_vectors(self) -> int:
-        return _min_vectors(self.dims)
+        """Smallest family size supporting every bipartition's spanning demand.
+
+        A cut needs at least D_S + D_Sbar - 1 members; take the worst cut.
+        Every side has d_min <= D_S <= D / d_min, and D_S + D / D_S is
+        largest at those two ends, which the cut around a party of dimension
+        d_min reaches.  For n equal dimensions d this is d**(n-1) + d - 1.
+        """
+        return self.total_dim // min(self.dims) + min(self.dims) - 1
 
     @property
     def max_vectors(self) -> int:
@@ -328,6 +315,21 @@ def scale_from_json(obj) -> Scale:
         raise ValueError(f"scale {obj!r} does not fit a double")
 
 
+def scales_from_json(doc) -> tuple[tuple[Scale, ...], ...]:
+    """One list of scale entries per party, as `scale_from_json` reads them."""
+    return tuple(
+        tuple(scale_from_json(s) for s in _json_list(row, "a party's scales"))
+        for row in _json_list(doc, "scales")
+    )
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON list; a string or any other value where a list belongs raises."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _rational_from_json(value) -> Fraction:
     """An exact scale part: a rational string or an int; floats and booleans raise."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -359,13 +361,11 @@ def params_from_json(doc) -> ConstructionParams:
     if not isinstance(doc, dict):
         raise ValueError("params must be a JSON object")
     scales = doc.get("scales")
-    if scales is not None:
-        scales = tuple(tuple(scale_from_json(s) for s in row) for row in scales)
     return ConstructionParams(
-        dims=tuple(_int_from_json(d) for d in doc["dims"]),
+        dims=tuple(_int_from_json(d) for d in _json_list(doc["dims"], "dims")),
         num_vectors=_int_from_json(doc["num_vectors"]),
         root_order=_int_from_json(doc["root_order"]),
-        scales=scales,
+        scales=None if scales is None else scales_from_json(scales),
     )
 
 
@@ -396,7 +396,11 @@ def vectors_from_doc(doc) -> tuple[ConstructionParams, list[list[list[int]]], st
     if not isinstance(doc, dict) or doc.get("schema") != "gesforge/vectors":
         raise ValueError("not a vectors document")
     params = params_from_json(doc["params"])
-    table = [[[_int_from_json(e) for e in loc] for loc in row] for row in doc["exponent_table"]]
+    table = [
+        [[_int_from_json(e) for e in _json_list(loc, "a party's exponents")]
+         for loc in _json_list(row, "an exponent_table row")]
+        for row in _json_list(doc["exponent_table"], "exponent_table")
+    ]
     # provenance is re-derived, not trusted: an edited table is user-supplied
     # no matter what the file claims
     provenance = "standard-recipe" if is_standard_table(params, table) else "user-supplied"

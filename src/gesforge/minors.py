@@ -12,7 +12,9 @@ of exact order n in F_q for deterministically chosen primes q = 1 (mod n)
 and a running over the phi(n) units mod n:
 
 * certificates: a determinant that is nonzero mod q is nonzero, full stop.
-  The converse does not hold, so a zero image only escalates the minor.
+  The converse does not hold, so a zero image decides nothing alone: the
+  exact rank below settles it (the rank and the spanning check), or its
+  orbit does (the Fourier-minor scan of `exactverify`).
 * zero proofs (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5):
   an m x m minor is sum_t c_t w**t with sum_t |c_t| <= m!.  Reduced
   modulo the cyclotomic polynomial Phi_n it is sum_i r_i w**i

@@ -33,6 +33,11 @@ _RESIDUAL_TOL = 1e-10
 # Sweeps of one restart stop here; a restart that reaches the cap reports
 # converged = False.
 MAX_SWEEPS = 500
+# A restart has converged once a sweep moves its value by less than TOL.
+TOL = 1e-12
+# A cut's minimum passes the numeric check above THRESHOLD.  The verdict is
+# the exact stage's proof; this only flags a tight margin.
+THRESHOLD = 1e-6
 # A stacked search over R restarts of (d_left, d_right) cuts holds, 16 bytes
 # a complex entry, per restart its two factors and their start draw, twice
 # (the active set and the finished one), and per half step its outer
@@ -48,8 +53,8 @@ MAX_SEARCH_BYTES = 2**26
 class OptimizerOptions:
     """Knobs for the alternating eigenvector searches.
 
-    Defaults: 50 restarts, 1e-12 convergence tolerance, pass threshold
-    1e-6, seed 0; each restart stops after at most MAX_SWEEPS sweeps.
+    Defaults: 50 restarts, seed 0; each restart stops once a sweep moves
+    its value by less than TOL, or after MAX_SWEEPS sweeps.
     Each cut's starts come from one stream, seeded by the seed, the
     search's direction (0 minimises, 1 maximises) and the cut's index in
     `enumerate_bipartitions`; restart r takes block r of it.  So restart
@@ -58,8 +63,6 @@ class OptimizerOptions:
     """
 
     restarts: int = 50
-    tol: float = 1e-12
-    threshold: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -67,32 +70,41 @@ class OptimizerOptions:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("tol", "threshold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_doc(self) -> dict:
         return {
             "restarts": self.restarts,
             "max_sweeps": MAX_SWEEPS,
-            "tol": self.tol,
-            "threshold": self.threshold,
+            "tol": TOL,
+            "threshold": THRESHOLD,
             "seed": self.seed,
         }
 
 
 @dataclass
 class BiproductSearch:
-    """Best value found plus the achieving biproduct state."""
+    """One cut's search: the best value found and its biproduct witness."""
 
+    members: tuple[int, ...]
+    complement: tuple[int, ...]
     value: float
     left: np.ndarray
     right: np.ndarray
-    state: np.ndarray
+    witness: np.ndarray
     sweeps: int
     converged: bool
     restarts_agreeing: int
+
+    def to_doc(self) -> dict:
+        return {
+            "members": list(self.members),
+            "complement": list(self.complement),
+            "min_biproduct_value": self.value,
+            "converged": self.converged,
+            "sweeps": self.sweeps,
+            "restarts_agreeing": self.restarts_agreeing,
+            "witness": [[z.real, z.imag] for z in self.witness],
+        }
 
 
 @dataclass
@@ -121,34 +133,14 @@ class GesBasis:
 
 
 @dataclass
-class CutOutcome:
-    members: tuple[int, ...]
-    complement: tuple[int, ...]
-    value: float
-    converged: bool
-    sweeps: int
-    restarts_agreeing: int
-    witness: np.ndarray
-
-    def to_doc(self) -> dict:
-        return {
-            "members": list(self.members),
-            "complement": list(self.complement),
-            "min_biproduct_value": self.value,
-            "converged": self.converged,
-            "sweeps": self.sweeps,
-            "restarts_agreeing": self.restarts_agreeing,
-            "witness": [[z.real, z.imag] for z in self.witness],
-        }
-
-
-@dataclass
 class NumericCertificate:
+    # a class constant, echoed in the report; the exact stage decides the verdict
+    threshold = THRESHOLD
+
     dims: tuple[int, ...]
     num_vectors: int
-    threshold: float
     options: OptimizerOptions
-    outcomes: list = field(default_factory=list)
+    outcomes: list[BiproductSearch] = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
@@ -234,7 +226,7 @@ def _alternating_extremum(
     cut's effective operators with one matmul of its slice against its
     operator reshaped to (a c),(b d), and solves all of them with one
     stacked eigh; a restart is written out and leaves the active set once
-    its value moves by less than tol.  Nothing a cut computes reads another
+    its value moves by less than TOL.  Nothing a cut computes reads another
     cut's rows, so its outcome does not depend on the others.  Returns per
     cut the best restart's (value, left, right, sweeps, converged), ties
     going to the lowest restart index, and the final values of all its
@@ -277,7 +269,7 @@ def _alternating_extremum(
     for sweep in range(MAX_SWEEPS):
         _, lefts = half_step(rights, to_left, counts, d_left)
         new_values, rights = half_step(lefts, by_pairs, counts, d_right)
-        done = np.abs(new_values - values) < options.tol
+        done = np.abs(new_values - values) < TOL
         values = new_values
         if done.any():
             finished = owner[done]
@@ -317,10 +309,12 @@ def _search_result(outcome, minimize: bool, dims, cut: Bipartition) -> Biproduct
     value, left, right, sweeps, converged, finals = outcome
     agreeing = np.abs(finals - value) <= 1e-6 * abs(value) + 1e-15
     return BiproductSearch(
+        members=cut.members,
+        complement=cut.complement,
         value=max(value, 0.0) if minimize else min(value, 1.0),
         left=left,
         right=right,
-        state=_ungroup_state(left, right, dims, cut),
+        witness=_ungroup_state(left, right, dims, cut),
         sweeps=sweeps,
         converged=converged,
         restarts_agreeing=int(np.count_nonzero(agreeing)),
@@ -435,25 +429,12 @@ def certify_ges_numeric(rows, dims, options: OptimizerOptions | None = None) -> 
     dims = tuple(dims)
     operator = family_operator(rows)
     _check_hermitian(operator)
-    cuts = enumerate_bipartitions(len(dims))
-    found = _biproduct_searches(operator, dims, cuts, True, options)
+    outcomes = _biproduct_searches(operator, dims, enumerate_bipartitions(len(dims)), True, options)
     return NumericCertificate(
         dims=dims,
         num_vectors=len(rows),
-        threshold=options.threshold,
         options=options,
-        outcomes=[
-            CutOutcome(
-                members=cut.members,
-                complement=cut.complement,
-                value=search.value,
-                converged=search.converged,
-                sweeps=search.sweeps,
-                restarts_agreeing=search.restarts_agreeing,
-                witness=search.state,
-            )
-            for cut, search in zip(cuts, found)
-        ],
+        outcomes=outcomes,
         elapsed=time.perf_counter() - start,
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from gesforge.cyclo import power_reduction_matrix
-from gesforge.numcert import MAX_SWEEPS
+from gesforge.numcert import MAX_SWEEPS, TOL
 
 # Subset expansion is exponential in the minor size.
 DP_SIZE_LIMIT = 14
@@ -185,7 +185,7 @@ def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options,
     The restarts read their starts in order from the cut's one seeded
     stream, block r of a (restarts, 2, d_right) normal draw for restart r,
     as the package's stacked search does.  Each restart runs its own
-    einsum/eigh sweeps until its value moves by less than tol, or for at
+    einsum/eigh sweeps until its value moves by less than TOL, or for at
     most MAX_SWEEPS sweeps; the best restart wins, ties going to the
     earliest.  Returns (value, left, right, sweeps, converged).
     """
@@ -211,7 +211,7 @@ def alternating_extremum_reference(grouped: np.ndarray, minimize: bool, options,
             w, vecs = np.linalg.eigh((eff_right + eff_right.conj().T) / 2)
             right = vecs[:, pick]
             new_value = float(w[pick])
-            if value is not None and abs(new_value - value) < options.tol:
+            if value is not None and abs(new_value - value) < TOL:
                 value = new_value
                 converged = True
                 break

@@ -191,7 +191,7 @@ def test_criterion_5_numeric_certification_grid(capsys):
         ]
         best = min(searches, key=lambda s: s.value)
         assert best.value < CONTROL_CEILING
-        residual = np.linalg.norm(best.state.reshape(2, -1)[0])
+        residual = np.linalg.norm(best.witness.reshape(2, -1)[0])
         assert residual < WITNESS_TOL
         assert time.perf_counter() - start < BUDGET_NUMERIC
 

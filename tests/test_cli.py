@@ -4,6 +4,7 @@ import copy
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,16 @@ def test_construct_rejects_bad_dims_string(tmp_path, capsys):
     code = run(["construct", "--dims", "2,x", "--k", "4"], tmp_path)
     assert code == EXIT_INVALID
     assert "comma list" in capsys.readouterr().err
+
+
+def test_construct_past_the_root_order_limit_exits_at_once(tmp_path, capsys):
+    # validation reads the worst cut's demand off the dimensions, without
+    # walking the 2^30 - 2 cuts
+    start = time.perf_counter()
+    assert run(["construct", "--n", "30", "--d", "2", "--k", "5"], tmp_path) == EXIT_INVALID
+    assert time.perf_counter() - start < 2.0
+    assert "at least 536870913 are needed" in capsys.readouterr().err
+    assert not (tmp_path / "vectors.json").exists()
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -164,6 +175,16 @@ def test_verify_zero_scale_rejected(tmp_path, capsys):
     code = run(["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json"], tmp_path)
     assert code == EXIT_INVALID
     assert "zero" in capsys.readouterr().err
+
+
+def test_scale_row_as_a_string_exit_invalid(tmp_path, capsys):
+    # "12" is no row of scales, not the two scales 1 and 2
+    (tmp_path / "h.json").write_text(json.dumps(["12", ["1", "1"], ["1", "1"]]))
+    argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scale entry: a party's scales must be a JSON list")
+    assert not (tmp_path / "r.json").exists()
 
 
 HUGE_EXACT = "1" + "0" * 400
@@ -502,11 +523,12 @@ def test_exact_proof_decides_below_numeric_threshold(tmp_path, capsys, command):
 
 
 def test_float_scales_take_the_exact_verdict_below_threshold(tmp_path, capsys):
-    # a numeric minimum under the threshold is only a margin, also with float scales
-    h = [[[1.0, 0.0], [0.5, 0.5]], ["1", "1"], ["1", "1"]]
+    # a numeric minimum under the threshold is only a margin, also with float
+    # scales: three qutrits at eleven vectors are tight (KNOWN_TIGHT)
+    h = [[[1.0, 0.0], [0.5, 0.5], "1"], ["1", "1", "1"], ["1", "1", "1"]]
     (tmp_path / "h.json").write_text(json.dumps(h))
-    argv = ["verify", "--n", "3", "--d", "2", "--k", "5", "--h-file", "h.json", "--out", "r.json"]
-    assert run(argv + ["--threshold", "10"], tmp_path) == EXIT_OK
+    argv = ["verify", "--n", "3", "--d", "3", "--k", "11", "--h-file", "h.json", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_OK
     out = capsys.readouterr().out
     assert "below threshold (tight)" in out and "verdict: certified" in out
     doc = read_json(tmp_path / "r.json")
@@ -546,6 +568,65 @@ def test_numeric_stage_reports_its_elapsed_time(tmp_path, command):
     assert run(argv, tmp_path) == EXIT_OK
     numeric = read_json(tmp_path / "r.json")["numeric"]
     assert 0.0 < numeric["elapsed_seconds"] < 60.0
+
+
+def key_paths(doc, prefix=""):
+    """Dotted paths of every key under doc, lists collapsed to [], values ignored."""
+    if isinstance(doc, dict):
+        paths = set()
+        for key, value in doc.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(value, path)
+        return paths
+    if isinstance(doc, list):
+        return set().union(*(key_paths(item, prefix + "[]") for item in doc))
+    return set()
+
+
+SIDE_KEYS = ("dimension", "failures", "methods", "methods.chebotarev", "ok", "parties",
+             "subsets_total", "witness")
+REPORT_KEYS = {
+    "schema", "schema_version", "passed",
+    "run_config", "run_config.arguments", "run_config.command", "run_config.seed",
+    "run_config.tool", "run_config.tool_version",
+    "exact", "exact.dims", "exact.elapsed_seconds", "exact.full_rank", "exact.matrix_rank",
+    "exact.num_vectors", "exact.passed", "exact.rank_method", "exact.root_order",
+    "exact.scales_exact", "exact.skip_reason", "exact.skipped",
+    "exact.bipartitions", "exact.bipartitions[].complement", "exact.bipartitions[].count_ok",
+    "exact.bipartitions[].members", "exact.bipartitions[].ok",
+    "exact.bipartitions[].required_vectors",
+    *(f"exact.bipartitions[].{side}" for side in ("left", "right")),
+    *(f"exact.bipartitions[].{side}.{key}" for side in ("left", "right") for key in SIDE_KEYS),
+    "numeric", "numeric.dims", "numeric.elapsed_seconds", "numeric.min_value",
+    "numeric.num_vectors", "numeric.passed", "numeric.threshold",
+    "numeric.options", "numeric.options.max_sweeps", "numeric.options.restarts",
+    "numeric.options.seed", "numeric.options.threshold", "numeric.options.tol",
+    "numeric.bipartitions", "numeric.bipartitions[].complement",
+    "numeric.bipartitions[].converged", "numeric.bipartitions[].members",
+    "numeric.bipartitions[].min_biproduct_value", "numeric.bipartitions[].restarts_agreeing",
+    "numeric.bipartitions[].sweeps", "numeric.bipartitions[].witness",
+}
+DOCUMENT_KEYS = {
+    "verify": REPORT_KEYS | {"provenance"},
+    "report": REPORT_KEYS | {
+        "basis", "basis.columns", "basis.dimension", "basis.dims",
+        "basis.orthonormality_error", "basis.residual_max",
+        "vectors", "vectors.amplitudes", "vectors.exponent_table", "vectors.provenance",
+        "vectors.schema", "vectors.schema_version", "vectors.params", "vectors.params.dims",
+        "vectors.params.num_vectors", "vectors.params.root_order", "vectors.params.scales",
+    },
+}
+
+
+@pytest.mark.parametrize("command", DOCUMENT_KEYS)
+def test_document_key_paths_are_pinned(tmp_path, command):
+    # readers of the report (perfbench among them) look these keys up: a key
+    # added, renamed or dropped here needs a SCHEMA_VERSION decision first.
+    # run_config.arguments echoes argv, so what it holds is left out.
+    argv = [command, "--n", "2", "--d", "2", "--k", "3", "--restarts", "2", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_OK
+    paths = key_paths(read_json(tmp_path / "r.json"))
+    assert {p for p in paths if not p.startswith("run_config.arguments.")} == DOCUMENT_KEYS[command]
 
 
 def golden_vectors_doc():
@@ -612,6 +693,21 @@ def float_dimension(doc):
     return doc
 
 
+# strings that iteration would read one character at a time as the standard
+# table's own values
+
+
+def string_dimensions(doc):
+    doc["params"]["dims"] = "222"
+    return doc
+
+
+def string_level_list(doc):
+    assert doc["exponent_table"][1][0] == ["0", "4"]
+    doc["exponent_table"][1][0] = "04"
+    return doc
+
+
 @pytest.mark.parametrize(
     "malform",
     (
@@ -625,6 +721,8 @@ def float_dimension(doc):
         boolean_exponent,
         float_vector_count,
         float_dimension,
+        string_dimensions,
+        string_level_list,
     ),
 )
 def test_malformed_vectors_document_exits_invalid(tmp_path, capsys, malform):
@@ -634,9 +732,10 @@ def test_malformed_vectors_document_exits_invalid(tmp_path, capsys, malform):
     (tmp_path / "bad.json").write_text(json.dumps(malform(good)))
     capsys.readouterr()
     for command in ("verify", "basis", "report"):
-        assert run([command, "--in", "bad.json"], tmp_path) == EXIT_INVALID
+        assert run([command, "--in", "bad.json", "--out", "out.json"], tmp_path) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: bad vectors document") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 def _locations(holder):

@@ -159,6 +159,24 @@ def test_min_vectors_matches_every_canonical_cut(dims):
     assert p.min_vectors == max(demands)
 
 
+def min_vectors_by_every_mask(dims) -> int:
+    """The worst demand D_S + D_Sbar - 1 over every proper nonempty party set S."""
+    n = len(dims)
+    worst = 0
+    for mask in range(1, 2**n - 1):
+        left = math.prod(dims[m] for m in range(n) if mask >> m & 1)
+        worst = max(worst, left + math.prod(dims) // left - 1)
+    return worst
+
+
+@given(st.lists(st.integers(2, 7), min_size=2, max_size=6))
+def test_min_vectors_matches_the_brute_force_walk(dims):
+    # the closed form D // d_min + d_min - 1 against the walk over all
+    # 2^n - 2 party sets it replaced
+    p = ConstructionParams(dims=tuple(dims), num_vectors=1, root_order=2)
+    assert p.min_vectors == min_vectors_by_every_mask(dims)
+
+
 # -- exponent tables ----------------------------------------------------------
 
 

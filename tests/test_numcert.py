@@ -10,6 +10,8 @@ from gesforge.construct import make_params
 from gesforge.numcert import (
     MAX_SEARCH_BYTES,
     MAX_SWEEPS,
+    THRESHOLD,
+    TOL,
     GesBasis,
     OptimizerOptions,
     certify_ges_numeric,
@@ -59,10 +61,11 @@ def qubit_first_grouping(operator, dims, cut):
 def test_options_defaults():
     opts = OptimizerOptions()
     assert opts.restarts == 50
-    assert opts.tol == 1e-12
-    assert opts.threshold == 1e-6
     assert opts.seed == 0
-    assert MAX_SWEEPS == opts.to_doc()["max_sweeps"] == 500
+    doc = opts.to_doc()
+    assert doc["tol"] == TOL == 1e-12
+    assert doc["threshold"] == THRESHOLD == 1e-6
+    assert MAX_SWEEPS == doc["max_sweeps"] == 500
 
 
 @pytest.mark.parametrize(
@@ -70,12 +73,6 @@ def test_options_defaults():
     (
         {"restarts": 0},
         {"restarts": -3},
-        {"tol": float("nan")},
-        {"tol": -1.0},
-        {"tol": float("inf")},
-        {"threshold": float("nan")},
-        {"threshold": -1e-6},
-        {"threshold": float("inf")},
     ),
 )
 def test_options_reject_bad_values(bad):
@@ -133,7 +130,7 @@ def test_extendible_control_hits_zero_with_product_witness():
     assert abs(s.left[1]) == pytest.approx(1.0, abs=1e-6)
     assert abs(s.left[0]) < 1e-6
     # and the assembled witness annihilates the span: <x|G|x> ~ 0
-    assert np.real(s.state.conj() @ G @ s.state) < 1e-10
+    assert np.real(s.witness.conj() @ G @ s.witness) < 1e-10
 
 
 def test_standard_family_minimum_clears_threshold():
@@ -210,9 +207,9 @@ def test_fewer_restarts_draw_a_prefix_of_the_same_starts():
         head = _alternating_extremum([grouped], True, few, [(0, index)])[0][5]
         tail = _alternating_extremum([grouped], True, many, [(0, index)])[0][5]
         # the same seven runs; a larger stack moves their values by rounding only
-        np.testing.assert_allclose(tail[:7], head, rtol=0, atol=few.tol)
+        np.testing.assert_allclose(tail[:7], head, rtol=0, atol=TOL)
         low = min_biproduct_value(G, (2, 2, 2), cut, few).value
-        assert min_biproduct_value(G, (2, 2, 2), cut, many).value <= low + few.tol
+        assert min_biproduct_value(G, (2, 2, 2), cut, many).value <= low + TOL
 
 
 SHARED_SHAPES = (((3, 3, 3), 12), ((2, 2, 2, 2), 10), ((2, 2, 3), 8))
@@ -224,7 +221,7 @@ def assert_certificate_matches_single_cuts(rows, dims, opts):
     for cut, outcome in zip(enumerate_bipartitions(len(dims)), cert.outcomes):
         alone = min_biproduct_value(G, dims, cut, opts)
         assert outcome.value == alone.value, cut.label()
-        np.testing.assert_array_equal(outcome.witness, alone.state)
+        np.testing.assert_array_equal(outcome.witness, alone.witness)
         assert (outcome.sweeps, outcome.converged, outcome.restarts_agreeing) == (
             alone.sweeps, alone.converged, alone.restarts_agreeing
         )
@@ -276,10 +273,10 @@ def test_witness_state_is_unit_biproduct():
     G = family_operator(build_nupb(p))
     for cut in enumerate_bipartitions(3):
         s = min_biproduct_value(G, (2, 2, 2), cut, QUICK)
-        assert np.linalg.norm(s.state) == pytest.approx(1.0, abs=1e-12)
-        coeffs = schmidt_coefficients(s.state, (2, 2, 2), cut)
+        assert np.linalg.norm(s.witness) == pytest.approx(1.0, abs=1e-12)
+        coeffs = schmidt_coefficients(s.witness, (2, 2, 2), cut)
         assert coeffs[1] < 1e-10  # exactly one Schmidt term: biproduct
-        direct = float(np.real(s.state.conj() @ G @ s.state))
+        direct = float(np.real(s.witness.conj() @ G @ s.witness))
         assert direct == pytest.approx(s.value, abs=1e-10)
 
 
