@@ -62,15 +62,23 @@ by a field where its image has full rank, or proven singular by its
 circuits, and each of them settles every zero image that contains it.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
-for prime and composite orders alike, and proves its zero images from
-the pass's own tables: the embedding w -> root**a multiplies every
-exponent r * c by the unit a, so the image of det F[R, C] under it is
-+-det F[sorted(a * R mod n), C] under w -> root.  A zero image is proven
-zero when the images of its whole orbit vanish, in as many fields as the
-multimodular bound m! * max|R| asks for; at the 10**6 modulus floor that
-is one field up to size 9 (max|R| = 1 below order 105).  Each table is
-and-ed with itself, rows permuted by R -> sorted(a * R mod n), once per
-unit a; what stays True is a union of whole orbits that vanish.
+for prime and composite orders alike, over the row sets that hold row 0
+only.  With F_n[i, j] = w**(i * j), a translation of the rows scales
+column c by w**(t * c), so det F[R + t, C] = w**(t * sum(C)) * det F[R, C],
+a unit multiple in every image.  R - min R holds row 0 with no
+wrap-around, so zero[s][R] = zero[s][R - min R]; the sets that hold row 0
+are the first C(n - 1, s - 1) of each size in lexicographic order, the
+depth-first subtree of row 0.  (The spanning scan has no such symmetry.)
+The zero images are proven from the pass's own tables: the embedding
+w -> root**a multiplies every exponent r * c by the unit a, so the image
+of det F[R, C] under it is +-det F[sorted(a * R mod n), C] under
+w -> root.  A zero image is proven zero when the images of its whole
+orbit vanish, in as many fields as the multimodular bound m! * max|R|
+asks for; at the 10**6 modulus floor that is one field up to size 9
+(max|R| = 1 below order 105).  Each table is and-ed with itself, rows
+permuted by R -> sorted(a * R mod n), once per unit a, which keeps 0 in
+a set; what stays True is a union of whole orbits that vanish, and the
+other rows are read by translation.
 """
 
 from __future__ import annotations
@@ -97,7 +105,9 @@ _WITNESS_CAP = 20
 # once more.  Its answer takes a byte a minor: per size s a boolean table
 # of C(rows, s) * C(cols, s), and the orbit proof of a Fourier scan makes
 # one permuted copy of the largest.  It decides
-# sum_s C(rows, s) * C(cols, s) minors.  A pass above either bound is
+# sum_s C(rows, s) * C(cols, s) minors.  A Fourier scan holds only the
+# C(rows - 1, s - 1) row sets that hold row 0, so for it that is an upper
+# bound.  A pass above either bound is
 # refused before any table is built (`_check_scan_reach`).  The Fourier
 # survey's (14, 6) needs 30.9 MB and 14.2M minors, the sides of 3x3x3 at
 # k=26 at most 91.2 MB and 3.1M minors.  The zero images of a spanning
@@ -299,7 +309,9 @@ def _fourier_form(flat: FlatMatrix) -> bool:
     return _distinct(r) and _distinct(c) and bool((f * f[i, j] % p == np.outer(r, c) % p).all())
 
 
-def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
+def _proven_circuits(
+    exponents: np.ndarray, order: int, dependent: dict | None = None
+) -> list[list[int]]:
     """Circuits that prove the rows of w**exponents rank-deficient, or [].
 
     In each field of the modular_context sequence the echelon form of the
@@ -309,8 +321,19 @@ def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
     (module docstring); when `minors.exact_rank` proves every candidate of
     that field dependent, the candidates are returned and the rank is
     exactly |P|.  A candidate that fails means the image lost rank mod q,
-    and the next field is tried.
+    and the next field is tried.  An exact rank holds in every field, so
+    `dependent`, keyed by a candidate's exponent rows, keeps each verdict
+    for the caller's later proofs.
     """
+    if dependent is None:
+        dependent = {}
+
+    def proven(rows: np.ndarray) -> bool:
+        key = rows.tobytes()
+        if key not in dependent:
+            dependent[key] = minors.exact_rank(rows, order) < len(rows)
+        return dependent[key]
+
     k, dim = exponents.shape
     for index in itertools.count():
         ctx = minors.modular_context(order, index)
@@ -321,7 +344,7 @@ def _proven_circuits(exponents: np.ndarray, order: int) -> list[list[int]]:
             sorted([i] + [b for b, row in zip(basis, reduced) if row[i]])
             for i in range(k) if i not in basis
         ]
-        if all(minors.exact_rank(exponents[c], order) < len(c) for c in circuits):
+        if all(proven(exponents[c]) for c in circuits):
             return circuits
 
 
@@ -427,13 +450,18 @@ def _zero_minors(matrix: np.ndarray, q: int, max_size: int, zero: list | None = 
     matrix holds residues mod q.  zero[s][i, j] is True when the minor on
     the i-th s-set of rows and the j-th s-set of columns, in lexicographic
     order, has a zero image; zero[0], the empty minor, is False.  Tables
-    passed in (a previous field's) are and-ed in place.  The pass visits
-    the row sets R depth first in lexicographic order and keeps the images
-    det X[R, C] over every column set C with |C| = |R|.  The children
-    R + x (x > max R) are consecutive row sets and take their images from
-    the parent's by expansion along the new row, so a minor costs |C|
-    multiply-adds, and memory stays near max_size * rows * C(cols, max_size)
-    residues besides the tables.
+    passed in (a previous field's, or fresh ones) are and-ed in place.  The
+    pass visits the row sets R depth first in lexicographic order and keeps
+    the images det X[R, C] over every column set C with |C| = |R|.  The
+    children R + x (x > max R) are consecutive row sets and take their
+    images from the parent's by expansion along the new row, so a minor
+    costs |C| multiply-adds, and memory stays near
+    max_size * rows * C(cols, max_size) residues besides the tables.
+
+    The walk starts from the m rows of the size-1 table, so it visits the
+    row sets whose least row is below m, the first C(rows, s) - C(rows - m,
+    s) of each size s: tables made here have m = rows, and
+    `chebotarev_scan` passes m = 1.
     """
     combos, _, drops = _column_tables(matrix.shape[1], max_size)
     if zero is None:
@@ -448,17 +476,18 @@ def _zero_minors(matrix: np.ndarray, q: int, max_size: int, zero: list | None = 
         signed[s % 2 :: 2] *= -1
         entries.append(signed)
     filled = [0] * (max_size + 1)
-    # (size of the children, their first new row, the parent's images); the
-    # children of a row set go on in reverse, so the smallest comes off first
-    stack = [(1, 0, np.ones(1, dtype=np.int64))] if max_size else []
+    # (size of the children, their first and past-last new row, the parent's
+    # images); the children of a row set go on in reverse, so the smallest
+    # comes off first
+    stack = [(1, 0, len(zero[1]), np.ones(1, dtype=np.int64))] if max_size else []
     while stack:
-        size, first, images = stack.pop()
-        acc = (entries[size][:, first:] * images[drops[size]][:, None]).sum(axis=0) % q
+        size, first, stop, images = stack.pop()
+        acc = (entries[size][:, first:stop] * images[drops[size]][:, None]).sum(axis=0) % q
         zero[size][filled[size] : filled[size] + len(acc)] &= acc == 0
         filled[size] += len(acc)
         if size < max_size:
-            children = range(first, len(matrix) - 1)
-            stack += [(size + 1, x + 1, acc[x - first]) for x in reversed(children)]
+            children = range(first, min(stop, len(matrix) - 1))
+            stack += [(size + 1, x + 1, len(matrix), acc[x - first]) for x in reversed(children)]
     return zero
 
 
@@ -469,15 +498,17 @@ def _circuit_zeros(flat: FlatMatrix, masks: np.ndarray) -> np.ndarray:
     The first set still open is closed by `_proven_circuits` of its rows:
     none means a field proved it nonsingular; otherwise every circuit
     returned is proven dependent, so every set that contains one,
-    this set among them, is singular and closed too.
+    this set among them, is singular and closed too.  A candidate circuit
+    that several sets hold gets its exact rank once.
     """
     zero = np.zeros(len(masks), dtype=bool)
     open_sets = np.ones(len(masks), dtype=bool)
+    dependent = {}
     while open_sets.any():
         first = int(np.argmax(open_sets))
         open_sets[first] = False
         rows = np.flatnonzero(masks[first])
-        for circuit in _proven_circuits(flat.exponents[rows], flat.root_order):
+        for circuit in _proven_circuits(flat.exponents[rows], flat.root_order, dependent):
             covered = masks[:, rows[circuit]].all(axis=1)
             zero |= covered
             open_sets &= ~covered
@@ -648,22 +679,53 @@ def _check_witnesses(witnesses, order: int) -> None:
                 )
 
 
+def _fourier_zero_images(order: int, max_size: int) -> list:
+    """Per size s, which s x s minors of F_n on the row sets that hold row 0
+    have a zero image in every field that the bound for max_size asks for.
+
+    zero[s][i, j] is the minor on the i-th s-set of rows that holds row 0
+    and the j-th s-set of columns, in lexicographic order; the sets that
+    hold row 0 are the first C(n - 1, s - 1).  The Laplace pass runs from
+    row 0 alone (`_zero_minors`), once per field, and-ed into these tables.
+    """
+    grid = np.outer(np.arange(order), np.arange(order)) % order
+    zero = [
+        np.full((math.comb(order - 1, s - 1) if s else 1, math.comb(order, s)), s > 0)
+        for s in range(max_size + 1)
+    ]
+    for ctx in minors.proof_fields(order, max_size):
+        zero = _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
+    return zero
+
+
+def _translated_rows(order: int, max_size: int) -> list:
+    """Per size s, the index of R - min R among the s-sets that hold row 0,
+    for each s-set R of range(order) in lexicographic order: row R of a
+    full zero table of F_n is that row of `_fourier_zero_images`' table
+    (module docstring)."""
+    combos, lex, _ = _column_tables(order, max_size)
+    binom = _binomials(order, max_size)
+    return [lex[s][_colex(sets - sets[:, :1], binom)] for s, sets in enumerate(combos)]
+
+
 def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     """Enumerate all square minors of the order-n Fourier matrix up to a size.
 
     For prime order the expected witness list is empty (total
     nonsingularity); composite orders surface exactly-zero minors.
 
-    One Laplace pass mod q (`_zero_minors`) gives every minor's image; a
-    nonzero image proves a minor nonzero.  A zero image (R, C) is proven
-    zero by its orbit (module docstring): each (sorted(a * R mod n), C), a
-    a unit mod n, must be a zero image too, in every field that the bound
-    m! * max|R| asks for (`minors.proof_fields`; one field up to size 9
-    when max|R| = 1).  So the pass runs once per field that the largest
-    size needs, each and-ed into one table per size; a field beyond those
-    a size needs changes nothing there, since the minors they prove zero
-    vanish in every field.  The orbits are then checked on the table
-    itself, one row-permuted copy per unit.  Every recorded witness is
+    det F[R + t, C] = w**(t * sum(C)) * det F[R, C], so (R, C) has a zero
+    image exactly when (R - min R, C) does: one Laplace pass mod q from row
+    0 alone (`_fourier_zero_images`) decides every minor's image while
+    visiting only the C(n - 1, s - 1) row sets of each size s that hold
+    row 0.  A nonzero image proves a minor nonzero; a zero image is proven
+    zero by its orbit under the units (module docstring), in every field
+    that the bound m! * max|R| asks for (`minors.proof_fields`).  So the
+    pass runs once per field that the largest size needs, and-ed into one
+    table per size; a field beyond those a size needs changes nothing
+    there, since the minors they prove zero vanish in every field.  The
+    orbits are checked on the row-0 tables, and the other rows are then
+    read by translation (`_translated_rows`).  Every recorded witness is
     re-evaluated with mpmath at 50 digits and must fall below 1e-30.
 
     Raises ValueError when the pass is out of reach (`_check_scan_reach`).
@@ -676,19 +738,20 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     start = time.perf_counter()
     combos, lex, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)
-    grid = np.outer(np.arange(order), np.arange(order)) % order
-    zero = None
-    for ctx in minors.proof_fields(order, max_size):
-        zero = _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
+    zero = _fourier_zero_images(order, max_size)
     zero_total = 0
     witnesses = []
-    for size, (sets, table) in enumerate(zip(combos, zero)):
-        if table.any():  # a prime order's tables rarely hold a zero image
-            for a in minors.units(order):
-                table &= table[lex[size][_colex(np.sort(a * sets % order, axis=1), binom)]]
-        zero_total += int(np.count_nonzero(table))
-        rows = np.flatnonzero(table.any(axis=1))[:_WITNESS_CAP]
-        at, cols = np.divmod(np.flatnonzero(table[rows])[:_WITNESS_CAP], len(sets))
+    for size, (sets, table, translated) in enumerate(
+        zip(combos, zero, _translated_rows(order, max_size))
+    ):
+        if not table.any():  # a prime order's tables rarely hold a zero image
+            continue
+        with_zero = sets[: len(table)]
+        for a in minors.units(order):
+            table &= table[lex[size][_colex(np.sort(a * with_zero % order, axis=1), binom)]]
+        zero_total += int(np.count_nonzero(table, axis=1)[translated].sum())
+        rows = np.flatnonzero(table.any(axis=1)[translated])[:_WITNESS_CAP]
+        at, cols = np.divmod(np.flatnonzero(table[translated[rows]])[:_WITNESS_CAP], len(sets))
         witnesses += zip(map(tuple, sets[rows[at]].tolist()), map(tuple, sets[cols].tolist()))
     witnesses = witnesses[:_WITNESS_CAP]
     _check_witnesses(witnesses, order)

@@ -17,6 +17,7 @@ from gesforge.construct import (
     exponent_table,
     make_params,
 )
+from gesforge.cyclo import is_prime
 from gesforge.exactverify import (
     _fourier_form,
     _modular_echelon,
@@ -322,19 +323,25 @@ def spy_on_echelons(monkeypatch):
     return calls
 
 
-def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
-    # rows 0-2 are a 3 x 3 block singular mod the first field but not
-    # exactly, with a fourth column that is column 0 times w: they are
-    # dependent mod q only, so their candidate circuit is refuted there and
-    # the row sets holding them are cleared in a later field, where their
-    # image has full rank.  Row 5 is row 0 times w, a circuit proven once
-    # for every set that holds both
-    order = 13
-    ctx, later = minors.modular_context(order, 0), minors.modular_context(order, 1)
+def dependent_only_mod_q_side(order=13):
+    """(exponents, block) of a side whose rows 0-2 are dependent mod the
+    first (small) field only: a 3 x 3 block singular mod q but not exactly,
+    with a fourth column that is column 0 times w.  Rows 3 and 4 are
+    random, and row 5 is row 0 times w."""
     block = spurious_block(order, 3)
     block = np.hstack([block, (block[:, :1] + 1) % order])
     extra = np.random.default_rng(3).integers(0, order, size=(2, 4))
-    exps = np.vstack([block, extra, (block[0] + 1) % order])
+    return np.vstack([block, extra, (block[0] + 1) % order]), block
+
+
+def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields, monkeypatch):
+    # rows 0-2 are dependent mod q only, so their candidate circuit is
+    # refuted there and the row sets holding them are cleared in a later
+    # field, where their image has full rank.  Row 5 is row 0 times w, a
+    # circuit proven once for every set that holds both
+    order = 13
+    ctx, later = minors.modular_context(order, 0), minors.modular_context(order, 1)
+    exps, block = dependent_only_mod_q_side(order)
     assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) == 4
     circuits = spy_on_circuit_proofs(monkeypatch)
     echelons = spy_on_echelons(monkeypatch)
@@ -345,6 +352,20 @@ def test_spanning_falls_back_when_a_circuit_is_dependent_only_mod_q(small_fields
     for rows in ([0, 1, 2, 3], [0, 1, 2, 4]):
         assert (later.power_table()[exps[rows]].T.tolist(), later.modulus, 4) in echelons
     assert (check.failures, check.witness) == leibniz_spanning(side)
+    assert check.failures > 0
+
+
+def test_a_candidate_circuit_gets_its_exact_rank_once(small_fields, monkeypatch):
+    # the refuted candidates on rows {0, 1, 2} and {1, 2, 5} each lie in
+    # two zero-image sets of the first field; an exact rank holds in every
+    # field, so each distinct row block is ranked once per spanning check
+    exps, _ = dependent_only_mod_q_side()
+    circuits = spy_on_circuit_proofs(monkeypatch)
+    check = spanning_property(FlatMatrix(13, (0,), (4,), exps))
+    blocks = [rows for rows, _ in circuits]
+    assert ([exps[i].tolist() for i in (0, 1, 2)], False) in circuits
+    assert ([exps[i].tolist() for i in (1, 2, 5)], False) in circuits
+    assert len(blocks) == len({str(rows) for rows in blocks})
     assert check.failures > 0
 
 
@@ -902,7 +923,8 @@ def test_scan_matches_per_minor_enumeration(order):
 
 def test_scan_memory_stays_small():
     # the Laplace pass keeps about max_size * n * C(n, max_size) residues,
-    # not a batch of materialised minors
+    # not a batch of materialised minors, and its zero tables hold only the
+    # C(n - 1, s - 1) row sets of each size s that hold row 0
     tracemalloc.start()
     try:
         scan = chebotarev_scan(13, 6)
@@ -911,6 +933,48 @@ def test_scan_memory_stays_small():
         tracemalloc.stop()
     assert scan.clean and scan.checked[6] == 1716**2
     assert peak < 16 * 2**20
+
+
+def full_fourier_passes(order, max_size):
+    """The zero tables of a Laplace pass over every row set of F_n, and-ed
+    over the proof fields of max_size."""
+    grid = np.outer(np.arange(order), np.arange(order)) % order
+    zero = None
+    for ctx in minors.proof_fields(order, max_size):
+        zero = exactverify._zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
+    return zero
+
+
+def assert_translation_fill_matches_the_full_pass(order, max_size):
+    reduced = exactverify._fourier_zero_images(order, max_size)
+    rows = exactverify._translated_rows(order, max_size)
+    full = full_fourier_passes(order, max_size)
+    for s in range(1, max_size + 1):
+        assert reduced[s].shape == (math.comb(order - 1, s - 1), math.comb(order, s))
+        np.testing.assert_array_equal(reduced[s][rows[s]], full[s])
+    return full
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+def test_row_zero_pass_and_translation_fill_match_the_full_pass(order):
+    # det F[R + t, C] = w**(t * sum(C)) det F[R, C], so row R of each zero
+    # table is row R - min R; one field decides these sizes (5! < q)
+    max_size = min(order, 5)
+    assert len(minors.proof_fields(order, max_size)) == 1
+    full = assert_translation_fill_matches_the_full_pass(order, max_size)
+    assert is_prime(order) or any(table.any() for table in full)
+
+
+@pytest.mark.parametrize("max_size, fields", ((5, 1), (6, 2)))
+def test_row_zero_pass_and_translation_fill_match_the_full_pass_in_small_fields(
+    small_fields, max_size, fields
+):
+    # near q = 199 order 11 has thousands of spurious zero images: one field
+    # decides the sizes to 5 (5! < 199) and leaves them in the tables, and
+    # size 6 takes a second field (6! > 199), which clears them
+    assert len(minors.proof_fields(11, max_size)) == fields
+    full = assert_translation_fill_matches_the_full_pass(11, max_size)
+    assert any(table.any() for table in full) == (fields == 1)
 
 
 def spy_on_laplace_passes(monkeypatch):
