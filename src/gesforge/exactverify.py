@@ -93,7 +93,7 @@ import numpy as np
 
 from . import minors
 from .construct import ConstructionParams, ensure_valid
-from .cyclo import is_prime
+from .cyclo import is_prime, power_reduction_matrix
 from .partition import FlatMatrix, enumerate_bipartitions, exponent_blocks, restricted_matrix
 
 _WITNESS_CAP = 20
@@ -103,14 +103,15 @@ _WITNESS_CAP = 20
 # rows * C(cols, s) kept along the walk and three column tables of
 # (2s + 1) * C(cols, s); while the largest of these expands, it holds them
 # once more.  Its answer takes a byte a minor: per size s a boolean table
-# of C(rows, s) * C(cols, s), and the orbit proof of a Fourier scan makes
-# one permuted copy of the largest.  It decides
-# sum_s C(rows, s) * C(cols, s) minors.  A Fourier scan holds only the
-# C(rows - 1, s - 1) row sets that hold row 0, so for it that is an upper
-# bound.  A pass above either bound is
-# refused before any table is built (`_check_scan_reach`).  The Fourier
-# survey's (14, 6) needs 30.9 MB and 14.2M minors, the sides of 3x3x3 at
-# k=26 at most 91.2 MB and 3.1M minors.  The zero images of a spanning
+# of C(rows, s) * C(cols, s).  It decides sum_s C(rows, s) * C(cols, s)
+# minors.  A Fourier scan visits and tables only the C(rows - 1, s - 1)
+# row sets that hold row 0, so its tables and its minors count those; the
+# orbit proof makes one permuted copy of the largest table, and the
+# translation adds an index of C(rows, s) residues per size.  A pass above
+# either bound is refused before any table is built (`_check_scan_reach`).
+# The Fourier survey's (14, 6) needs 17.2 MB and 5.6M minors, (16, 7)
+# 185.2 MB and 88.2M, the sides of 3x3x3 at k=26 at most 91.2 MB and
+# 3.1M minors.  The zero images of a spanning
 # scan, whose number only the minor count bounds, are counted once the
 # pass is done and refused before any is read out (`_zero_image_reach`).
 # Then the zero tables and the column tables are still held, and each
@@ -409,17 +410,25 @@ def _column_tables(ncols: int, max_size: int) -> tuple[list, list, list]:
     return combos, lex, drops
 
 
-def _check_scan_reach(what: str, rows: int, cols: int, max_size: int) -> None:
+def _check_scan_reach(
+    what: str, rows: int, cols: int, max_size: int, from_row_zero: bool = False
+) -> None:
     """Raise ValueError unless a Laplace pass over the square minors up to
     max_size of a rows x cols matrix fits MAX_SCAN_BYTES and
-    MAX_SCAN_MINORS (their comment); it builds no table."""
+    MAX_SCAN_MINORS (their comment); it builds no table.  A pass from row 0
+    (the Fourier scan, `from_row_zero`) visits and tables only the
+    C(rows - 1, s - 1) row sets of each size s that hold row 0, and keeps a
+    translation index of C(rows, s) for the others."""
     # the peak grows with the size, so a huge order fails at size 1 without
     # forming a huge binomial
     held = largest = tables = largest_table = 0
     for size in range(1, max_size + 1):
         residues = ((size + 1) * rows + 2 * size + 1) * math.comb(cols, size)
-        table = math.comb(rows, size) * math.comb(cols, size)
         held, largest = held + residues, max(largest, residues)
+        if from_row_zero:
+            held += math.comb(rows, size)
+        visited = math.comb(rows - 1, size - 1) if from_row_zero else math.comb(rows, size)
+        table = visited * math.comb(cols, size)
         tables, largest_table = tables + table, max(largest_table, table)
         peak = 8 * (2 * rows * cols + held + largest) + tables + largest_table
         if peak > MAX_SCAN_BYTES:
@@ -427,9 +436,8 @@ def _check_scan_reach(what: str, rows: int, cols: int, max_size: int) -> None:
                 f"{what} needs {peak} bytes at once up to size {size}, "
                 f"above the supported {MAX_SCAN_BYTES}"
             )
-    work = sum(math.comb(rows, s) * math.comb(cols, s) for s in range(1, max_size + 1))
-    if work > MAX_SCAN_MINORS:
-        raise ValueError(f"{what} needs {work} minors, above the supported {MAX_SCAN_MINORS}")
+    if tables > MAX_SCAN_MINORS:
+        raise ValueError(f"{what} needs {tables} minors, above the supported {MAX_SCAN_MINORS}")
 
 
 def largest_scan_size(order: int, max_size: int) -> int:
@@ -437,7 +445,7 @@ def largest_scan_size(order: int, max_size: int) -> int:
     `chebotarev_scan` admits, or 0 when even size 1 is out of reach."""
     for size in range(min(max_size, order), 0, -1):
         try:
-            _check_scan_reach("", order, order, size)
+            _check_scan_reach("", order, order, size, from_row_zero=True)
         except ValueError:
             continue
         return size
@@ -663,19 +671,59 @@ def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactRepo
 
 
 def _check_witnesses(witnesses, order: int) -> None:
-    """Raise unless every witness minor is below 1e-30 at 50 digits (an
-    independent check, from the n powers of w evaluated once by mpmath)."""
+    """Raise unless every witness minor of F_n is exactly zero.
+
+    A minor of size s is sum_t c_t w**t with integer power counts c, and
+    it is zero exactly when c @ R == 0, with R the reduction of the powers
+    of w modulo the n-th cyclotomic polynomial
+    (`cyclo.power_reduction_matrix`).  The counts come from a Laplace
+    expansion along the rows, batched over the witnesses of one size: for
+    each r-set C of columns, det X[:r, C] is the signed sum over pos of
+    w**e[r - 1, C[pos]] * det X[:r - 1, C without C[pos]], and multiplying
+    counts by w**e shifts them cyclically by e.  Only integer additions
+    occur; no field, float or root of unity takes part, so the check is
+    independent of the pass and the orbit proof.  An r x r minor has r!
+    terms, so sum_t |c_t| <= r! and every reduced coefficient is at most
+    s! * max|R|, which must stay within int64: it is checked before any
+    expansion (1.3e12 * max|R| at size 15, the largest size in reach).
+    """
     if not witnesses:
         return
-    import mpmath
-
-    with mpmath.workdps(50):
-        powers = [mpmath.exp(2j * mpmath.pi * t / order) for t in range(order)]
-        for rows, cols in witnesses:
-            value = mpmath.det(mpmath.matrix([[powers[r * c % order] for c in cols] for r in rows]))
-            if abs(value) > 1e-30:
+    reduction = power_reduction_matrix(order)
+    wheel = np.arange(order)
+    by_size = {}
+    for rows, cols in witnesses:
+        by_size.setdefault(len(rows), []).append((rows, cols))
+    for size, group in by_size.items():
+        bound = math.factorial(size) * int(np.abs(reduction).max())
+        if bound > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"a size-{size} minor of order {order} reduces to coefficients up to {bound}, "
+                "above int64"
+            )
+        row_sets, col_sets = (np.array(sets, dtype=np.int64) for sets in zip(*group))
+        exponents = row_sets[:, :, None] * col_sets[:, None, :] % order
+        combos, _, drops = _column_tables(size, size)
+        # counts[i, m] are the power counts of det X_m[:r, C_i] for the i-th
+        # r-set of columns C_i; r = 0 is the empty minor, w**0
+        counts = np.zeros((1, len(group), order), dtype=np.int64)
+        counts[..., 0] = 1
+        for r in range(1, size + 1):
+            expanded = np.zeros((len(combos[r]), len(group), order), dtype=np.int64)
+            for pos in range(r):
+                shift = exponents[:, r - 1, combos[r][:, pos]].T[:, :, None]
+                term = np.take_along_axis(counts[drops[r][pos]], (wheel - shift) % order, axis=2)
+                if (r - 1 + pos) % 2:
+                    expanded -= term
+                else:
+                    expanded += term
+            counts = expanded
+        reduced = counts[0] @ reduction
+        for (rows, cols), value in zip(group, reduced):
+            if value.any():
                 raise RuntimeError(
-                    f"minor rows {rows} cols {cols} proved zero but its value is {value}"
+                    f"minor rows {rows} cols {cols} proved zero but its value is "
+                    f"{value.tolist()} on the basis w**0..w**{len(value) - 1} of Z[w]"
                 )
 
 
@@ -726,15 +774,20 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     there, since the minors they prove zero vanish in every field.  The
     orbits are checked on the row-0 tables, and the other rows are then
     read by translation (`_translated_rows`).  Every recorded witness is
-    re-evaluated with mpmath at 50 digits and must fall below 1e-30.
+    then proven zero once more, exactly and independently of the pass: its
+    integer power counts must reduce to zero modulo the n-th cyclotomic
+    polynomial (`_check_witnesses`).
 
-    Raises ValueError when the pass is out of reach (`_check_scan_reach`).
+    Raises ValueError when the pass is out of reach (`_check_scan_reach`),
+    which counts the row sets that hold row 0, not every row set.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     requested = max_size
     max_size = min(max_size, order)
-    _check_scan_reach(f"a scan of order {order} to size {max_size}", order, order, max_size)
+    _check_scan_reach(
+        f"a scan of order {order} to size {max_size}", order, order, max_size, from_row_zero=True
+    )
     start = time.perf_counter()
     combos, lex, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)

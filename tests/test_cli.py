@@ -2,6 +2,8 @@
 
 import copy
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gesforge
 from gesforge import cli
 from gesforge.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK, main
 
@@ -241,14 +244,42 @@ def test_chebotarev_prime_clean(tmp_path, capsys):
 
 
 def test_chebotarev_default_size_shrinks_into_reach(tmp_path, capsys):
-    # size 6 of order 17 would decide 197.6M minors, above MAX_SCAN_MINORS
-    code = run(["chebotarev", "--p", "17", "--out", "scan.json"], tmp_path)
+    # size 5 of order 23 would hold 597.3M bytes at once, above
+    # MAX_SCAN_BYTES (its zero tables and their copy alone 506.3M); size 4
+    # holds 46.9M
+    code = run(["chebotarev", "--p", "23", "--out", "scan.json"], tmp_path)
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "default max size lowered from 6 to 5" in out
+    assert "default max size lowered from 6 to 4" in out
     assert "no zero minors" in out
-    assert read_json(tmp_path / "scan.json")["scan"]["max_size"] == 5
-    assert run(["chebotarev", "--p", "17", "--max-size", "6"], tmp_path) == EXIT_INVALID
+    assert read_json(tmp_path / "scan.json")["scan"]["max_size"] == 4
+    assert run(["chebotarev", "--p", "23", "--max-size", "5"], tmp_path) == EXIT_INVALID
+
+
+def test_the_package_runs_without_mpmath(tmp_path):
+    # no module of the package imports mpmath: with its import made to fail,
+    # a composite scan (which finds witnesses and checks them), the exact
+    # stage on a tampered table and a full report all still run
+    script = """
+import sys
+sys.modules["mpmath"] = None
+from gesforge import chebotarev_scan, exponent_table, make_params, verify_all_bipartitions
+from gesforge.cli import main
+scan = chebotarev_scan(12, 4)
+assert scan.witnesses and scan.zero_count > 0
+params = make_params(dims=(2, 2, 2), num_vectors=7)
+table = [[list(loc) for loc in row] for row in exponent_table(params)]
+table[6] = table[0]
+assert not verify_all_bipartitions(params, table).passed
+sys.exit(main(["report", "--dims", "2,2", "--k", "3"]))
+"""
+    path = [str(Path(gesforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "verdict: certified" in proc.stdout
 
 
 def test_chebotarev_composite_witnesses(tmp_path, capsys):

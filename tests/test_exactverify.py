@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -897,6 +898,24 @@ def test_scan_counts_all_minors():
     assert scan.checked == {1: 25, 2: comb(5, 2) ** 2, 3: comb(5, 3) ** 2}
 
 
+def oracle_minors(order, size, pairs=None):
+    """(rows, cols, zero) of the size x size minors of F_n on the given
+    (row set, column set) index pairs, or on all of them, decided by the
+    tests' own subset expansion."""
+    sets = np.array(list(itertools.combinations(range(order), size)))
+    if pairs is None:
+        pairs = np.array(list(itertools.product(range(len(sets)), repeat=2)))
+    rows, cols, zero = sets[pairs[:, 0]], sets[pairs[:, 1]], []
+    for lo in range(0, len(pairs), 20_000):
+        exps = rows[lo : lo + 20_000, :, None] * cols[lo : lo + 20_000, None, :] % order
+        zero.append(power_counts_are_zero(det_power_counts(exps, order), order))
+    return rows, cols, np.concatenate(zero)
+
+
+def as_witnesses(rows, cols):
+    return list(zip(map(tuple, rows.tolist()), map(tuple, cols.tolist())))
+
+
 @pytest.mark.parametrize("order", (*range(2, 13), 33, 34))
 def test_scan_matches_per_minor_enumeration(order):
     # every minor decided on its own by the integer subset expansion, in the
@@ -905,17 +924,10 @@ def test_scan_matches_per_minor_enumeration(order):
     scan = chebotarev_scan(order, max_size)
     checked, zero_count, witnesses = {}, 0, []
     for size in range(1, max_size + 1):
-        combos = np.array(list(itertools.combinations(range(order), size)))
-        checked[size] = len(combos) ** 2
-        pairs = np.array(list(itertools.product(range(len(combos)), repeat=2)))
-        for lo in range(0, len(pairs), 20_000):
-            rows, cols = combos[pairs[lo : lo + 20_000, 0]], combos[pairs[lo : lo + 20_000, 1]]
-            exps = rows[:, :, None] * cols[:, None, :] % order
-            zero = power_counts_are_zero(det_power_counts(exps, order), order)
-            zero_count += int(zero.sum())
-            witnesses += [
-                (tuple(map(int, r)), tuple(map(int, c))) for r, c in zip(rows[zero], cols[zero])
-            ]
+        rows, cols, zero = oracle_minors(order, size)
+        checked[size] = len(zero)
+        zero_count += int(zero.sum())
+        witnesses += as_witnesses(rows[zero], cols[zero])
     assert scan.checked == checked
     assert scan.zero_count == zero_count
     assert scan.witnesses == witnesses[:20]
@@ -1055,9 +1067,9 @@ def test_scan_zero_claims_are_checked_in_a_prime_field():
 
 def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch):
     # an orbit proof that wrongly confirmed the spurious zero images of
-    # order 11 is caught by the 50-digit re-evaluation of the witnesses:
-    # with no unit but 1 and a second field that clears nothing, every zero
-    # image of the first field's pass stands as proven
+    # order 11 is caught by the exact re-check of the witnesses' power
+    # counts: with no unit but 1 and a second field that clears nothing,
+    # every zero image of the first field's pass stands as proven
     q = minors.modular_context(11).modulus
     real = exactverify._zero_minors
 
@@ -1068,6 +1080,69 @@ def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch)
     monkeypatch.setattr(minors, "units", lambda order: (1,))
     with pytest.raises(RuntimeError, match="proved zero but its value"):
         chebotarev_scan(11, 6)
+
+
+@pytest.mark.parametrize("order, sizes", ((12, (2, 3, 4)), (10, (5,))))
+def test_witness_check_passes_every_zero_minor_of_the_oracle(order, sizes):
+    # sizes above 2 too: the scan's own witnesses on these orders are size 2
+    # (a size-1 minor is a root of unity, never zero)
+    for size in sizes:
+        rows, cols, zero = oracle_minors(order, size)
+        witnesses = as_witnesses(rows[zero], cols[zero])
+        assert witnesses
+        for lo in range(0, len(witnesses), 1000):
+            exactverify._check_witnesses(witnesses[lo : lo + 1000], order)
+
+
+@pytest.mark.parametrize(
+    "order, rows, cols",
+    ((20, (8, 14, 15, 17), (5, 6, 9, 10)), (24, (0, 4, 13, 21, 23), (0, 8, 10, 18, 21)),
+     (20, (2, 3, 14, 15, 18, 19), (4, 11, 15, 16, 17, 18)), (30, (0, 9, 17, 26), (1, 13, 14, 20))),
+)
+def test_witness_check_reduces_modulo_the_cyclotomic_polynomial(order, rows, cols):
+    # most zero minors of F_n cancel term by term, but these vanish only
+    # through a relation among the powers of w: nonzero power counts that
+    # reduce to zero
+    counts = det_power_counts(np.outer(rows, cols)[None] % order, order)
+    assert counts.any() and power_counts_are_zero(counts, order).all()
+    exactverify._check_witnesses([(rows, cols)], order)
+
+
+@pytest.mark.parametrize("order", (6, 11, 12))
+def test_witness_check_raises_on_every_nonzero_minor(order):
+    # a nonzero minor fails the check at every size, after zero witnesses
+    # of the sizes before it
+    rng = np.random.default_rng(order)
+    zeros = []
+    for size in range(2, 7):
+        count = math.comb(order, size)
+        rows, cols, zero = oracle_minors(order, size, rng.integers(count, size=(40, 2)))
+        assert not zero.all()
+        zeros += as_witnesses(rows[zero], cols[zero])
+        exactverify._check_witnesses(zeros, order)
+        for minor in as_witnesses(rows[~zero], cols[~zero]):
+            with pytest.raises(RuntimeError, match="proved zero but its value"):
+                exactverify._check_witnesses(zeros + [minor], order)
+    assert order == 11 or zeros
+
+
+def test_witness_check_decides_a_size_twelve_minor_within_a_second():
+    # F_24 on the even rows repeats column c at c + 12, so these columns
+    # make a zero minor; F_12 itself is a nonsingular Vandermonde matrix
+    rows, cols = tuple(range(0, 24, 2)), (*range(6), *range(12, 18))
+    exps = np.outer(rows, cols)[None] % 24
+    assert power_counts_are_zero(det_power_counts(exps, 24), 24).all()
+    start = time.perf_counter()
+    exactverify._check_witnesses([(rows, cols)], 24)
+    with pytest.raises(RuntimeError, match="proved zero but its value"):
+        exactverify._check_witnesses([(tuple(range(12)), tuple(range(12)))], 12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_witness_check_refuses_counts_beyond_int64():
+    # a size-21 minor has 21! > 2**63 terms, so its counts could wrap
+    with pytest.raises(ValueError, match="above int64"):
+        exactverify._check_witnesses([(tuple(range(21)), tuple(range(21)))], 21)
 
 
 def test_scan_rejects_tiny_order():
@@ -1088,15 +1163,16 @@ def test_scan_refuses_tables_beyond_the_limit(order, max_size):
 
 def test_scan_limit_applies_to_the_largest_table(monkeypatch):
     # order 7 to size 7 holds 2 * 49 residues of matrix and image, and per
-    # size s (9s + 8) * C(7, s) (table, row sums, column tables), 5,146 in
-    # all; the expansion peak adds the largest of them, size 4's 1,540, not
-    # the requested size 7's 71.  At 8 bytes a residue that is 53,488
-    # bytes; the boolean tables add C(14, 7) - 1 = 3,431 and the orbit
-    # proof's copy the largest of them, size 3's (or 4's) 1,225
-    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 58144)
+    # size s (9s + 8) * C(7, s) (table, row sums, column tables) and the
+    # translation index's C(7, s), 5,273 in all; the expansion peak adds
+    # the largest table, size 4's 1,540, not the requested size 7's 71.  At
+    # 8 bytes a residue that is 54,504 bytes; the boolean tables of the row
+    # sets that hold row 0 add sum_s C(6, s - 1) * C(7, s) = C(13, 6) =
+    # 1,716 and the orbit proof's copy the largest of them, size 4's 700
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 56920)
     assert chebotarev_scan(7, 7).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 58143)
-    with pytest.raises(ValueError, match="58144 bytes at once up to size 7"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 56919)
+    with pytest.raises(ValueError, match="56920 bytes at once up to size 7"):
         chebotarev_scan(7, 7)
 
 
@@ -1107,8 +1183,6 @@ def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
     # the pass's tables and the boolean zero tables are the scan's memory,
     # for a prime and a composite order alike: with the limit just below
     # what the scan really holds at its peak, the check must refuse it
-    import mpmath  # noqa: F401  (the witness check's import is not the scan's memory)
-
     exactverify._column_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -1122,21 +1196,22 @@ def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
 
 
 def test_scan_limit_bounds_the_minor_count(monkeypatch):
-    # order 5 to size 3 decides 25 + 100 + 100 minors
-    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 225)
+    # order 5 to size 3 visits the row sets that hold row 0, C(4, s - 1) of
+    # each size s: 1 * 5 + 4 * 10 + 6 * 10 minors
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 105)
     assert chebotarev_scan(5, 3).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 224)
-    with pytest.raises(ValueError, match="needs 225 minors"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 104)
+    with pytest.raises(ValueError, match="needs 105 minors"):
         chebotarev_scan(5, 3)
 
 
 @pytest.mark.parametrize(
     "order, max_size, size",
-    ((4, 6, 4), (14, 6, 6), (17, 6, 5), (24, 6, 4), (43, 6, 2), (3276, 6, 1), (3277, 6, 0),
-     (8193, 6, 0)),
+    ((4, 6, 4), (14, 6, 6), (17, 6, 6), (24, 6, 4), (43, 6, 3), (3276, 6, 1), (3343, 6, 1),
+     (3344, 6, 0), (8193, 6, 0)),
 )
 def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
     assert largest_scan_size(order, max_size) == size
     if size < min(order, max_size):
         with pytest.raises(ValueError, match="above the supported"):
-            exactverify._check_scan_reach("", order, order, size + 1)
+            exactverify._check_scan_reach("", order, order, size + 1, from_row_zero=True)
