@@ -11,6 +11,7 @@ import argparse
 import json
 
 from gesforge import chebotarev_scan
+from gesforge.construct import SCHEMA_VERSION
 
 
 def main() -> int:
@@ -46,7 +47,7 @@ def main() -> int:
     if broken_primes:
         print(f"\nBUG: zero minors reported for prime orders {broken_primes}")
     if args.out:
-        doc = {"schema": "gesforge/survey", "schema_version": 1,
+        doc = {"schema": "gesforge/survey", "schema_version": SCHEMA_VERSION,
                "scans": [s.to_doc() for s in scans]}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2)

@@ -242,14 +242,19 @@ def ensure_valid(params: ConstructionParams, table=None) -> None:
         raise ValueError("; ".join(problems))
 
 
-def exponent_table(params: ConstructionParams) -> list[list[list[int]]]:
-    """table[i][m][s] = i * s * W_m modulo the root order."""
-    weights = mixed_radix_weights(params.dims)
+def _recipe_blocks(params: ConstructionParams) -> tuple[np.ndarray, ...]:
+    """Per party m, the recipe's (k, dims[m]) int64 block i * (s * W_m mod p) mod p."""
     p = params.root_order
-    return [
-        [[i * s * weights[m] % p for s in range(params.dims[m])] for m in range(params.num_parties)]
-        for i in range(params.num_vectors)
-    ]
+    rows = np.arange(params.num_vectors, dtype=np.int64)[:, None]
+    return tuple(
+        rows * (np.arange(d, dtype=np.int64) * w % p) % p
+        for d, w in zip(params.dims, mixed_radix_weights(params.dims))
+    )
+
+
+def exponent_table(params: ConstructionParams) -> list[list[list[int]]]:
+    """table[i][m][s] = i * s * W_m mod p: the recipe's blocks as nested lists."""
+    return [list(row) for row in zip(*(block.tolist() for block in _recipe_blocks(params)))]
 
 
 def validate_exponent_table(params: ConstructionParams, table) -> list[str]:

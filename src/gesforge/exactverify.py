@@ -56,10 +56,11 @@ field the multimodular bound for min(|C|, D) asks for, has rank below
 |C|, so every maximal minor of M[C] is zero.  A copied row makes a circuit
 of two rows.  When every candidate is proven the rank is exactly |P|; a
 candidate that fails was dependent only mod q, and the next field is
-tried.  The rank of a matrix and each zero image of the spanning check go
-through this one proof: the first zero image still open is either cleared
-by a field where its image has full rank, or proven singular by its
-circuits, and each of them settles every zero image that contains it.
+tried.  The rank of a matrix, a side's rank (whose field gives its A) and
+each zero image of the spanning check go through this one proof: the
+first zero image still open is either cleared by a field where its image
+has full rank, or proven singular by its circuits, and each of them
+settles every zero image that contains it.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
 for prime and composite orders alike, over the row sets that hold row 0
@@ -312,19 +313,19 @@ def _fourier_form(flat: FlatMatrix) -> bool:
 
 def _proven_circuits(
     exponents: np.ndarray, order: int, dependent: dict | None = None
-) -> list[list[int]]:
-    """Circuits that prove the rows of w**exponents rank-deficient, or [].
+) -> tuple[int, list[int], list[list[int]], list[list[int]]]:
+    """(modulus, independent rows P, reduced echelon form, circuits) of the
+    field that decides the rank of w**exponents; circuits [] mean full rank.
 
     In each field of the modular_context sequence the echelon form of the
     image's transpose names independent rows P.  An image of rank min(k, D)
-    proves that rank, and the answer is [].  Otherwise each other row i
-    gives the support of a null vector within P + i, a candidate circuit
-    (module docstring); when `minors.exact_rank` proves every candidate of
-    that field dependent, the candidates are returned and the rank is
-    exactly |P|.  A candidate that fails means the image lost rank mod q,
-    and the next field is tried.  An exact rank holds in every field, so
-    `dependent`, keyed by a candidate's exponent rows, keeps each verdict
-    for the caller's later proofs.
+    proves that rank.  Otherwise each other row i gives the support of a
+    null vector within P + i, a candidate circuit (module docstring); when
+    `minors.exact_rank` proves every candidate of that field dependent,
+    that field is returned and the rank is exactly |P|.  A candidate that
+    fails means the image lost rank mod q, and the next field is tried.  An
+    exact rank holds in every field, so `dependent`, keyed by a candidate's
+    exponent rows, keeps each verdict for the caller's later proofs.
     """
     if dependent is None:
         dependent = {}
@@ -340,13 +341,13 @@ def _proven_circuits(
         ctx = minors.modular_context(order, index)
         _, basis, reduced = _modular_echelon(ctx.power_table()[exponents].T, ctx.modulus)
         if len(basis) == min(k, dim):
-            return []
+            return ctx.modulus, basis, reduced, []
         circuits = [
             sorted([i] + [b for b, row in zip(basis, reduced) if row[i]])
             for i in range(k) if i not in basis
         ]
         if all(proven(exponents[c]) for c in circuits):
-            return circuits
+            return ctx.modulus, basis, reduced, circuits
 
 
 def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
@@ -368,7 +369,7 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
 def _proven_rank(flat: FlatMatrix) -> tuple[bool, int, str]:
     """`rank_full` of a matrix already known not to have Fourier form."""
     k, dim = flat.exponents.shape
-    circuits = _proven_circuits(flat.exponents, flat.root_order)
+    circuits = _proven_circuits(flat.exponents, flat.root_order)[3]
     if not circuits:
         return k <= dim, min(k, dim), "modular"
     return False, k - len(circuits), "bordered"
@@ -516,7 +517,7 @@ def _circuit_zeros(flat: FlatMatrix, masks: np.ndarray) -> np.ndarray:
         first = int(np.argmax(open_sets))
         open_sets[first] = False
         rows = np.flatnonzero(masks[first])
-        for circuit in _proven_circuits(flat.exponents[rows], flat.root_order, dependent):
+        for circuit in _proven_circuits(flat.exponents[rows], flat.root_order, dependent)[3]:
             covered = masks[:, rows[circuit]].all(axis=1)
             zero |= covered
             open_sets &= ~covered
@@ -575,48 +576,42 @@ def _zero_image_reach(what: str, zero: list, k: int, cols: int) -> int:
 def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
     """(failing row subsets, the first of them) of a side with k >= D rows.
 
-    The maximal minors are scanned as the square minors of the Schur
-    complement A (module docstring) in one Laplace pass mod q, and the zero
-    images are proven by circuits (`_circuit_zeros`).  A field whose image
-    of the side has rank below D gives no A; the exact rank then either
-    proves every maximal minor zero or sends the check to the next field.
+    The field where `_proven_circuits` decides the side's rank gives the
+    Schur complement A (module docstring); one Laplace pass mod q scans its
+    square minors, and `_circuit_zeros` proves the zero images.  A side
+    proven below rank D fails every subset.
     """
     k, dim = flat.exponents.shape
-    order = flat.root_order
-    for index in itertools.count():
-        ctx = minors.modular_context(order, index)
-        _, basis, reduced = _modular_echelon(ctx.power_table()[flat.exponents].T, ctx.modulus)
-        if len(basis) < dim:
-            if index == 0 and _proven_rank(flat)[1] < dim:
-                return math.comb(k, dim), tuple(range(dim))  # every maximal minor vanishes
-            continue
-        rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
-        basis = np.array(basis, dtype=np.int64)
-        schur = np.array(reduced, dtype=np.int64)[:, rest]  # A^T: rows follow basis, columns rest
-        # the pass walks the row sets, so it runs on the side with fewer rows
-        flipped = len(rest) < dim
-        size = min(dim, len(rest))
-        what, cols = f"a spanning scan of a {k} x {dim} side", max(dim, len(rest))
-        _check_scan_reach(what, size, cols, size)
-        zero = _zero_minors(schur.T if flipped else schur, ctx.modulus, size)
-        masks = np.zeros((_zero_image_reach(what, zero, k, cols), k), dtype=bool)
-        masks[:, basis] = True
-        row_sets, col_sets = _column_tables(size, size)[0], _column_tables(cols, size)[0]
-        filled = 0
-        for s, table in enumerate(zero):
-            i, j = np.nonzero(table)
-            row_set, col_set = row_sets[s][i], col_sets[s][j]
-            dropped, added = (col_set, row_set) if flipped else (row_set, col_set)
-            at = np.arange(filled, filled + len(i))[:, None]
-            masks[at, basis[dropped]] = False
-            masks[at, rest[added]] = True
-            filled += len(i)
-        failing = masks[_circuit_zeros(flat, masks)]
-        if not len(failing):
-            return 0, None
-        # the lexicographically first sorted row set has the greatest mask
-        first = failing[np.lexsort(failing.T[::-1])[-1]]
-        return len(failing), tuple(np.flatnonzero(first).tolist())
+    q, basis, reduced, circuits = _proven_circuits(flat.exponents, flat.root_order)
+    if circuits:
+        return math.comb(k, dim), tuple(range(dim))  # every maximal minor vanishes
+    rest = np.array([i for i in range(k) if i not in basis], dtype=np.int64)
+    basis = np.array(basis, dtype=np.int64)
+    schur = np.array(reduced, dtype=np.int64)[:, rest]  # A^T: rows follow basis, columns rest
+    # the pass walks the row sets, so it runs on the side with fewer rows
+    flipped = len(rest) < dim
+    size = min(dim, len(rest))
+    what, cols = f"a spanning scan of a {k} x {dim} side", max(dim, len(rest))
+    _check_scan_reach(what, size, cols, size)
+    zero = _zero_minors(schur.T if flipped else schur, q, size)
+    masks = np.zeros((_zero_image_reach(what, zero, k, cols), k), dtype=bool)
+    masks[:, basis] = True
+    row_sets, col_sets = _column_tables(size, size)[0], _column_tables(cols, size)[0]
+    filled = 0
+    for s, table in enumerate(zero):
+        i, j = np.nonzero(table)
+        row_set, col_set = row_sets[s][i], col_sets[s][j]
+        dropped, added = (col_set, row_set) if flipped else (row_set, col_set)
+        at = np.arange(filled, filled + len(i))[:, None]
+        masks[at, basis[dropped]] = False
+        masks[at, rest[added]] = True
+        filled += len(i)
+    failing = masks[_circuit_zeros(flat, masks)]
+    if not len(failing):
+        return 0, None
+    # the lexicographically first sorted row set has the greatest mask
+    first = failing[np.lexsort(failing.T[::-1])[-1]]
+    return len(failing), tuple(np.flatnonzero(first).tolist())
 
 
 def verify_all_bipartitions(params: ConstructionParams, table=None) -> ExactReport:

@@ -12,16 +12,17 @@ half step is one stacked eigen-solve over the restarts of those cuts that
 have not yet converged.
 A strictly positive minimum over every cut witnesses that the orthogonal
 complement of the span contains no biproduct state, i.e. it is genuinely
-entangled.  The dual diagnostic maximizes overlap with the complement
-projector and must stay strictly below one.  The family comes in as its
-(K, D) coefficient rows (`partition.build_nupb`) and local dimensions.
+entangled.  The dual diagnostic, 1 minus the same search's minimum on
+1 - P, P the complement projector, must stay strictly below one.  The
+family comes in as its (K, D) coefficient rows (`partition.build_nupb`)
+and local dimensions.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -55,11 +56,11 @@ class OptimizerOptions:
 
     Defaults: 50 restarts, seed 0; each restart stops once a sweep moves
     its value by less than TOL, or after MAX_SWEEPS sweeps.
-    Each cut's starts come from one stream, seeded by the seed, the
-    search's direction (0 minimises, 1 maximises) and the cut's index in
-    `enumerate_bipartitions`; restart r takes block r of it.  So restart
-    r's start depends on (seed, cut, r) only, not on the restart count or
-    on which cuts run together, and a seed reproduces a run bit for bit.
+    Each cut's starts come from one stream, seeded by the seed and the
+    cut's index in `enumerate_bipartitions`; restart r takes block r of
+    it.  So restart r's start depends on (seed, cut, r) only, not on the
+    restart count or on which cuts run together, and a seed reproduces a
+    run bit for bit.
     """
 
     restarts: int = 50
@@ -214,11 +215,10 @@ def _search_bytes(restarts: int, d_left: int, d_right: int) -> int:
 
 def _alternating_extremum(
     groupeds: list[np.ndarray],
-    minimize: bool,
     options: OptimizerOptions,
     streams: list[tuple[int, int]],
 ) -> list[tuple[float, np.ndarray, np.ndarray, int, bool, np.ndarray]]:
-    """Alternating eigenvector search from every restart of every cut at once.
+    """Alternating smallest-eigenvector search from every restart of every cut at once.
 
     All cuts share one (d_left, d_right) shape; cut c starts its restarts
     from `streams[c]`.  The restarts still active are kept compacted in cut
@@ -235,7 +235,6 @@ def _alternating_extremum(
     d_left, d_right = groupeds[0].shape[0], groupeds[0].shape[1]
     restarts = options.restarts
     total = len(groupeds) * restarts
-    pick = 0 if minimize else -1
     # by_pairs[(a c), (b d)] = G[a, b, c, d]; conj(r)_b r_d contracts the right legs
     by_pairs = [
         g.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right) for g in groupeds
@@ -253,7 +252,7 @@ def _alternating_extremum(
         eff = eff.reshape(-1, dim, dim)
         # eigh reads the lower triangle, the Hermitian operator up to rounding
         w, vecs = np.linalg.eigh(eff)
-        return w[:, pick], np.ascontiguousarray(vecs[:, :, pick])
+        return w[:, 0], np.ascontiguousarray(vecs[:, :, 0])
 
     rights = np.concatenate([
         _start_factors(options.seed, stream, restarts, d_right) for stream in streams
@@ -293,7 +292,7 @@ def _alternating_extremum(
     for cut in range(len(groupeds)):
         block = slice(cut * restarts, (cut + 1) * restarts)
         finals = final_values[block]
-        best = cut * restarts + int(np.argmin(finals) if minimize else np.argmax(finals))
+        best = cut * restarts + int(np.argmin(finals))
         results.append((
             float(final_values[best]),
             final_lefts[best],
@@ -305,13 +304,13 @@ def _alternating_extremum(
     return results
 
 
-def _search_result(outcome, minimize: bool, dims, cut: Bipartition) -> BiproductSearch:
+def _search_result(outcome, dims, cut: Bipartition) -> BiproductSearch:
     value, left, right, sweeps, converged, finals = outcome
     agreeing = np.abs(finals - value) <= 1e-6 * abs(value) + 1e-15
     return BiproductSearch(
         members=cut.members,
         complement=cut.complement,
-        value=max(value, 0.0) if minimize else min(value, 1.0),
+        value=max(value, 0.0),
         left=left,
         right=right,
         witness=_ungroup_state(left, right, dims, cut),
@@ -322,7 +321,7 @@ def _search_result(outcome, minimize: bool, dims, cut: Bipartition) -> Biproduct
 
 
 def _biproduct_searches(
-    operator: np.ndarray, dims, cuts: list[Bipartition], minimize: bool, options: OptimizerOptions
+    operator: np.ndarray, dims, cuts: list[Bipartition], options: OptimizerOptions
 ) -> list[BiproductSearch]:
     """Stacked searches over `cuts`, one per cut shape as far as MAX_SEARCH_BYTES
     allows; the results follow the order of `cuts`."""
@@ -344,14 +343,15 @@ def _biproduct_searches(
         batch = MAX_SEARCH_BYTES // _search_bytes(options.restarts, *shape)
         for first in range(0, len(positions), batch):
             chunk = [cuts[position] for position in positions[first:first + batch]]
+            # every search reads stream (0, cut index), the key that keeps a
+            # seed's minimum-search starts as earlier releases drew them
             outcomes = _alternating_extremum(
                 [_grouped_operator(operator, dims, cut)[0] for cut in chunk],
-                minimize,
                 options,
-                [(0 if minimize else 1, every.index(cut)) for cut in chunk],
+                [(0, every.index(cut)) for cut in chunk],
             )
             for position, cut, outcome in zip(positions[first:], chunk, outcomes):
-                found[position] = _search_result(outcome, minimize, dims, cut)
+                found[position] = _search_result(outcome, dims, cut)
     return found
 
 
@@ -370,7 +370,7 @@ def min_biproduct_value(
     """
     options = options or OptimizerOptions()
     _check_hermitian(operator)
-    return _biproduct_searches(operator, dims, [cut], True, options)[0]
+    return _biproduct_searches(operator, dims, [cut], options)[0]
 
 
 def max_product_overlap(
@@ -380,12 +380,13 @@ def max_product_overlap(
 ) -> BiproductSearch:
     """Maximize <x|P|x> over biproduct x, P the complement projector.
 
-    Strictly below one on every cut means the subspace spanned by the
-    basis columns holds no biproduct state.
+    <x|P|x> = 1 - <x|(1 - P)|x> for a unit x, so this is 1 minus
+    `min_biproduct_value` on 1 - P, with its witness.  Strictly below one
+    on every cut means the basis columns span no biproduct state.
     """
-    options = options or OptimizerOptions()
     projector = basis.columns @ basis.columns.conj().T
-    return _biproduct_searches(projector, basis.dims, [cut], False, options)[0]
+    low = min_biproduct_value(np.eye(len(projector)) - projector, basis.dims, cut, options)
+    return replace(low, value=1 - low.value)
 
 
 def ges_basis(rows, dims, exact_rank: int) -> GesBasis:
@@ -429,7 +430,7 @@ def certify_ges_numeric(rows, dims, options: OptimizerOptions | None = None) -> 
     dims = tuple(dims)
     operator = family_operator(rows)
     _check_hermitian(operator)
-    outcomes = _biproduct_searches(operator, dims, enumerate_bipartitions(len(dims)), True, options)
+    outcomes = _biproduct_searches(operator, dims, enumerate_bipartitions(len(dims)), options)
     return NumericCertificate(
         dims=dims,
         num_vectors=len(rows),

@@ -6,10 +6,11 @@ exponents (`coefficient_matrix`, per cut side `factor_matrices`) and the
 scaled complex K x D family (`build_nupb`) come from one exponent sum.
 
 The sum reads one (k, d_m) int64 block per party, built once per family
-(`exponent_blocks`): from the params alone by broadcasting, block[i, s] =
-i * (s * W_m mod p) mod p, or from a nested exponent table, the JSON
-exchange format, by one conversion per party.  A side's matrix is then a
-broadcast sum of its parties' blocks, with no loop over the rows.
+(`exponent_blocks`): from the params alone, the standard recipe's blocks
+that `construct.exponent_table` also lists, or from a nested exponent
+table, the JSON exchange format, by one conversion per party.  A side's
+matrix is then a broadcast sum of its parties' blocks, with no loop over
+the rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionParams, ensure_valid, mixed_radix_weights
+from .construct import ConstructionParams, _recipe_blocks, ensure_valid
 
 
 @dataclass(frozen=True, order=True)
@@ -100,14 +101,9 @@ class FlatMatrix:
 
 def exponent_blocks(params: ConstructionParams, table=None) -> tuple[np.ndarray, ...]:
     """Per party m, the (k, dims[m]) int64 block of exponents table[i][m][s];
-    with table None, the standard recipe i * s * W_m mod p, from the params."""
+    with table None, the standard recipe's blocks, from the params."""
     if table is None:
-        p = params.root_order
-        rows = np.arange(params.num_vectors, dtype=np.int64)[:, None]
-        return tuple(
-            rows * (np.arange(d, dtype=np.int64) * w % p) % p
-            for d, w in zip(params.dims, mixed_radix_weights(params.dims))
-        )
+        return _recipe_blocks(params)
     return tuple(
         np.array([row[m] for row in table], dtype=np.int64).reshape(len(table), d)
         for m, d in enumerate(params.dims)

@@ -296,18 +296,26 @@ def spy_on_circuit_proofs(monkeypatch):
     return calls
 
 
-def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields):
+def test_spanning_moves_to_the_next_field_after_a_rank_drop(small_fields, monkeypatch):
     # a 4 x 4 block whose determinant vanishes mod the first field but not
     # exactly, and two rows equal to block rows times powers of w: the first
-    # field's image of the side has rank 3, so the next field must decide
+    # field's image of the side has rank 3, so its candidate circuit is
+    # refuted and the next field decides the rank and gives the Schur
+    # complement.  The side is reduced once in each of the two fields,
+    # before any zero image's circuit proof
     order = 7
     ctx = minors.modular_context(order, 0)
     block = spurious_block(order)
     exps = np.vstack([block, (block[[0, 2]] + [[1], [3]]) % order])
     assert len(_modular_echelon(ctx.power_table()[exps].T, ctx.modulus)[1]) < 4
+    echelons = spy_on_echelons(monkeypatch)
     side = FlatMatrix(order, (0,), (4,), exps)
     check = spanning_property(side)
     assert (check.failures, check.witness) == leibniz_spanning(side) == (11, (0, 1, 2, 4))
+    side_calls = [at for at, (values, _, _) in enumerate(echelons) if len(values[0]) == len(exps)]
+    assert side_calls == [0, 1] and len(echelons) > 2
+    fields = [minors.modular_context(order, i).modulus for i in (0, 1)]
+    assert [q for _, q, _ in echelons[:2]] == fields
 
 
 def spy_on_echelons(monkeypatch):
@@ -768,6 +776,22 @@ def svd_ranks(matrices: np.ndarray) -> np.ndarray:
     return (values >= 1e-11).sum(axis=-1)
 
 
+def unit_square_ranks(squares: np.ndarray) -> np.ndarray:
+    """`svd_ranks` of a stack of n x n matrices whose entries have modulus 1.
+
+    Such a matrix has sigma_max <= ||M||_F = n, so sigma_min >= |det| /
+    n**(n - 1): a determinant of at least 1e-11 * n**(n - 1) puts every
+    singular value at or above the margin, full rank and outside the guard
+    band.  Only the other matrices take the SVD, with its margin check.
+    """
+    n = squares.shape[-1]
+    ranks = np.full(len(squares), n)
+    unsure = np.abs(np.linalg.det(squares)) < 1e-11 * float(n) ** (n - 1)
+    if unsure.any():
+        ranks[unsure] = svd_ranks(squares[unsure])
+    return ranks
+
+
 @pytest.mark.parametrize(
     "dims, k, order",
     (
@@ -789,7 +813,7 @@ def test_edge_families_match_svd(dims, k, order):
             sides = factor_matrices(params, cut, table)
             for side, spanning in zip(sides, (check.left, check.right)):
                 rows = list(itertools.combinations(range(k), side.dimension))
-                ok = svd_ranks(side.to_complex()[np.array(rows)]) == side.dimension
+                ok = unit_square_ranks(side.to_complex()[np.array(rows)]) == side.dimension
                 assert spanning.failures == int((~ok).sum())
                 first = None if ok.all() else rows[int(np.argmin(ok))]
                 assert spanning.witness == first

@@ -204,8 +204,8 @@ def test_fewer_restarts_draw_a_prefix_of_the_same_starts():
     few, many = OptimizerOptions(restarts=7, seed=3), OptimizerOptions(restarts=50, seed=3)
     for index, cut in enumerate(enumerate_bipartitions(3)):
         grouped, _, _ = _grouped_operator(G, (2, 2, 2), cut)
-        head = _alternating_extremum([grouped], True, few, [(0, index)])[0][5]
-        tail = _alternating_extremum([grouped], True, many, [(0, index)])[0][5]
+        head = _alternating_extremum([grouped], few, [(0, index)])[0][5]
+        tail = _alternating_extremum([grouped], many, [(0, index)])[0][5]
         # the same seven runs; a larger stack moves their values by rounding only
         np.testing.assert_allclose(tail[:7], head, rtol=0, atol=TOL)
         low = min_biproduct_value(G, (2, 2, 2), cut, few).value
@@ -295,10 +295,14 @@ STACKED_FAMILIES = (
 
 
 def assert_stacked_matches_reference(operator, dims, minimize, opts):
+    # the package only minimises: a maximum on P is 1 minus the minimum on
+    # 1 - P, from the same stream, and the reference maximises P itself
+    searched = operator if minimize else np.eye(len(operator)) - operator
     for index, cut in enumerate(enumerate_bipartitions(len(dims))):
         grouped, _, _ = _grouped_operator(operator, dims, cut)
-        stream = (0 if minimize else 1, index)
-        got = _alternating_extremum([grouped], minimize, opts, [stream])[0][0]
+        stream = (0, index)
+        low = _alternating_extremum([_grouped_operator(searched, dims, cut)[0]], opts, [stream])
+        got = low[0][0] if minimize else 1 - low[0][0]
         want = alternating_extremum_reference(grouped, minimize, opts, stream)[0]
         assert abs(got - want) <= 1e-12 + 1e-6 * abs(want), (dims, cut.label(), got, want)
 
@@ -377,6 +381,23 @@ def test_duality_on_positive_and_negative_controls():
     high = max_product_overlap(control_basis, cut, QUICK)
     assert low.value < 1e-10
     assert high.value > 1 - 1e-10
+
+
+def test_overlap_is_one_minus_the_minimum_on_the_complement_bit_for_bit():
+    # one search direction: the overlap search is the minimum search on
+    # 1 - P, read from the same stream, witness and counts included
+    for dims, k in (((2, 2, 2), 5), ((2, 2, 3), 8)):
+        rows = build_nupb(make_params(dims=dims, num_vectors=k))
+        basis = ges_basis(rows, dims, exact_rank=k)
+        complement = np.eye(len(rows[0])) - basis.columns @ basis.columns.conj().T
+        for cut in enumerate_bipartitions(len(dims)):
+            high = max_product_overlap(basis, cut, QUICK)
+            low = min_biproduct_value(complement, dims, cut, QUICK)
+            assert high.value == 1 - low.value
+            np.testing.assert_array_equal(high.witness, low.witness)
+            assert (high.sweeps, high.converged, high.restarts_agreeing) == (
+                low.sweeps, low.converged, low.restarts_agreeing
+            )
 
 
 # -- the complement basis ------------------------------------------------------------

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gesforge.construct import GaussianRational, exponent_table, make_params
+from gesforge.construct import GaussianRational, exponent_table, make_params, mixed_radix_weights
 from gesforge.partition import (
     Bipartition,
     build_nupb,
     coefficient_matrix,
     enumerate_bipartitions,
+    exponent_blocks,
     factor_matrices,
 )
 
@@ -136,3 +137,22 @@ def test_exponents_read_only():
     flat = coefficient_matrix(p)
     with pytest.raises(ValueError):
         flat.exponents[0, 0] = 3
+
+
+@pytest.mark.parametrize(
+    "dims, k, order", (((2, 3), 5, None), ((3, 3, 3), 15, None), ((2, 2, 2), 6, 13))
+)
+def test_exponent_table_lists_the_recipe_blocks(dims, k, order):
+    # one recipe: the nested table holds the blocks' numbers as ints, the
+    # blocks read back from it are the blocks from the params, and both are
+    # i * s * W_m mod p (order 13 is above the minimal prime 11 for 2x2x2)
+    params = make_params(dims=dims, num_vectors=k, root_order=order)
+    table, blocks = exponent_table(params), exponent_blocks(params, None)
+    assert table == [[block[i].tolist() for block in blocks] for i in range(k)]
+    assert {type(e) for row in table for local in row for e in local} == {int}
+    for read, built in zip(exponent_blocks(params, table), blocks, strict=True):
+        np.testing.assert_array_equal(read, built)
+    weights, p = mixed_radix_weights(dims), params.root_order
+    assert table == [
+        [[i * s * w % p for s in range(d)] for d, w in zip(dims, weights)] for i in range(k)
+    ]
