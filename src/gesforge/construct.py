@@ -375,9 +375,12 @@ def params_from_json(doc) -> ConstructionParams:
 
 
 def vectors_to_doc(params: ConstructionParams, table=None, provenance: str | None = None) -> dict:
+    # the params first, so that invalid ones never pay for a standard table
+    ensure_valid(params)
     if table is None:
         table = exponent_table(params)
-    ensure_valid(params, table)
+    else:
+        ensure_valid(params, table)
     if provenance is None:
         provenance = "standard-recipe" if is_standard_table(params, table) else "user-supplied"
     p = params.root_order

@@ -3,13 +3,17 @@
 The exact stage proves that no product vector is orthogonal to the whole
 family.  This module quantifies the margin: for each bipartition S|Sbar it
 minimizes sum_i |<psi_i|x>|^2 over normalized biproduct states
-x = a (x) b, by alternating exact eigenvector updates (fixing one factor
-makes the objective a Hermitian quadratic form in the other, so each half
-step is a smallest-eigenvalue problem and the objective never increases).
+x = a (x) b, by alternating updates of one factor at a time.  Fixing one
+factor makes the objective a Hermitian quadratic form in the other, so a
+half step is a smallest-eigenvector problem.  The first two sweeps of a
+restart solve it exactly; later ones take one shifted inverse-iteration
+step from the previous factor, which is already close to the answer and
+never raises the objective, so the descent stays monotone.
 Each cut draws the starts of all its restarts from one seeded stream, and
 every cut with the same (left, right) dimensions runs in one search: each
-half step is one stacked eigen-solve over the restarts of those cuts that
-have not yet converged.
+half step is one stacked eigen-solve, or after the first two sweeps one
+stacked LU solve, over the restarts of those cuts that have not yet
+converged.
 A strictly positive minimum over every cut witnesses that the orthogonal
 complement of the span contains no biproduct state, i.e. it is genuinely
 entangled.  The dual diagnostic, 1 minus the same search's minimum on
@@ -39,14 +43,22 @@ TOL = 1e-12
 # A cut's minimum passes the numeric check above THRESHOLD.  The verdict is
 # the exact stage's proof; this only flags a tight margin.
 THRESHOLD = 1e-6
+# The first sweeps of a restart solve each half step with a full stacked
+# eigh; later ones take one shifted inverse-iteration step from the
+# previous factor, with the shift _SHIFT * tr M (`_inverse_step`).
+_COLD_SWEEPS = 2
+_SHIFT = 1e-10
 # A stacked search over R restarts of (d_left, d_right) cuts holds, 16 bytes
 # a complex entry, per restart its two factors and their start draw, twice
-# (the active set and the finished one), and per half step its outer
-# products, effective operators and their eigenvectors, each at most
-# max(d_left, d_right)**2 entries.  A search above the bound is refused
-# before any start is drawn (`_biproduct_searches`), and the cuts of one
-# shape run in as few stacked searches as the bound allows.  50 restarts of
-# a 64|2 cut of 2^7 need 10 MB.
+# (the active set and the finished one), and per half step at most three
+# arrays of max(d_left, d_right)**2 entries: the outer products, the
+# effective operators built from them, and a cold sweep's eigenvectors.  A
+# warm sweep holds less: numpy's batched solve factors one matrix at a time,
+# so its LU copy and pivots are one matrix's, beside the solutions and their
+# unit copies of max(d_left, d_right) entries per restart.  A search above
+# the bound is refused before any start is drawn (`_biproduct_searches`),
+# and the cuts of one shape run in as few stacked searches as the bound
+# allows.  50 restarts of a 64|2 cut of 2^7 need 10 MB.
 MAX_SEARCH_BYTES = 2**26
 
 
@@ -213,6 +225,35 @@ def _search_bytes(restarts: int, d_left: int, d_right: int) -> int:
     return 16 * restarts * (4 * (d_left + d_right) + 3 * side * side)
 
 
+def _eigen_step(eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenpair of each Hermitian matrix in the stack: (values, unit vectors)."""
+    # eigh reads the lower triangle, the Hermitian operator up to rounding
+    w, vecs = np.linalg.eigh(eff)
+    return w[:, 0], np.ascontiguousarray(vecs[:, :, 0])
+
+
+def _inverse_step(eff: np.ndarray, previous: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One shifted inverse-iteration step per matrix, from the previous factors.
+
+    Solves (M + s I) y = x with x the previous unit factor and
+    s = _SHIFT * tr M, and returns y / |y| with its value
+    <y|M|y> / |y|^2 = Re<y|x> / |y|^2 - s.  For positive semidefinite M the
+    step never raises the Rayleigh quotient, and near convergence x is
+    close to the smallest eigenvector, so one step recovers it at the cost
+    of an LU solve rather than a full eigen-decomposition.  The shift's
+    floor keeps an all-zero M nonsingular, with |y| = 1e100 far from
+    overflow.  The shift is added to `eff` in place.
+    """
+    dim = eff.shape[1]
+    diagonal = eff.reshape(len(eff), dim * dim)[:, ::dim + 1]
+    shift = np.maximum(_SHIFT * diagonal.real.sum(axis=1), 1e-100)
+    diagonal += shift[:, None]
+    y = np.linalg.solve(eff, previous[:, :, None])[:, :, 0]
+    norms = np.linalg.norm(y, axis=1)
+    overlap = np.einsum("ij,ij->i", y.conj(), previous).real
+    return overlap / (norms * norms) - shift, y / norms[:, None]
+
+
 def _alternating_extremum(
     groupeds: list[np.ndarray],
     options: OptimizerOptions,
@@ -224,13 +265,16 @@ def _alternating_extremum(
     from `streams[c]`.  The restarts still active are kept compacted in cut
     order, so each cut owns one contiguous slice.  A half step builds each
     cut's effective operators with one matmul of its slice against its
-    operator reshaped to (a c),(b d), and solves all of them with one
-    stacked eigh; a restart is written out and leaves the active set once
-    its value moves by less than TOL.  Nothing a cut computes reads another
-    cut's rows, so its outcome does not depend on the others.  Returns per
-    cut the best restart's (value, left, right, sweeps, converged), ties
-    going to the lowest restart index, and the final values of all its
-    restarts.
+    operator reshaped to (a c),(b d).  The first _COLD_SWEEPS sweeps solve
+    them with one stacked eigh, which gives each factor exactly; from then
+    on each half step is one batched shifted LU solve, a step of inverse
+    iteration from the restart's previous factor (`_inverse_step`), which
+    never raises the value either.  A restart is written out and leaves the
+    active set once a sweep moves its value by less than TOL.  Nothing a
+    cut computes reads another cut's rows, so its outcome does not depend
+    on the others.  Returns per cut the best restart's (value, left, right,
+    sweeps, converged), ties going to the lowest restart index, and the
+    final values of all its restarts.
     """
     d_left, d_right = groupeds[0].shape[0], groupeds[0].shape[1]
     restarts = options.restarts
@@ -241,7 +285,7 @@ def _alternating_extremum(
     ]
     to_left = [m.T for m in by_pairs]
 
-    def half_step(vectors: np.ndarray, operators, counts, dim: int):
+    def half_step(vectors: np.ndarray, operators, counts, dim: int, previous, cold: bool):
         outer = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
         eff = np.empty((len(vectors), dim * dim), dtype=complex)
         start = 0
@@ -250,9 +294,7 @@ def _alternating_extremum(
                 np.matmul(outer[start:start + count], operator, out=eff[start:start + count])
             start += count
         eff = eff.reshape(-1, dim, dim)
-        # eigh reads the lower triangle, the Hermitian operator up to rounding
-        w, vecs = np.linalg.eigh(eff)
-        return w[:, 0], np.ascontiguousarray(vecs[:, :, 0])
+        return _eigen_step(eff) if cold else _inverse_step(eff, previous)
 
     rights = np.concatenate([
         _start_factors(options.seed, stream, restarts, d_right) for stream in streams
@@ -265,9 +307,11 @@ def _alternating_extremum(
     final_rights = np.empty((total, d_right), dtype=complex)
     sweeps = np.full(total, MAX_SWEEPS)
     converged = np.zeros(total, dtype=bool)
+    lefts = None  # the first sweep has no left factor to start from
     for sweep in range(MAX_SWEEPS):
-        _, lefts = half_step(rights, to_left, counts, d_left)
-        new_values, rights = half_step(lefts, by_pairs, counts, d_right)
+        cold = sweep < _COLD_SWEEPS
+        _, lefts = half_step(rights, to_left, counts, d_left, lefts, cold)
+        new_values, rights = half_step(lefts, by_pairs, counts, d_right, rights, cold)
         done = np.abs(new_values - values) < TOL
         values = new_values
         if done.any():
@@ -363,10 +407,12 @@ def min_biproduct_value(
 ) -> BiproductSearch:
     """Minimize <x|G|x> over normalized biproduct states x = a (x) b.
 
-    Multi-start alternating smallest-eigenvector descent; each half step
-    solves its factor exactly, so the objective is monotone within a
-    restart.  The returned value is the best over all restarts and is
-    clipped at zero (G is positive semidefinite).
+    Multi-start alternating smallest-eigenvector descent.  In the first
+    two sweeps each half step solves its factor exactly; after them it
+    takes one inverse-iteration step from the previous factor.  Neither
+    raises the objective, so it is monotone within a restart.  The
+    returned value is the best over all restarts and is clipped at zero
+    (G is positive semidefinite).
     """
     options = options or OptimizerOptions()
     _check_hermitian(operator)

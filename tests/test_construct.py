@@ -344,6 +344,16 @@ def test_vectors_doc_flags_user_table():
     assert not is_standard_table(p, table)
 
 
+def test_vectors_doc_checks_params_before_building_the_table(monkeypatch):
+    import gesforge.construct as construct
+
+    calls = []
+    monkeypatch.setattr(construct, "exponent_table", lambda params: calls.append(params))
+    with pytest.raises(ValueError, match="no room for a complement"):
+        vectors_to_doc(make_params(n=2, d=2, num_vectors=200000))
+    assert calls == []
+
+
 def test_vectors_doc_rejects_wrong_schema():
     with pytest.raises(ValueError):
         vectors_from_doc({"schema": "gesforge/basis"})

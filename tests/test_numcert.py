@@ -1,5 +1,7 @@
 """Numerical certification: alternating searches, bases, Schmidt sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from gesforge.numcert import (
     schmidt_coefficients,
 )
 from gesforge.numcert import (
+    _COLD_SWEEPS,
     _alternating_extremum,
     _grouped_operator,
+    _inverse_step,
     _search_bytes,
     _start_factors,
 )
@@ -154,24 +158,56 @@ def test_certificate_fails_on_extendible_family():
 
 
 def test_monotone_descent_within_restart(monkeypatch):
-    # with one restart each half step is one eigh of a stack of one; the
-    # smallest eigenvalue is the objective after that half step, and every
-    # second call closes a sweep
+    # with one restart each half step solves a stack of one, by eigh in the
+    # cold sweeps and by one inverse-iteration step after them; either
+    # returns the objective after that half step, and every second call
+    # closes a sweep
     p = make_params(n=3, d=2, num_vectors=5)
     G = family_operator(build_nupb(p))
-    real = np.linalg.eigh
-    lowest = []
+    objectives = []
 
-    def spy(a):
-        w, v = real(a)
-        lowest.append(float(w[0, 0]))
-        return w, v
+    def spy(step, path):
+        def recorded(*args):
+            values, vectors = step(*args)
+            objectives.append((path, float(values[0])))
+            return values, vectors
+        return recorded
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(numcert, "_eigen_step", spy(numcert._eigen_step, "cold"))
+    monkeypatch.setattr(numcert, "_inverse_step", spy(numcert._inverse_step, "warm"))
     s = min_biproduct_value(G, (2, 2, 2), Bipartition(3, (0,)), OptimizerOptions(restarts=1, seed=11))
-    assert len(lowest) == 2 * s.sweeps >= 4
-    assert (np.diff(lowest) <= 1e-12).all()
-    assert lowest[-1] == s.value
+    paths = [path for path, _ in objectives]
+    assert len(paths) == 2 * s.sweeps
+    assert paths[:2 * _COLD_SWEEPS] == ["cold"] * (2 * _COLD_SWEEPS)
+    assert paths[2 * _COLD_SWEEPS:] == ["warm"] * (2 * (s.sweeps - _COLD_SWEEPS)) != []
+    values = [value for _, value in objectives]
+    assert (np.diff(values) <= 1e-12).all()
+    assert values[-1] == s.value
+
+
+@pytest.mark.parametrize("dim", (2, 9))
+def test_inverse_step_on_degenerate_stacks(dim):
+    # an all-zero operator (every factor is optimal, value 0) and a
+    # rank-one one (value 0 on its null space); neither may overflow nor
+    # hit a singular solve, and both must return unit factors
+    rng = np.random.default_rng(dim)
+    draw = rng.standard_normal((2, 2, dim))
+    previous = draw[:, 0] + 1j * draw[:, 1]
+    previous /= np.linalg.norm(previous, axis=1, keepdims=True)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    stack = np.zeros((2, dim, dim), dtype=complex)
+    stack[1] = np.outer(v, v.conj())
+    rank_one = stack[1].copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, factors = _inverse_step(stack, previous)
+    np.testing.assert_allclose(np.linalg.norm(factors, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.isfinite(values).all()
+    assert abs(values[0]) <= 1e-12
+    # the rank-one step lands on v's orthogonal complement, whose value is 0
+    assert abs(values[1]) <= 1e-9 * np.trace(rank_one).real
+    direct = np.real(factors[1].conj() @ rank_one @ factors[1])
+    assert values[1] == pytest.approx(direct, abs=1e-12 * np.trace(rank_one).real)
 
 
 def test_seed_determinism_bit_exact():
@@ -291,6 +327,8 @@ STACKED_FAMILIES = (
     ((2, 2, 3), 7),
     ((2, 2, 2, 2), 9),
     ((3, 3, 3), 11),
+    ((3, 3, 3), 13),
+    ((2, 3, 3), 11),
 )
 
 
