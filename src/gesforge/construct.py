@@ -136,6 +136,12 @@ class ConstructionParams:
         return all(isinstance(s, GaussianRational) for row in self.scales for s in row)
 
 
+# The exact stage builds a power table of root_order entries, and each zero
+# proof runs through root_order - 1 embeddings: both grow linearly with the
+# order, and primality is tested by trial division.
+MAX_ROOT_ORDER = 2**20
+
+
 def make_params(
     dims=None,
     num_vectors=None,
@@ -144,7 +150,12 @@ def make_params(
     n: int | None = None,
     d: int | None = None,
 ) -> ConstructionParams:
-    """Build params from either explicit dims or a (parties, dimension) pair."""
+    """Build params from either explicit dims or a (parties, dimension) pair.
+
+    The default root order is the smallest prime at least the total
+    dimension.  Past MAX_ROOT_ORDER it is the total dimension itself, with
+    no prime search, so that `validate_params` refuses it at once.
+    """
     if dims is None:
         if n is None or d is None:
             raise ValueError("give dims, or both the party count and the local dimension")
@@ -158,16 +169,11 @@ def make_params(
     if num_vectors is None:
         raise ValueError("the number of vectors is required")
     if root_order is None:
-        root_order = smallest_prime_geq(math.prod(dims))
+        total = math.prod(dims)
+        root_order = total if total > MAX_ROOT_ORDER else smallest_prime_geq(total)
     return ConstructionParams(
         dims=dims, num_vectors=int(num_vectors), root_order=int(root_order), scales=scales
     )
-
-
-# The exact stage builds a power table of root_order entries, and each zero
-# proof runs through root_order - 1 embeddings: both grow linearly with the
-# order, and primality is tested by trial division.
-MAX_ROOT_ORDER = 2**20
 
 
 def validate_params(params: ConstructionParams) -> list[str]:

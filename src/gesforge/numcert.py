@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .partition import Bipartition, enumerate_bipartitions
 
@@ -438,16 +437,22 @@ def max_product_overlap(
 def ges_basis(rows, dims, exact_rank: int) -> GesBasis:
     """Orthonormal null-space basis of the family's (K, D) coefficient rows.
 
-    The floating rank must agree with the exact rank, otherwise a
-    numerical-pathology error is raised.
+    The columns are the right singular vectors of the rows past the exact
+    rank.  The floating rank, the count of singular values above
+    max(K, D)·eps·σ_max, must agree with the exact rank, otherwise a
+    numerical-pathology error is raised; so must the residual, scaled by
+    the largest row entry.
     """
-    columns = scipy.linalg.null_space(rows)
-    expected = rows.shape[1] - exact_rank
-    if columns.shape[1] != expected:
+    _, singular, vh = np.linalg.svd(rows)
+    cutoff = max(rows.shape) * np.finfo(singular.dtype).eps * singular.max(initial=0.0)
+    float_rank = int(np.count_nonzero(singular > cutoff))
+    if float_rank != exact_rank:
+        width = rows.shape[1]
         raise ValueError(
-            f"floating null space has dimension {columns.shape[1]}, exact rank demands "
-            f"{expected}; numerical pathology"
+            f"floating null space has dimension {width - float_rank}, exact rank demands "
+            f"{width - exact_rank}; numerical pathology"
         )
+    columns = vh[exact_rank:].conj().T
     residual = float(np.abs(rows @ columns).max()) if columns.size else 0.0
     gram = columns.conj().T @ columns
     ortho = float(np.abs(gram - np.eye(columns.shape[1])).max()) if columns.size else 0.0

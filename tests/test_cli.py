@@ -257,12 +257,13 @@ def test_chebotarev_default_size_shrinks_into_reach(tmp_path, capsys):
 
 
 def test_the_package_runs_without_mpmath(tmp_path):
-    # no module of the package imports mpmath: with its import made to fail,
-    # a composite scan (which finds witnesses and checks them), the exact
-    # stage on a tampered table and a full report all still run
+    # no module of the package imports mpmath or scipy: with both imports
+    # made to fail, a composite scan (which finds witnesses and checks
+    # them), the exact stage on a tampered table and every command still run
     script = """
 import sys
 sys.modules["mpmath"] = None
+sys.modules["scipy"] = None
 from gesforge import chebotarev_scan, exponent_table, make_params, verify_all_bipartitions
 from gesforge.cli import main
 scan = chebotarev_scan(12, 4)
@@ -271,6 +272,10 @@ params = make_params(dims=(2, 2, 2), num_vectors=7)
 table = [[list(loc) for loc in row] for row in exponent_table(params)]
 table[6] = table[0]
 assert not verify_all_bipartitions(params, table).passed
+assert main(["construct", "--dims", "2,2", "--k", "3"]) == 0
+assert main(["verify", "--in", "vectors.json", "--restarts", "2"]) == 0
+assert main(["chebotarev", "--p", "4", "--max-size", "2"]) == 1
+assert main(["basis", "--in", "vectors.json"]) == 0
 sys.exit(main(["report", "--dims", "2,2", "--k", "3"]))
 """
     path = [str(Path(gesforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -279,7 +284,30 @@ sys.exit(main(["report", "--dims", "2,2", "--k", "3"]))
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}, timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+    assert "complement dimension: 1" in proc.stdout
     assert "verdict: certified" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--dims", "2,2", "--k", "3"],
+        ["verify", "--dims", "2,2", "--k", "3", "--restarts", "2"],
+        ["chebotarev", "--p", "5", "--max-size", "2"],
+        ["basis", "--in", "vectors.json"],
+        ["report", "--dims", "2,2", "--k", "3", "--restarts", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, argv, target):
+    # an output path that cannot be opened is bad input (exit 2, one error
+    # line), not a failed certification or scan (exit 1)
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    assert run(["construct", "--dims", "2,2", "--k", "3"], tmp_path) == EXIT_OK
+    capsys.readouterr()
+    assert run([*argv, "--out", str(out)], tmp_path) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_chebotarev_composite_witnesses(tmp_path, capsys):

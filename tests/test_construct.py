@@ -1,6 +1,7 @@
 """Family construction: parameters, exponent tables, vectors, JSON forms."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_make_params_requires_shape():
         make_params(dims=(2, 3), d=2, num_vectors=4)
     with pytest.raises(ValueError):
         make_params(n=3, d=2)
+
+
+def test_make_params_skips_the_prime_search_past_the_root_order_limit():
+    # a default order past MAX_ROOT_ORDER is refused anyway, so no prime is
+    # searched for by trial division, which takes seconds from 2^56 on
+    start = time.perf_counter()
+    p = make_params(n=56, d=2, num_vectors=3)
+    assert time.perf_counter() - start < 0.5
+    assert p.root_order == 2**56
+    assert any("exceeds the supported" in s for s in validate_params(p))
+    assert make_params(n=20, d=2, num_vectors=3).root_order == smallest_prime_geq(2**20)
 
 
 def test_validate_rejects_composite_order():

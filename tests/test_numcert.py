@@ -1,14 +1,17 @@
 """Numerical certification: alternating searches, bases, Schmidt sampling."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from gesforge import numcert
-from gesforge.construct import make_params
+from gesforge.construct import GaussianRational, exponent_table, make_params
+from gesforge.exactverify import rank_full
 from gesforge.numcert import (
     MAX_SEARCH_BYTES,
     MAX_SWEEPS,
@@ -32,7 +35,7 @@ from gesforge.numcert import (
     _search_bytes,
     _start_factors,
 )
-from gesforge.partition import Bipartition, build_nupb, enumerate_bipartitions
+from gesforge.partition import Bipartition, build_nupb, coefficient_matrix, enumerate_bipartitions
 
 from .oracles import (
     alternating_extremum_reference,
@@ -462,6 +465,42 @@ def test_basis_exact_rank_mismatch_is_pathology():
     rows = build_nupb(p)
     with pytest.raises(ValueError, match="pathology"):
         ges_basis(rows, p.dims, exact_rank=4)
+
+
+def _copied_row_family():
+    # 3x3x3 k=11 with row 0 copied over row 10: exact rank 10
+    params = make_params(n=3, d=3, num_vectors=11)
+    table = [[list(loc) for loc in row] for row in exponent_table(params)]
+    table[10] = table[0]
+    return params, table
+
+
+REFERENCE_FAMILIES = {
+    "3x3x3-k11": (make_params(n=3, d=3, num_vectors=11), None),
+    "3x3-k5-scaled": (
+        make_params(n=2, d=3, num_vectors=5, scales=(
+            (complex(1e6), 1, 1),
+            (GaussianRational(Fraction(3, 2), Fraction(-1, 3)), 1, complex(0.5, 2)),
+        )),
+        None,
+    ),
+    "3x3x3-k11-copied-row": _copied_row_family(),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+def test_basis_matches_scipy_null_space(name):
+    # scipy's null_space is the reference: the same SVD, with the floating
+    # rank read off the singular values rather than taken from the exact stage
+    params, table = REFERENCE_FAMILIES[name]
+    rows = build_nupb(params, table)
+    _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
+    basis = ges_basis(rows, params.dims, exact_rank=exact_rank)
+    reference = null_space(rows)
+    assert basis.columns.shape == reference.shape
+    np.testing.assert_allclose(
+        basis.columns @ basis.columns.conj().T, reference @ reference.conj().T, rtol=0, atol=1e-12
+    )
 
 
 # -- sampling and Schmidt coefficients -------------------------------------------------
