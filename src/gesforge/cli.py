@@ -71,6 +71,21 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work.
+
+    The file itself is opened only once there is something to write, so a
+    run that fails leaves no empty file behind.
+    """
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise InputError(f"cannot write {path}: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise InputError(f"cannot write {path}: permission denied")
+
+
 def _write_json(path: str, doc: dict) -> None:
     try:
         with open(path, "w") as fh:
@@ -175,6 +190,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
+    if args.out:
+        _check_writable(args.out)
     exact = verify_all_bipartitions(params, table)
     numeric = certify_ges_numeric(build_nupb(params, table), params.dims, options)
     doc = {
@@ -217,6 +234,8 @@ def cmd_chebotarev(args) -> int:
             print(f"note: default max size lowered from {default} to {max_size}, the largest scan in reach")
     if max_size < 1:
         raise InputError("--max-size must be positive")
+    if args.out:
+        _check_writable(args.out)
     if max_size > args.p:
         print(f"note: max size clamped from {max_size} to {args.p}")
     scan = chebotarev_scan(args.p, max_size)
@@ -244,6 +263,8 @@ def cmd_basis(args) -> int:
     if not args.infile:
         raise InputError("--in is required")
     params, table, provenance = _family_from_args(args)
+    out = args.out or "basis.json"
+    _check_writable(out)
     rows = build_nupb(params, table)
     _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
     basis = ges_basis(rows, params.dims, exact_rank=exact_rank)
@@ -254,7 +275,6 @@ def cmd_basis(args) -> int:
         "provenance": provenance,
         "basis": basis.to_doc(),
     }
-    out = args.out or "basis.json"
     _write_json(out, doc)
     print(f"complement dimension: {basis.dimension}")
     print(f"max residual: {basis.residual_max:.3e}")
@@ -266,6 +286,8 @@ def cmd_basis(args) -> int:
 def cmd_report(args) -> int:
     options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
+    out = args.out or "report.json"
+    _check_writable(out)
     rows = build_nupb(params, table)
     vectors_doc = vectors_to_doc(params, table, provenance)
     exact = verify_all_bipartitions(params, table)
@@ -282,7 +304,6 @@ def cmd_report(args) -> int:
         "basis": basis.to_doc(),
         "passed": passed,
     }
-    out = args.out or "report.json"
     _write_json(out, doc)
     for line in _summary_lines(params):
         print(line)

@@ -8,7 +8,12 @@ factor makes the objective a Hermitian quadratic form in the other, so a
 half step is a smallest-eigenvector problem.  The first two sweeps of a
 restart solve it exactly; later ones take one shifted inverse-iteration
 step from the previous factor, which is already close to the answer and
-never raises the objective, so the descent stays monotone.
+never raises the objective.  Plain alternating sweeps crawl where the
+minimum lies along a shallow valley, so every second warm sweep also tries
+a step past the new factors along their last move, and keeps it only
+where it lowers the value (extrapolation with an acceptance test: Rajih,
+Comon & Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008); Ang &
+Gillis, Neural Computation 31, 417 (2019)).  The descent stays monotone.
 Each cut draws the starts of all its restarts from one seeded stream, and
 every cut with the same (left, right) dimensions runs in one search: each
 half step is one stacked eigen-solve, or after the first two sweeps one
@@ -47,17 +52,29 @@ THRESHOLD = 1e-6
 # previous factor, with the shift _SHIFT * tr M (`_inverse_step`).
 _COLD_SWEEPS = 2
 _SHIFT = 1e-10
+# Every second warm sweep tries an extrapolated step along the last sweep's
+# move of both factors (`_extrapolated`), kept only where it lowers the
+# value.  Each restart keeps its own step factor beta: it grows on a kept
+# step, up to _BETA_MAX, and shrinks on a refused one.
+_EXTRAPOLATE_EVERY = 2
+_BETA_START = 0.5
+_BETA_GROW = 1.5
+_BETA_MAX = 8.0
+_BETA_SHRINK = 0.5
 # A stacked search over R restarts of (d_left, d_right) cuts holds, 16 bytes
 # a complex entry, per restart its two factors and their start draw, twice
-# (the active set and the finished one), and per half step at most three
-# arrays of max(d_left, d_right)**2 entries: the outer products, the
-# effective operators built from them, and a cold sweep's eigenvectors.  A
-# warm sweep holds less: numpy's batched solve factors one matrix at a time,
-# so its LU copy and pivots are one matrix's, beside the solutions and their
-# unit copies of max(d_left, d_right) entries per restart.  A search above
-# the bound is refused before any start is drawn (`_biproduct_searches`),
-# and the cuts of one shape run in as few stacked searches as the bound
-# allows.  50 restarts of a 64|2 cut of 2^7 need 10 MB.
+# (the active set and the finished one), the factors the sweep started from
+# and an extrapolated pair, and per half step at most three arrays of
+# max(d_left, d_right)**2 entries: the outer products, the effective
+# operators built from them, and a cold sweep's eigenvectors.  A warm sweep
+# holds less: numpy's batched solve factors one matrix at a time, so its LU
+# copy and pivots are one matrix's, beside the solutions and their unit
+# copies of max(d_left, d_right) entries per restart; an extrapolated
+# pair's value takes one outer-product and one operator array.  A search
+# above the bound is refused before any start is drawn
+# (`_biproduct_searches`), and the cuts of one shape run in as few stacked
+# searches as the bound allows.  50 restarts of a 64|2 cut of 2^7 need
+# 10 MB.
 MAX_SEARCH_BYTES = 2**26
 
 
@@ -221,7 +238,7 @@ def _start_factors(seed: int, stream: tuple[int, int], restarts: int, dim: int) 
 def _search_bytes(restarts: int, d_left: int, d_right: int) -> int:
     """Peak bytes of a stacked search over restarts of (d_left, d_right) cuts."""
     side = max(d_left, d_right)
-    return 16 * restarts * (4 * (d_left + d_right) + 3 * side * side)
+    return 16 * restarts * (6 * (d_left + d_right) + 3 * side * side)
 
 
 def _eigen_step(eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +270,21 @@ def _inverse_step(eff: np.ndarray, previous: np.ndarray) -> tuple[np.ndarray, np
     return overlap / (norms * norms) - shift, y / norms[:, None]
 
 
+def _extrapolated(factors: np.ndarray, held: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Unit rows of factors + beta (factors - held), one beta per row.
+
+    For unit rows the norm is at least (1 + beta) - beta = 1, so the
+    division is safe.
+    """
+    step = factors + betas[:, None] * (factors - held)
+    return step / np.linalg.norm(step, axis=1, keepdims=True)
+
+
+def _product_values(eff: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Re <v|M|v> for each matrix M of the stack and its row v."""
+    return np.einsum("ij,ij->i", vectors.conj(), np.matmul(eff, vectors[:, :, None])[:, :, 0]).real
+
+
 def _alternating_extremum(
     groupeds: list[np.ndarray],
     options: OptimizerOptions,
@@ -268,12 +300,19 @@ def _alternating_extremum(
     them with one stacked eigh, which gives each factor exactly; from then
     on each half step is one batched shifted LU solve, a step of inverse
     iteration from the restart's previous factor (`_inverse_step`), which
-    never raises the value either.  A restart is written out and leaves the
-    active set once a sweep moves its value by less than TOL.  Nothing a
-    cut computes reads another cut's rows, so its outcome does not depend
-    on the others.  Returns per cut the best restart's (value, left, right,
-    sweeps, converged), ties going to the lowest restart index, and the
-    final values of all its restarts.
+    never raises the value either.  That step keeps each factor's phase
+    next to the previous one's, so from the second warm sweep on the move
+    a_k - a_{k-1} of a sweep is a real direction; every _EXTRAPOLATE_EVERY
+    sweeps the search evaluates (a_k + beta (a_k - a_{k-1})) / norm and the
+    same for b, with one matmul per cut and a quadratic form per restart,
+    and keeps the pair on the restarts where it lowers the value.  Each
+    restart's beta grows on a kept step and shrinks on a refused one.  A
+    restart is written out and leaves the active set once a sweep moves its
+    value by less than TOL; a kept step only starts the next sweep lower.
+    Nothing a cut computes reads another cut's rows, so its outcome does
+    not depend on the others.  Returns per cut the best restart's (value,
+    left, right, sweeps, converged), ties going to the lowest restart index,
+    and the final values of all its restarts.
     """
     d_left, d_right = groupeds[0].shape[0], groupeds[0].shape[1]
     restarts = options.restarts
@@ -284,7 +323,7 @@ def _alternating_extremum(
     ]
     to_left = [m.T for m in by_pairs]
 
-    def half_step(vectors: np.ndarray, operators, counts, dim: int, previous, cold: bool):
+    def effective(vectors: np.ndarray, operators, counts, dim: int) -> np.ndarray:
         outer = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
         eff = np.empty((len(vectors), dim * dim), dtype=complex)
         start = 0
@@ -292,7 +331,10 @@ def _alternating_extremum(
             if count:
                 np.matmul(outer[start:start + count], operator, out=eff[start:start + count])
             start += count
-        eff = eff.reshape(-1, dim, dim)
+        return eff.reshape(-1, dim, dim)
+
+    def half_step(vectors: np.ndarray, operators, counts, dim: int, previous, cold: bool):
+        eff = effective(vectors, operators, counts, dim)
         return _eigen_step(eff) if cold else _inverse_step(eff, previous)
 
     rights = np.concatenate([
@@ -306,13 +348,26 @@ def _alternating_extremum(
     final_rights = np.empty((total, d_right), dtype=complex)
     sweeps = np.full(total, MAX_SWEEPS)
     converged = np.zeros(total, dtype=bool)
+    betas = np.full(total, _BETA_START)
     lefts = None  # the first sweep has no left factor to start from
     for sweep in range(MAX_SWEEPS):
         cold = sweep < _COLD_SWEEPS
+        held_lefts, held_rights = lefts, rights
         _, lefts = half_step(rights, to_left, counts, d_left, lefts, cold)
         new_values, rights = half_step(lefts, by_pairs, counts, d_right, rights, cold)
         done = np.abs(new_values - values) < TOL
         values = new_values
+        # the held factors of a sweep after the first warm one came from a
+        # warm step too, so both differences follow the factors' phases
+        if sweep > _COLD_SWEEPS and (sweep - _COLD_SWEEPS) % _EXTRAPOLATE_EVERY == 0:
+            trial_lefts = _extrapolated(lefts, held_lefts, betas)
+            trial_rights = _extrapolated(rights, held_rights, betas)
+            trials = _product_values(effective(trial_lefts, by_pairs, counts, d_right), trial_rights)
+            accept = (trials < values) & ~done
+            np.copyto(lefts, trial_lefts, where=accept[:, None])
+            np.copyto(rights, trial_rights, where=accept[:, None])
+            values = np.where(accept, trials, values)
+            betas = np.where(accept, np.minimum(_BETA_GROW * betas, _BETA_MAX), _BETA_SHRINK * betas)
         if done.any():
             finished = owner[done]
             final_values[finished] = values[done]
@@ -322,6 +377,7 @@ def _alternating_extremum(
             converged[finished] = True
             keep = ~done
             owner, values, lefts, rights = owner[keep], values[keep], lefts[keep], rights[keep]
+            betas = betas[keep]
             counts = np.bincount(owner // restarts, minlength=len(groupeds)).tolist()
             if not owner.size:
                 break
@@ -408,8 +464,10 @@ def min_biproduct_value(
 
     Multi-start alternating smallest-eigenvector descent.  In the first
     two sweeps each half step solves its factor exactly; after them it
-    takes one inverse-iteration step from the previous factor.  Neither
-    raises the objective, so it is monotone within a restart.  The
+    takes one inverse-iteration step from the previous factor, and every
+    second such sweep tries an extrapolated step along the factors' last
+    move, kept only where it lowers the value.  None of them raises the
+    objective, so it is monotone within a restart.  The
     returned value is the best over all restarts and is clipped at zero
     (G is positive semidefinite).
     """

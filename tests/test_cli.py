@@ -300,12 +300,19 @@ sys.exit(main(["report", "--dims", "2,2", "--k", "3"]))
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_unwritable_out_is_invalid_input(tmp_path, capsys, argv, target):
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch, argv, target):
     # an output path that cannot be opened is bad input (exit 2, one error
-    # line), not a failed certification or scan (exit 1)
+    # line), not a failed certification or scan (exit 1), and it is refused
+    # before any exact, numeric or scan work starts
     out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
     assert run(["construct", "--dims", "2,2", "--k", "3"], tmp_path) == EXIT_OK
     capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("verify_all_bipartitions", "certify_ges_numeric", "chebotarev_scan", "rank_full"):
+        monkeypatch.setattr(cli, name, no_work)
     assert run([*argv, "--out", str(out)], tmp_path) == EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 

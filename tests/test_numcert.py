@@ -29,6 +29,7 @@ from gesforge.numcert import (
 )
 from gesforge.numcert import (
     _COLD_SWEEPS,
+    _EXTRAPOLATE_EVERY,
     _alternating_extremum,
     _grouped_operator,
     _inverse_step,
@@ -164,28 +165,69 @@ def test_monotone_descent_within_restart(monkeypatch):
     # with one restart each half step solves a stack of one, by eigh in the
     # cold sweeps and by one inverse-iteration step after them; either
     # returns the objective after that half step, and every second call
-    # closes a sweep
-    p = make_params(n=3, d=2, num_vectors=5)
-    G = family_operator(build_nupb(p))
-    objectives = []
+    # closes a sweep.  Every _EXTRAPOLATE_EVERY-th warm sweep after the
+    # first warm one then evaluates one extrapolated pair of factors; the
+    # search keeps it where it lowers the value, and the next sweep starts
+    # from it, so that sweep's right half step solves from the kept right
+    # factor.  The 2^3 cut converges in a few sweeps and keeps no try; the
+    # 4|3 cut of 2x2x3 k=7 crawls without them and keeps some
+    events = []
 
     def spy(step, path):
         def recorded(*args):
             values, vectors = step(*args)
-            objectives.append((path, float(values[0])))
+            previous = args[1].copy() if path == "warm" else None
+            events.append((path, float(values[0]), previous))
             return values, vectors
         return recorded
 
+    def trial_spy(eff, vectors):
+        values = product_values(eff, vectors)
+        events.append(("try", float(values[0]), vectors[0].copy()))
+        return values
+
+    product_values = numcert._product_values
     monkeypatch.setattr(numcert, "_eigen_step", spy(numcert._eigen_step, "cold"))
     monkeypatch.setattr(numcert, "_inverse_step", spy(numcert._inverse_step, "warm"))
-    s = min_biproduct_value(G, (2, 2, 2), Bipartition(3, (0,)), OptimizerOptions(restarts=1, seed=11))
-    paths = [path for path, _ in objectives]
-    assert len(paths) == 2 * s.sweeps
-    assert paths[:2 * _COLD_SWEEPS] == ["cold"] * (2 * _COLD_SWEEPS)
-    assert paths[2 * _COLD_SWEEPS:] == ["warm"] * (2 * (s.sweeps - _COLD_SWEEPS)) != []
-    values = [value for _, value in objectives]
-    assert (np.diff(values) <= 1e-12).all()
-    assert values[-1] == s.value
+    monkeypatch.setattr(numcert, "_product_values", trial_spy)
+    kept_somewhere = []
+    for dims, k, members, seed in (((2, 2, 2), 5, (0,), 11), ((2, 2, 3), 7, (0, 1), 5)):
+        G = family_operator(build_nupb(make_params(dims=dims, num_vectors=k)))
+        events.clear()
+        s = min_biproduct_value(G, dims, Bipartition(3, members), OptimizerOptions(restarts=1, seed=seed))
+        steps = [(path, value) for path, value, _ in events if path != "try"]
+        paths = [path for path, _ in steps]
+        assert len(paths) == 2 * s.sweeps
+        assert paths[:2 * _COLD_SWEEPS] == ["cold"] * (2 * _COLD_SWEEPS)
+        assert paths[2 * _COLD_SWEEPS:] == ["warm"] * (2 * (s.sweeps - _COLD_SWEEPS)) != []
+        # a try closes each sweep j (0-based) past the first warm one with
+        # j - _COLD_SWEEPS a multiple of _EXTRAPOLATE_EVERY, the last sweep too
+        tried = [
+            j for j in range(s.sweeps)
+            if j > _COLD_SWEEPS and (j - _COLD_SWEEPS) % _EXTRAPOLATE_EVERY == 0
+        ]
+        closed, half_steps = [], 0
+        for path, _, _ in events:
+            if path == "try":
+                closed.append(half_steps // 2 - 1)
+            else:
+                half_steps += 1
+        assert closed == tried != []
+        # the values the search holds: every half step's, and each kept try's
+        held, kept = [], []
+        for index, (path, value, vector) in enumerate(events):
+            if path != "try":
+                held.append(value)
+                continue
+            later = [previous for p, _, previous in events[index + 1:] if p == "warm"][:2]
+            if len(later) == 2 and np.array_equal(later[1][0], vector):
+                assert value < held[-1]
+                held.append(value)
+                kept.append(value)
+        assert (np.diff(held) <= 1e-12).all()
+        assert steps[-1][1] == s.value
+        kept_somewhere.append(bool(kept))
+    assert kept_somewhere == [False, True]
 
 
 @pytest.mark.parametrize("dim", (2, 9))
@@ -328,6 +370,7 @@ STACKED_FAMILIES = (
     ((2, 2, 2), 6),
     ((2, 2, 2), 7),
     ((2, 2, 3), 7),
+    ((2, 2, 3), 9),
     ((2, 2, 2, 2), 9),
     ((3, 3, 3), 11),
     ((3, 3, 3), 13),
@@ -366,6 +409,24 @@ def test_stacked_search_matches_reference_on_the_extendible_control():
     assert_stacked_matches_reference(G, (2, 2, 2), True, opts)
     projector = np.eye(8) - G  # G projects onto the span of the four basis states
     assert_stacked_matches_reference(projector, (2, 2, 2), False, opts)
+
+
+def test_extrapolation_shortens_a_slow_cut():
+    # the 4|3 cut of 2x2x3 k=7 creeps along a shallow valley: plain
+    # alternating sweeps, as the reference runs them, need over a hundred
+    # sweeps on the best restart; the extrapolated steps reach the same
+    # minimum in a fraction of them
+    dims = (2, 2, 3)
+    G = family_operator(build_nupb(make_params(dims=dims, num_vectors=7)))
+    cut = Bipartition(3, (0, 1))
+    opts = OptimizerOptions(seed=5)
+    stream = (0, enumerate_bipartitions(3).index(cut))
+    grouped, _, _ = _grouped_operator(G, dims, cut)
+    want, _, _, plain_sweeps, _ = alternating_extremum_reference(grouped, True, opts, stream)
+    s = min_biproduct_value(G, dims, cut, opts)
+    assert plain_sweeps >= 100
+    assert s.converged and s.sweeps <= plain_sweeps // 2
+    assert abs(s.value - want) <= 1e-12 + 1e-6 * abs(want)
 
 
 # -- grid-oracle agreement ---------------------------------------------------------
