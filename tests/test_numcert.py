@@ -28,9 +28,12 @@ from gesforge.numcert import (
     schmidt_coefficients,
 )
 from gesforge.numcert import (
+    _BETA_MAX,
+    _BETA_START,
     _COLD_SWEEPS,
     _EXTRAPOLATE_EVERY,
     _alternating_extremum,
+    _extrapolated,
     _grouped_operator,
     _inverse_step,
     _search_bytes,
@@ -181,12 +184,11 @@ def test_monotone_descent_within_restart(monkeypatch):
             return values, vectors
         return recorded
 
-    def trial_spy(eff, vectors):
+    def trial_spy(eff, vectors, product_values=numcert._product_values):
         values = product_values(eff, vectors)
         events.append(("try", float(values[0]), vectors[0].copy()))
         return values
 
-    product_values = numcert._product_values
     monkeypatch.setattr(numcert, "_eigen_step", spy(numcert._eigen_step, "cold"))
     monkeypatch.setattr(numcert, "_inverse_step", spy(numcert._inverse_step, "warm"))
     monkeypatch.setattr(numcert, "_product_values", trial_spy)
@@ -253,6 +255,25 @@ def test_inverse_step_on_degenerate_stacks(dim):
     assert abs(values[1]) <= 1e-9 * np.trace(rank_one).real
     direct = np.real(factors[1].conj() @ rank_one @ factors[1])
     assert values[1] == pytest.approx(direct, abs=1e-12 * np.trace(rank_one).real)
+
+
+def test_extrapolated_factors_are_unit_rows():
+    # a unit row moved past itself by beta (row - held) has norm at least
+    # one, even when the held row points the opposite way, so the
+    # normalisation neither divides by zero nor overflows
+    rng = np.random.default_rng(4)
+    draw = rng.standard_normal((2, 4, 2, 5))
+    factors, held = draw[:, :, 0] + 1j * draw[:, :, 1]
+    factors /= np.linalg.norm(factors, axis=1, keepdims=True)
+    held /= np.linalg.norm(held, axis=1, keepdims=True)
+    held[0] = -factors[0]
+    betas = np.array([0.0, 1e-30, _BETA_START, _BETA_MAX])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = _extrapolated(factors, held, betas)
+    np.testing.assert_allclose(np.linalg.norm(moved, axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(moved[0], factors[0])
+    np.testing.assert_allclose(moved[1], factors[1], rtol=0, atol=1e-15)
 
 
 def test_seed_determinism_bit_exact():
