@@ -63,13 +63,19 @@ has full rank, or proven singular by its circuits, and each of them
 settles every zero image that contains it.
 
 The Fourier-minor scan (`chebotarev_scan`) runs the same pass on F_n,
-for prime and composite orders alike, over the row sets that hold row 0
-only.  With F_n[i, j] = w**(i * j), a translation of the rows scales
-column c by w**(t * c), so det F[R + t, C] = w**(t * sum(C)) * det F[R, C],
-a unit multiple in every image.  R - min R holds row 0 with no
-wrap-around, so zero[s][R] = zero[s][R - min R]; the sets that hold row 0
-are the first C(n - 1, s - 1) of each size in lexicographic order, the
-depth-first subtree of row 0.  (The spanning scan has no such symmetry.)
+for prime and composite orders alike, over the row sets and the column
+sets that hold 0 only.  With F_n[i, j] = w**(i * j), a translation of the
+rows scales column c by w**(t * c), and one of the columns scales row r by
+w**(r * t), so det F[R + t, C] = w**(t * sum(C)) * det F[R, C] and
+det F[R, C + t] = w**(t * sum(R)) * det F[R, C], unit multiples in every
+image.  R - min R holds 0 with no wrap-around, so zero[s][R, C] =
+zero[s][R - min R, C - min C]; the sets that hold 0 are the first
+C(n - 1, s - 1) of each size in lexicographic order, and the pass walks
+the depth-first subtree of row 0.  (The spanning scan has no such
+symmetry.)  The pass expands a child along its new row and drops one
+column of C at a time; C without a column other than 0 still holds 0, and
+C without 0, whose least column is c_1, is read at its translate by -c_1
+in the parent's table, times w**(c_1 * sum R) for the parent's rows R.
 The zero images are proven from the pass's own tables: the embedding
 w -> root**a multiplies every exponent r * c by the unit a, so the image
 of det F[R, C] under it is +-det F[sorted(a * R mod n), C] under
@@ -78,8 +84,8 @@ orbit vanish, in as many fields as the multimodular bound m! * max|R|
 asks for; at the 10**6 modulus floor that is one field up to size 9
 (max|R| = 1 below order 105).  Each table is and-ed with itself, rows
 permuted by R -> sorted(a * R mod n), once per unit a, which keeps 0 in
-a set; what stays True is a union of whole orbits that vanish, and the
-other rows are read by translation.
+a set and leaves C alone; what stays True is a union of whole orbits that
+vanish, and every other minor is read by translation on both axes.
 """
 
 from __future__ import annotations
@@ -105,14 +111,19 @@ _WITNESS_CAP = 20
 # (2s + 1) * C(cols, s); while the largest of these expands, it holds them
 # once more.  Its answer takes a byte a minor: per size s a boolean table
 # of C(rows, s) * C(cols, s).  It decides sum_s C(rows, s) * C(cols, s)
-# minors.  A Fourier scan visits and tables only the C(rows - 1, s - 1)
-# row sets that hold row 0, so its tables and its minors count those; the
-# orbit proof makes one permuted copy of the largest table, and the
-# translation adds an index of C(rows, s) residues per size.  A pass above
-# either bound is refused before any table is built (`_check_scan_reach`).
-# The Fourier survey's (14, 6) needs 17.2 MB and 5.6M minors, (16, 7)
-# 185.2 MB and 88.2M, the sides of 3x3x3 at k=26 at most 91.2 MB and
-# 3.1M minors.  The zero images of a spanning
+# minors.  A Fourier scan of order n visits the C(n - 1, s - 1) row sets
+# and walks the C(n - 1, s - 1) column sets of each size s that hold 0, so
+# its signed table, images and tables, and its minors, count those.  Per
+# size s it also holds the column tables over every set, a translation
+# index of C(n, s), and its family: drop index, twist exponents and their
+# powers, s + 2n residues a set; while a size expands, its einsum output
+# and residues.  A composite order adds its reduction modulo Phi_n, at most
+# n * n residues, the orbit proof one permuted copy of the largest table,
+# and the scan's Python objects 64 KiB.  A pass above either bound is
+# refused before any table is built (`_check_scan_reach`).  The Fourier
+# survey's (14, 6) needs 7.0 MB and 2.3M minors, (16, 8) 145.6 MB and
+# 77.6M, the sides of 3x3x3 at k=26 at most 91.2 MB and 3.1M minors.  The
+# zero images of a spanning
 # scan, whose number only the minor count bounds, are counted once the
 # pass is done and refused before any is read out (`_zero_image_reach`).
 # Then the zero tables and the column tables are still held, and each
@@ -398,16 +409,22 @@ def _column_tables(ncols: int, max_size: int) -> tuple[list, list, list]:
     size an (s, C(ncols, s)) array: the index of each set without its
     pos-th column among the sets one smaller."""
     combos = [
-        np.array(list(itertools.combinations(range(ncols), s)), dtype=np.int64)
-        .reshape(math.comb(ncols, s), s)
+        np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(ncols), s)),
+            dtype=np.int64, count=s * math.comb(ncols, s),
+        ).reshape(math.comb(ncols, s), s)
         for s in range(max_size + 1)
     ]
     binom = _binomials(ncols, max_size)
     lex = [np.argsort(_colex(sets, binom)) for sets in combos]
-    drops = [None] + [
-        lex[s - 1][[_colex(np.delete(combos[s], pos, axis=1), binom) for pos in range(s)]]
-        for s in range(1, max_size + 1)
-    ]
+    drops = [None]
+    for s, sets in enumerate(combos[1:], start=1):
+        # without c_pos, the columns before it keep their colex terms
+        # C(c_i, i + 1) and those after it move down to C(c_i, i)
+        before, after = binom[sets, np.arange(1, s + 1)], binom[sets, np.arange(s)]
+        kept = np.cumsum(before, axis=1) - before
+        moved = np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after
+        drops.append(lex[s - 1][(kept + moved).T])
     return combos, lex, drops
 
 
@@ -416,22 +433,32 @@ def _check_scan_reach(
 ) -> None:
     """Raise ValueError unless a Laplace pass over the square minors up to
     max_size of a rows x cols matrix fits MAX_SCAN_BYTES and
-    MAX_SCAN_MINORS (their comment); it builds no table.  A pass from row 0
-    (the Fourier scan, `from_row_zero`) visits and tables only the
-    C(rows - 1, s - 1) row sets of each size s that hold row 0, and keeps a
-    translation index of C(rows, s) for the others."""
+    MAX_SCAN_MINORS (their comment); it builds no table.  The Fourier pass
+    (`from_row_zero`) visits only the C(rows - 1, s - 1) row sets of each
+    size s that hold row 0 and walks only the C(cols - 1, s - 1) column
+    sets that hold column 0; its tables hold those alone."""
     # the peak grows with the size, so a huge order fails at size 1 without
     # forming a huge binomial
-    held = largest = tables = largest_table = 0
+    held = expanding = tables = largest_table = 0
+    matrices, objects = 2 * rows * cols, 0
+    if from_row_zero:
+        # a composite order's reduction modulo Phi_n has n x phi(n)
+        # residues; 64 KiB covers the scan's Python objects and small arrays
+        matrices += 0 if is_prime(rows) else rows * cols
+        objects = 2**16
     for size in range(1, max_size + 1):
-        residues = ((size + 1) * rows + 2 * size + 1) * math.comb(cols, size)
-        held, largest = held + residues, max(largest, residues)
+        columns = math.comb(cols, size)
         if from_row_zero:
-            held += math.comb(rows, size)
-        visited = math.comb(rows - 1, size - 1) if from_row_zero else math.comb(rows, size)
-        table = visited * math.comb(cols, size)
+            walked = math.comb(cols - 1, size - 1)
+            table = math.comb(rows - 1, size - 1) * walked
+            held += (2 * size + 2) * columns + ((size + 2) * rows + size) * walked
+            expanding = max(expanding, (2 * rows + size) * walked)
+        else:
+            table = math.comb(rows, size) * columns
+            residues = ((size + 1) * rows + 2 * size + 1) * columns
+            held, expanding = held + residues, max(expanding, residues)
         tables, largest_table = tables + table, max(largest_table, table)
-        peak = 8 * (2 * rows * cols + held + largest) + tables + largest_table
+        peak = 8 * (matrices + held + expanding) + tables + largest_table + objects
         if peak > MAX_SCAN_BYTES:
             raise ValueError(
                 f"{what} needs {peak} bytes at once up to size {size}, "
@@ -453,50 +480,67 @@ def largest_scan_size(order: int, max_size: int) -> int:
     return 0
 
 
-def _zero_minors(matrix: np.ndarray, q: int, max_size: int, zero: list | None = None) -> list:
+def _zero_minors(
+    matrix: np.ndarray, q: int, max_size: int, family: tuple, zero: list | None = None
+) -> list:
     """Per size s up to max_size, which s x s minors have a zero image mod q.
 
-    matrix holds residues mod q.  zero[s][i, j] is True when the minor on
-    the i-th s-set of rows and the j-th s-set of columns, in lexicographic
-    order, has a zero image; zero[0], the empty minor, is False.  Tables
-    passed in (a previous field's, or fresh ones) are and-ed in place.  The
-    pass visits the row sets R depth first in lexicographic order and keeps
-    the images det X[R, C] over every column set C with |C| = |R|.  The
+    matrix holds residues mod q.  `family` is the column family to walk,
+    per size s: the s-sets of columns, in lexicographic order; an (s, sets)
+    array, the index of each set without its pos-th column among the sets
+    one smaller; and, for the Fourier pass only (else None), the twist
+    exponents (below).  zero[s][i, j] is True when the minor on the i-th
+    s-set of rows, in lexicographic order, and the j-th set of the family
+    has a zero image; zero[0], the empty minor, is False.  Tables passed in
+    (a previous field's, or fresh ones) are and-ed in place.  The pass
+    visits the row sets R depth first in lexicographic order and keeps the
+    images det X[R, C] over the family's sets C with |C| = |R|.  The
     children R + x (x > max R) are consecutive row sets and take their
     images from the parent's by expansion along the new row, so a minor
-    costs |C| multiply-adds, and memory stays near
-    max_size * rows * C(cols, max_size) residues besides the tables.
+    costs |C| multiply-adds, and memory stays near max_size * rows * (the
+    family's sets of size max_size) residues besides the tables.
 
     The walk starts from the m rows of the size-1 table, so it visits the
     row sets whose least row is below m, the first C(rows, s) - C(rows - m,
     s) of each size s: tables made here have m = rows, and
-    `chebotarev_scan` passes m = 1.
+    `chebotarev_scan` passes m = 1.  The spanning scan walks every column
+    set; the Fourier pass walks only those that hold column 0
+    (`_fourier_columns`), and its matrix is F_n's image, whose row 1 holds
+    the powers of the root.  There the index at pos 0 is that of C without
+    0, less c_1, and the image it reads is multiplied by root**(c_1 * sum R)
+    for the parent's rows R: per size the exponents t * c_1 mod n, a row
+    per row sum t, give that factor (module docstring).
     """
-    combos, _, drops = _column_tables(matrix.shape[1], max_size)
+    sets, drops, exponents = family
+    rows = len(matrix)
     if zero is None:
-        zero = [
-            np.full((math.comb(len(matrix), s), len(combos[s])), s > 0) for s in range(max_size + 1)
-        ]
+        zero = [np.full((math.comb(rows, s), len(sets[s])), s > 0) for s in range(max_size + 1)]
     # per size, expansion position pos and row x: X[x, C[pos]] times the
     # Laplace sign of position pos along the last row
     entries = [None]
     for s in range(1, max_size + 1):
-        signed = matrix[:, combos[s].T].swapaxes(0, 1)
+        signed = matrix[:, sets[s].T].swapaxes(0, 1)
         signed[s % 2 :: 2] *= -1
         entries.append(signed)
+    if exponents is not None:
+        twists = [None] + [matrix[1, exponents[s]] for s in range(1, max_size + 1)]
     filled = [0] * (max_size + 1)
     # (size of the children, their first and past-last new row, the parent's
-    # images); the children of a row set go on in reverse, so the smallest
-    # comes off first
-    stack = [(1, 0, len(zero[1]), np.ones(1, dtype=np.int64))] if max_size else []
+    # images and row sum); the children of a row set go on in reverse, so
+    # the smallest comes off first
+    stack = [(1, 0, len(zero[1]), np.ones(1, dtype=np.int64), 0)] if max_size else []
     while stack:
-        size, first, stop, images = stack.pop()
-        acc = (entries[size][:, first:stop] * images[drops[size]][:, None]).sum(axis=0) % q
+        size, first, stop, images, total = stack.pop()
+        dropped = images[drops[size]]
+        if exponents is not None and total % rows:
+            dropped[0] *= twists[size][total % rows]
+            dropped[0] %= q
+        acc = np.einsum("pxc,pc->xc", entries[size][:, first:stop], dropped) % q
         zero[size][filled[size] : filled[size] + len(acc)] &= acc == 0
         filled[size] += len(acc)
         if size < max_size:
-            children = range(first, min(stop, len(matrix) - 1))
-            stack += [(size + 1, x + 1, len(matrix), acc[x - first]) for x in reversed(children)]
+            children = range(first, min(stop, rows - 1))
+            stack += [(size + 1, x + 1, rows, acc[x - first], total + x) for x in reversed(children)]
     return zero
 
 
@@ -593,10 +637,11 @@ def _spanning_scan(flat: FlatMatrix) -> tuple[int, tuple[int, ...] | None]:
     size = min(dim, len(rest))
     what, cols = f"a spanning scan of a {k} x {dim} side", max(dim, len(rest))
     _check_scan_reach(what, size, cols, size)
-    zero = _zero_minors(schur.T if flipped else schur, q, size)
+    col_sets, _, drops = _column_tables(cols, size)
+    zero = _zero_minors(schur.T if flipped else schur, q, size, (col_sets, drops, None))
     masks = np.zeros((_zero_image_reach(what, zero, k, cols), k), dtype=bool)
     masks[:, basis] = True
-    row_sets, col_sets = _column_tables(size, size)[0], _column_tables(cols, size)[0]
+    row_sets = _column_tables(size, size)[0]
     filled = 0
     for s, table in enumerate(zero):
         i, j = np.nonzero(table)
@@ -722,33 +767,54 @@ def _check_witnesses(witnesses, order: int) -> None:
                 )
 
 
-def _fourier_zero_images(order: int, max_size: int) -> list:
-    """Per size s, which s x s minors of F_n on the row sets that hold row 0
-    have a zero image in every field that the bound for max_size asks for.
-
-    zero[s][i, j] is the minor on the i-th s-set of rows that holds row 0
-    and the j-th s-set of columns, in lexicographic order; the sets that
-    hold row 0 are the first C(n - 1, s - 1).  The Laplace pass runs from
-    row 0 alone (`_zero_minors`), once per field, and-ed into these tables.
-    """
-    grid = np.outer(np.arange(order), np.arange(order)) % order
-    zero = [
-        np.full((math.comb(order - 1, s - 1) if s else 1, math.comb(order, s)), s > 0)
-        for s in range(max_size + 1)
-    ]
-    for ctx in minors.proof_fields(order, max_size):
-        zero = _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
-    return zero
-
-
 def _translated_rows(order: int, max_size: int) -> list:
-    """Per size s, the index of R - min R among the s-sets that hold row 0,
-    for each s-set R of range(order) in lexicographic order: row R of a
-    full zero table of F_n is that row of `_fourier_zero_images`' table
-    (module docstring)."""
+    """Per size s, the index of R - min R among the s-sets that hold 0, for
+    each s-set R of range(order) in lexicographic order: the sets that hold
+    0 are the first C(n - 1, s - 1), and row R and column C of a full zero
+    table of F_n are row R - min R and column C - min C of
+    `_fourier_zero_images`' table (module docstring)."""
     combos, lex, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)
     return [lex[s][_colex(sets - sets[:, :1], binom)] for s, sets in enumerate(combos)]
+
+
+def _fourier_columns(order: int, max_size: int, translated: list) -> tuple[list, list, list]:
+    """The column family of the Fourier pass (`_zero_minors`), per size s:
+    the C(n - 1, s - 1) sets that hold column 0, which come first in
+    lexicographic order; the index of each without its pos-th column among
+    those one smaller, where at pos 0 it is C without 0, less c_1, read
+    through `translated`; and the twist exponents t * c_1 mod n, a row per
+    row sum t.  c_1 is a set's second column (0 for size 1, whose {0}
+    drops to the empty set)."""
+    combos, _, drops = _column_tables(order, max_size)
+    sums = np.arange(order)[:, None]
+    sets, reduced, exponents = [combos[0]], [None], [None]
+    for s in range(1, max_size + 1):
+        held = combos[s][: math.comb(order - 1, s - 1)]
+        drop = drops[s][:, : len(held)].copy()
+        drop[0] = translated[s - 1][drop[0]]
+        sets.append(held)
+        reduced.append(drop)
+        exponents.append(sums * held[:, min(s, 2) - 1] % order)
+    return sets, reduced, exponents
+
+
+def _fourier_zero_images(order: int, max_size: int, translated: list) -> list:
+    """Per size s, which s x s minors of F_n on the sets that hold 0 have a
+    zero image in every field that the bound for max_size asks for.
+
+    zero[s][i, j] is the minor on the i-th s-set of rows and the j-th s-set
+    of columns that hold 0, in lexicographic order; `translated` is
+    `_translated_rows`.  The Laplace pass runs from row 0 alone over the
+    column family of `_fourier_columns` (`_zero_minors`), once per field,
+    and-ed into these tables.
+    """
+    grid = np.outer(np.arange(order), np.arange(order)) % order
+    family = _fourier_columns(order, max_size, translated)
+    zero = [np.full((len(sets),) * 2, s > 0) for s, sets in enumerate(family[0])]
+    for ctx in minors.proof_fields(order, max_size):
+        zero = _zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, family, zero)
+    return zero
 
 
 def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
@@ -757,24 +823,25 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     For prime order the expected witness list is empty (total
     nonsingularity); composite orders surface exactly-zero minors.
 
-    det F[R + t, C] = w**(t * sum(C)) * det F[R, C], so (R, C) has a zero
-    image exactly when (R - min R, C) does: one Laplace pass mod q from row
-    0 alone (`_fourier_zero_images`) decides every minor's image while
-    visiting only the C(n - 1, s - 1) row sets of each size s that hold
-    row 0.  A nonzero image proves a minor nonzero; a zero image is proven
+    det F[R + t, C] = w**(t * sum(C)) * det F[R, C] and det F[R, C + t] =
+    w**(t * sum(R)) * det F[R, C], so (R, C) has a zero image exactly when
+    (R - min R, C - min C) does: one Laplace pass mod q from row 0 alone
+    (`_fourier_zero_images`) decides every minor's image while visiting
+    only the C(n - 1, s - 1) row sets and column sets of each size s that
+    hold 0.  A nonzero image proves a minor nonzero; a zero image is proven
     zero by its orbit under the units (module docstring), in every field
     that the bound m! * max|R| asks for (`minors.proof_fields`).  So the
     pass runs once per field that the largest size needs, and-ed into one
     table per size; a field beyond those a size needs changes nothing
     there, since the minors they prove zero vanish in every field.  The
-    orbits are checked on the row-0 tables, and the other rows are then
-    read by translation (`_translated_rows`).  Every recorded witness is
-    then proven zero once more, exactly and independently of the pass: its
-    integer power counts must reduce to zero modulo the n-th cyclotomic
-    polynomial (`_check_witnesses`).
+    orbits are checked on these tables, and every other minor is then read
+    by translation on both axes (`_translated_rows`).  Every recorded
+    witness is then proven zero once more, exactly and independently of
+    the pass: its integer power counts must reduce to zero modulo the n-th
+    cyclotomic polynomial (`_check_witnesses`).
 
     Raises ValueError when the pass is out of reach (`_check_scan_reach`),
-    which counts the row sets that hold row 0, not every row set.
+    which counts the row and column sets that hold 0, not every set.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -786,20 +853,23 @@ def chebotarev_scan(order: int, max_size: int) -> ChebotarevScan:
     start = time.perf_counter()
     combos, lex, _ = _column_tables(order, max_size)
     binom = _binomials(order, max_size)
-    zero = _fourier_zero_images(order, max_size)
+    translated = _translated_rows(order, max_size)
+    zero = _fourier_zero_images(order, max_size, translated)
     zero_total = 0
     witnesses = []
-    for size, (sets, table, translated) in enumerate(
-        zip(combos, zero, _translated_rows(order, max_size))
-    ):
+    for size, (sets, table, moved) in enumerate(zip(combos, zero, translated)):
         if not table.any():  # a prime order's tables rarely hold a zero image
             continue
         with_zero = sets[: len(table)]
         for a in minors.units(order):
             table &= table[lex[size][_colex(np.sort(a * with_zero % order, axis=1), binom)]]
-        zero_total += int(np.count_nonzero(table, axis=1)[translated].sum())
-        rows = np.flatnonzero(table.any(axis=1)[translated])[:_WITNESS_CAP]
-        at, cols = np.divmod(np.flatnonzero(table[translated[rows]])[:_WITNESS_CAP], len(sets))
+        # a set D that holds 0 stands for its n - max D translates, on
+        # either axis; einsum counts them without widening the table
+        copies = order - with_zero[:, -1]
+        zero_total += int(np.einsum("i,ij,j->", copies, table, copies))
+        rows = np.flatnonzero(table.any(axis=1)[moved])[:_WITNESS_CAP]
+        full = table[moved[rows]][:, moved]
+        at, cols = np.divmod(np.flatnonzero(full)[:_WITNESS_CAP], len(sets))
         witnesses += zip(map(tuple, sets[rows[at]].tolist()), map(tuple, sets[cols].tolist()))
     witnesses = witnesses[:_WITNESS_CAP]
     _check_witnesses(witnesses, order)

@@ -244,16 +244,15 @@ def test_chebotarev_prime_clean(tmp_path, capsys):
 
 
 def test_chebotarev_default_size_shrinks_into_reach(tmp_path, capsys):
-    # size 5 of order 23 would hold 597.3M bytes at once, above
-    # MAX_SCAN_BYTES (its zero tables and their copy alone 506.3M); size 4
-    # holds 46.9M
-    code = run(["chebotarev", "--p", "23", "--out", "scan.json"], tmp_path)
+    # size 4 of order 47 would visit 231.5M minors of the sets that hold 0,
+    # above MAX_SCAN_MINORS; size 3 visits 1.07M
+    code = run(["chebotarev", "--p", "47", "--out", "scan.json"], tmp_path)
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "default max size lowered from 6 to 4" in out
+    assert "default max size lowered from 6 to 3" in out
     assert "no zero minors" in out
-    assert read_json(tmp_path / "scan.json")["scan"]["max_size"] == 4
-    assert run(["chebotarev", "--p", "23", "--max-size", "5"], tmp_path) == EXIT_INVALID
+    assert read_json(tmp_path / "scan.json")["scan"]["max_size"] == 3
+    assert run(["chebotarev", "--p", "47", "--max-size", "4"], tmp_path) == EXIT_INVALID
 
 
 def test_the_package_runs_without_mpmath(tmp_path):
@@ -335,10 +334,10 @@ def test_chebotarev_requires_order(tmp_path):
     (
         ["--p", "1000000007"],
         ["--p", "100003", "--max-size", "2"],
-        ["--p", "2000", "--max-size", "2"],
-        ["--p", "400", "--max-size", "2"],
+        ["--p", "8192", "--max-size", "1"],
+        ["--p", "16", "--max-size", "10"],
     ),
-    ids=("1000000007", "100003-size2", "2000-size2", "400-size2"),
+    ids=("1000000007", "100003-size2", "8192-size1", "16-size10"),
 )
 def test_chebotarev_huge_order_exits_invalid(tmp_path, capsys, flags):
     assert run(["chebotarev", *flags], tmp_path) == EXIT_INVALID

@@ -958,9 +958,11 @@ def test_scan_matches_per_minor_enumeration(order):
 
 
 def test_scan_memory_stays_small():
-    # the Laplace pass keeps about max_size * n * C(n, max_size) residues,
-    # not a batch of materialised minors, and its zero tables hold only the
-    # C(n - 1, s - 1) row sets of each size s that hold row 0
+    # the Laplace pass keeps about max_size * n * C(n - 1, max_size - 1)
+    # residues, not a batch of materialised minors, and its zero tables hold
+    # only the C(n - 1, s - 1) row sets and column sets of each size s that
+    # hold 0: 2.7 MiB at its peak, where tables over every column set took
+    # 5.8 MiB
     tracemalloc.start()
     try:
         scan = chebotarev_scan(13, 6)
@@ -968,33 +970,42 @@ def test_scan_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert scan.clean and scan.checked[6] == 1716**2
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+
+
+def every_column_set(ncols, max_size):
+    """The column family of the spanning scan: every column set, no twist."""
+    combos, _, drops = exactverify._column_tables(ncols, max_size)
+    return combos, drops, None
 
 
 def full_fourier_passes(order, max_size):
-    """The zero tables of a Laplace pass over every row set of F_n, and-ed
-    over the proof fields of max_size."""
+    """The zero tables of a Laplace pass over every row set and every column
+    set of F_n, and-ed over the proof fields of max_size."""
     grid = np.outer(np.arange(order), np.arange(order)) % order
     zero = None
     for ctx in minors.proof_fields(order, max_size):
-        zero = exactverify._zero_minors(ctx.power_table()[grid], ctx.modulus, max_size, zero)
+        zero = exactverify._zero_minors(
+            ctx.power_table()[grid], ctx.modulus, max_size, every_column_set(order, max_size), zero
+        )
     return zero
 
 
 def assert_translation_fill_matches_the_full_pass(order, max_size):
-    reduced = exactverify._fourier_zero_images(order, max_size)
-    rows = exactverify._translated_rows(order, max_size)
+    translated = exactverify._translated_rows(order, max_size)
+    reduced = exactverify._fourier_zero_images(order, max_size, translated)
     full = full_fourier_passes(order, max_size)
     for s in range(1, max_size + 1):
-        assert reduced[s].shape == (math.comb(order - 1, s - 1), math.comb(order, s))
-        np.testing.assert_array_equal(reduced[s][rows[s]], full[s])
+        assert reduced[s].shape == (math.comb(order - 1, s - 1),) * 2
+        np.testing.assert_array_equal(reduced[s][np.ix_(translated[s], translated[s])], full[s])
     return full
 
 
 @pytest.mark.parametrize("order", range(2, 17))
 def test_row_zero_pass_and_translation_fill_match_the_full_pass(order):
-    # det F[R + t, C] = w**(t * sum(C)) det F[R, C], so row R of each zero
-    # table is row R - min R; one field decides these sizes (5! < q)
+    # det F[R + t, C] = w**(t * sum(C)) det F[R, C] and det F[R, C + t] =
+    # w**(t * sum(R)) det F[R, C], so entry (R, C) of each zero table is
+    # entry (R - min R, C - min C); one field decides these sizes (5! < q)
     max_size = min(order, 5)
     assert len(minors.proof_fields(order, max_size)) == 1
     full = assert_translation_fill_matches_the_full_pass(order, max_size)
@@ -1019,8 +1030,8 @@ def spy_on_laplace_passes(monkeypatch):
     calls = []
     real = exactverify._zero_minors
 
-    def spy(matrix, q, max_size, zero=None):
-        found = real(matrix, q, max_size, zero)
+    def spy(matrix, q, max_size, family, zero=None):
+        found = real(matrix, q, max_size, family, zero)
         calls.append((q, sum(int(table.sum()) for table in found)))
         return found
 
@@ -1056,8 +1067,8 @@ def test_scan_proves_in_every_field_the_bound_asks_for(small_fields, monkeypatch
     order, q = 11, minors.modular_context(11).modulus
     real = exactverify._zero_minors
 
-    def first_field_claims_all(matrix, modulus, max_size, zero=None):
-        found = real(matrix, modulus, max_size, zero)
+    def first_field_claims_all(matrix, modulus, max_size, family, zero=None):
+        found = real(matrix, modulus, max_size, family, zero)
         if modulus == q:
             found[6][:] = True
         return found
@@ -1075,7 +1086,9 @@ def test_scan_zero_claims_are_checked_in_a_prime_field():
     ctx = minors.modular_context(order)
     units = [a for a in range(1, order) if math.gcd(a, order) == 1]
     fourier = ctx.power_table()[np.outer(np.arange(order), np.arange(order)) % order]
-    tables = exactverify._zero_minors(fourier, ctx.modulus, max_size)
+    tables = exactverify._zero_minors(
+        fourier, ctx.modulus, max_size, every_column_set(order, max_size)
+    )
     proven = []
     for size in range(1, max_size + 1):
         sets = np.array(list(itertools.combinations(range(order), size)))
@@ -1097,8 +1110,8 @@ def test_scan_witnesses_are_checked_at_high_precision(small_fields, monkeypatch)
     q = minors.modular_context(11).modulus
     real = exactverify._zero_minors
 
-    def first_field_only(matrix, modulus, max_size, zero=None):
-        return real(matrix, modulus, max_size, zero) if modulus == q else zero
+    def first_field_only(matrix, modulus, max_size, family, zero=None):
+        return real(matrix, modulus, max_size, family, zero) if modulus == q else zero
 
     monkeypatch.setattr(exactverify, "_zero_minors", first_field_only)
     monkeypatch.setattr(minors, "units", lambda order: (1,))
@@ -1175,9 +1188,7 @@ def test_scan_rejects_tiny_order():
 
 
 @pytest.mark.parametrize(
-    "order,max_size",
-    ((1_000_000_007, 6), (100_003, 2), (2000, 2), (40, 40), (8192, 1), (8193, 1), (400, 2),
-     (16, 8)),
+    "order,max_size", ((1_000_000_007, 6), (100_003, 2), (40, 40), (8192, 1), (8193, 1), (16, 10))
 )
 def test_scan_refuses_tables_beyond_the_limit(order, max_size):
     # refused before any table, power or unit list is built
@@ -1186,17 +1197,18 @@ def test_scan_refuses_tables_beyond_the_limit(order, max_size):
 
 
 def test_scan_limit_applies_to_the_largest_table(monkeypatch):
-    # order 7 to size 7 holds 2 * 49 residues of matrix and image, and per
-    # size s (9s + 8) * C(7, s) (table, row sums, column tables) and the
-    # translation index's C(7, s), 5,273 in all; the expansion peak adds
-    # the largest table, size 4's 1,540, not the requested size 7's 71.  At
-    # 8 bytes a residue that is 54,504 bytes; the boolean tables of the row
-    # sets that hold row 0 add sum_s C(6, s - 1) * C(7, s) = C(13, 6) =
-    # 1,716 and the orbit proof's copy the largest of them, size 4's 700
-    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 56920)
+    # order 7 to size 7 holds 2 * 49 residues of matrix and image and, per
+    # size s with m = C(6, s - 1) sets that hold 0, (2s + 2) * C(7, s) of
+    # column tables and translation index and (8s + 14) * m of family,
+    # signed table, twists and images: 4,094 in all.  The expansion adds
+    # (14 + s) * m for the largest, size 4's 360, not the requested size
+    # 7's 21.  At 8 bytes a residue that is 36,416 bytes; the boolean
+    # tables add sum_s C(6, s - 1)**2 = C(12, 6) = 924, the orbit proof's
+    # copy the largest of them, size 4's 400, and the Python objects 65,536
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 103276)
     assert chebotarev_scan(7, 7).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 56919)
-    with pytest.raises(ValueError, match="56920 bytes at once up to size 7"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_BYTES", 103275)
+    with pytest.raises(ValueError, match="103276 bytes at once up to size 7"):
         chebotarev_scan(7, 7)
 
 
@@ -1220,19 +1232,24 @@ def test_scan_limit_counts_the_real_peak(monkeypatch, order, max_size):
 
 
 def test_scan_limit_bounds_the_minor_count(monkeypatch):
-    # order 5 to size 3 visits the row sets that hold row 0, C(4, s - 1) of
-    # each size s: 1 * 5 + 4 * 10 + 6 * 10 minors
-    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 105)
+    # order 5 to size 3 visits the row sets that hold row 0 and walks the
+    # column sets that hold column 0, C(4, s - 1) of each size s: 1 * 1 +
+    # 4 * 4 + 6 * 6 minors
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 53)
     assert chebotarev_scan(5, 3).clean
-    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 104)
-    with pytest.raises(ValueError, match="needs 105 minors"):
+    monkeypatch.setattr(exactverify, "MAX_SCAN_MINORS", 52)
+    with pytest.raises(ValueError, match="needs 53 minors"):
         chebotarev_scan(5, 3)
 
 
 @pytest.mark.parametrize(
     "order, max_size, size",
-    ((4, 6, 4), (14, 6, 6), (17, 6, 6), (24, 6, 4), (43, 6, 3), (3276, 6, 1), (3343, 6, 1),
-     (3344, 6, 0), (8193, 6, 0)),
+    # 16 stops at size 9 by the minor count, 24 and 43 by the bytes; at
+    # size 1 the n x n matrix and its image reach the limit past the prime
+    # 5783, and a composite order's reduction modulo Phi_n past 4727
+    ((4, 6, 4), (14, 6, 6), (16, 8, 8), (16, 10, 9), (17, 6, 6), (24, 6, 5), (43, 6, 4),
+     (400, 2, 2), (2000, 2, 2), (3276, 6, 1), (3343, 6, 1), (4727, 6, 1), (4728, 6, 0),
+     (5783, 6, 1), (5791, 6, 0), (8193, 6, 0)),
 )
 def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
     assert largest_scan_size(order, max_size) == size
