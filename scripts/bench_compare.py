@@ -9,7 +9,11 @@ once in each checkout, from its root, with T the `run_seconds` of the
 change's BENCHMARK.json.  The parent runs first in even pairs and the
 change first in odd ones, so that a drift of the machine's speed falls on
 both sides alike.  Pair i takes the i-th seed, cycling through the list.
-Every run must check correct, or the comparison stops.
+Every run must check correct, or the comparison stops.  Each side runs
+with its own fresh, empty PYTHONPYCACHEPREFIX directory for the whole
+comparison, so neither side reads the bytecode a checkout holds (a stale
+`.pyc` there can move `setup_s`), and nothing in either checkout is
+written or deleted.
 
 The result goes to BENCH_<topic>.json in the current directory: per
 workload, every run's metrics and, per metric, each side's median and
@@ -29,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -63,12 +68,18 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+             pycache: Path) -> dict:
+    """One benchmark run in `checkout`, its bytecode read from and written to `pycache`."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    # bytecode now goes to `pycache` alone, so it can be written: otherwise
+    # every worker would compile every module it imports
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -99,18 +110,22 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
     runs = []
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, seconds, args.trace)
-        runs.append(pair)
-        print(f"pair {i}: seed {seed}, " + ", ".join(
-            f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
-            f"{pair['change']['metrics'][name]['value']:.4g}"
-            for name in pair["change"]["metrics"] if name in ("wall_s", "op_p50_s")
-        ), flush=True)
+    with tempfile.TemporaryDirectory() as parent_cache, tempfile.TemporaryDirectory() as change_cache:
+        caches = {"parent": Path(parent_cache), "change": Path(change_cache)}
+        for i in range(args.pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(
+                    getattr(args, side), args.workload, seed, seconds, args.trace, caches[side]
+                )
+            runs.append(pair)
+            print(f"pair {i}: seed {seed}, " + ", ".join(
+                f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
+                f"{pair['change']['metrics'][name]['value']:.4g}"
+                for name in pair["change"]["metrics"] if name in ("wall_s", "op_p50_s")
+            ), flush=True)
 
     metrics = {}
     for name, info in runs[0]["change"]["metrics"].items():

@@ -43,7 +43,7 @@ def plan(args) -> list[tuple[int, int]]:
     orders = parse_orders(args.orders)
     if args.max_size < 1:
         raise InputError("--max-size must be positive")
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     sizes = [largest_scan_size(p, args.max_size) for p in orders]
     for p, size in zip(orders, sizes):
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
 
     if broken_primes:
         print(f"\nBUG: zero minors reported for prime orders {broken_primes}")
-    if args.out:
+    if args.out is not None:
         doc = {"schema": "gesforge/survey", "schema_version": SCHEMA_VERSION,
                "scans": [s.to_doc() for s in scans]}
         try:

@@ -9,6 +9,7 @@ found, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,6 +78,8 @@ def _check_writable(path: str) -> None:
     The file itself is opened only once there is something to write, so a
     run that fails leaves no empty file behind.
     """
+    if not path:
+        raise InputError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise InputError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(os.path.abspath(path))
@@ -87,10 +90,11 @@ def _check_writable(path: str) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """One line of JSON; `json.dumps` takes the C encoder, `json.dump` never does."""
+    text = json.dumps(doc) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
 
@@ -177,9 +181,10 @@ def _verdict(exact, numeric) -> tuple[bool, str]:
 
 def cmd_construct(args) -> int:
     params = _params_from_args(args)
+    out = "vectors.json" if args.out is None else args.out
+    _check_writable(out)
     doc = vectors_to_doc(params)
     doc["run_config"] = _run_config(args)
-    out = args.out or "vectors.json"
     _write_json(out, doc)
     for line in _summary_lines(params):
         print(line)
@@ -190,7 +195,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     exact = verify_all_bipartitions(params, table)
     numeric = certify_ges_numeric(build_nupb(params, table), params.dims, options)
@@ -204,7 +209,7 @@ def cmd_verify(args) -> int:
     }
     passed, numeric_line = _verdict(exact, numeric)
     doc["passed"] = passed
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, doc)
     print(f"provenance: {provenance}")
     print(f"exact: rank {exact.matrix_rank}/{exact.num_vectors}, " +
@@ -234,7 +239,7 @@ def cmd_chebotarev(args) -> int:
             print(f"note: default max size lowered from {default} to {max_size}, the largest scan in reach")
     if max_size < 1:
         raise InputError("--max-size must be positive")
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     if max_size > args.p:
         print(f"note: max size clamped from {max_size} to {args.p}")
@@ -245,7 +250,7 @@ def cmd_chebotarev(args) -> int:
         "run_config": _run_config(args),
         "scan": scan.to_doc(),
     }
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, doc)
     total = sum(scan.checked.values())
     kind = "prime" if scan.prime else "composite"
@@ -263,7 +268,7 @@ def cmd_basis(args) -> int:
     if not args.infile:
         raise InputError("--in is required")
     params, table, provenance = _family_from_args(args)
-    out = args.out or "basis.json"
+    out = "basis.json" if args.out is None else args.out
     _check_writable(out)
     rows = build_nupb(params, table)
     _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
@@ -286,7 +291,7 @@ def cmd_basis(args) -> int:
 def cmd_report(args) -> int:
     options = _options_from_args(args)
     params, table, provenance = _family_from_args(args)
-    out = args.out or "report.json"
+    out = "report.json" if args.out is None else args.out
     _check_writable(out)
     rows = build_nupb(params, table)
     vectors_doc = vectors_to_doc(params, table, provenance)
@@ -314,8 +319,7 @@ def cmd_report(args) -> int:
 
 
 def _echo_args(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def _add_family_flags(sub, with_input: bool) -> None:
@@ -334,7 +338,13 @@ def _add_numeric_flags(sub) -> None:
     sub.add_argument("--seed", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every `parse_args` call returns a fresh namespace, so the one parser
+    serves each `main` call alike.  Callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="gesforge",
         description="Construct product families from prime-order Fourier matrices and "
@@ -346,30 +356,25 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("construct", help="build a family and write its vectors file")
     _add_family_flags(c, with_input=False)
     c.add_argument("--out", help="output path (default vectors.json)")
-    c.set_defaults(func=cmd_construct)
 
     v = subs.add_parser("verify", help="exact plus numeric certification")
     _add_family_flags(v, with_input=True)
     _add_numeric_flags(v)
     v.add_argument("--out", help="write the combined report JSON here")
-    v.set_defaults(func=cmd_verify)
 
     ch = subs.add_parser("chebotarev", help="scan Fourier minors for exact zeros")
     ch.add_argument("--p", type=int, help="matrix order to scan")
     ch.add_argument("--max-size", dest="max_size", type=int)
     ch.add_argument("--out")
-    ch.set_defaults(func=cmd_chebotarev)
 
     b = subs.add_parser("basis", help="orthonormal basis of the complement")
     b.add_argument("--in", dest="infile", help="vectors JSON produced by construct")
     b.add_argument("--out", help="output path (default basis.json)")
-    b.set_defaults(func=cmd_basis)
 
     r = subs.add_parser("report", help="construct, verify, and bundle everything")
     _add_family_flags(r, with_input=True)
     _add_numeric_flags(r)
     r.add_argument("--out", help="output path (default report.json)")
-    r.set_defaults(func=cmd_report)
     return parser
 
 
@@ -380,8 +385,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the invalid-input code
         return int(exc.code) if exc.code is not None else EXIT_INVALID
+    # the command is looked up at call time, not bound into the cached
+    # parser, so a wrapper set on this module later is still called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -308,6 +308,14 @@ def scale_to_json(value: Scale):
     return [value.real, value.imag]
 
 
+def complex_pairs(values: np.ndarray) -> list:
+    """`values` as nested lists with each complex entry an [re, im] pair.
+
+    The same floats as `[[z.real, z.imag] for z in values]`, built in one call.
+    """
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 def scale_from_json(obj) -> Scale:
     """A rational string, a {"re", "im"} object of them, or an [re, im] pair of numbers."""
     if isinstance(obj, dict):
@@ -392,9 +400,10 @@ def vectors_to_doc(params: ConstructionParams, table=None, provenance: str | Non
     p = params.root_order
     factors = [np.array([complex(s) for s in row]) for row in params.scales or ()]
 
-    def local_pairs(exponents, m):
-        amps = np.array([cmath.exp(2j * cmath.pi * e / p) for e in exponents], dtype=complex)
-        return [[a.real, a.imag] for a in (amps * factors[m] if factors else amps)]
+    def party_pairs(m):
+        """Party m's amplitude pairs, one list per row of the table."""
+        amps = np.array([[cmath.exp(2j * cmath.pi * e / p) for e in row[m]] for row in table])
+        return complex_pairs(amps * factors[m] if factors else amps)
 
     return {
         "schema": "gesforge/vectors",
@@ -402,7 +411,7 @@ def vectors_to_doc(params: ConstructionParams, table=None, provenance: str | Non
         "params": params_to_json(params),
         "provenance": provenance,
         "exponent_table": [[[str(e) for e in loc] for loc in row] for row in table],
-        "amplitudes": [[local_pairs(loc, m) for m, loc in enumerate(row)] for row in table],
+        "amplitudes": [list(row) for row in zip(*map(party_pairs, range(len(params.dims))))],
     }
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .construct import complex_pairs
 from .partition import Bipartition, enumerate_bipartitions
 
 _HERMITIAN_TOL = 1e-10
@@ -132,7 +133,7 @@ class BiproductSearch:
             "converged": self.converged,
             "sweeps": self.sweeps,
             "restarts_agreeing": self.restarts_agreeing,
-            "witness": [[z.real, z.imag] for z in self.witness],
+            "witness": complex_pairs(self.witness),
         }
 
 
@@ -155,9 +156,7 @@ class GesBasis:
             "dimension": self.dimension,
             "residual_max": self.residual_max,
             "orthonormality_error": self.orthonormality_error,
-            "columns": [
-                [[z.real, z.imag] for z in self.columns[:, c]] for c in range(self.dimension)
-            ],
+            "columns": complex_pairs(self.columns.T),
         }
 
 

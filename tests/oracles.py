@@ -4,8 +4,9 @@ Everything here is deliberately naive: permutation-expansion determinants,
 the Leibniz formula and integer subset expansion of determinants over the
 powers of a root of unity, ranks by minors, dense grid searches,
 reduced-density Schmidt coefficients, the alternating biproduct search
-run one restart at a time, and the family's amplitudes as one Kronecker
-chain of per-party amplitudes per vector.  None of it shares code with the
+run one restart at a time, the family's amplitudes as one Kronecker
+chain of per-party amplitudes per vector, and complex arrays as JSON
+[re, im] pairs built entry by entry.  None of it shares code with the
 package, so agreement is meaningful evidence; the one exception is the
 cyclotomic reduction matrix that `power_counts_are_zero` reads, which
 `test_cyclo` checks against numeric roots of unity.
@@ -255,3 +256,40 @@ def kron_family(params, table) -> np.ndarray:
             out = np.kron(out, local_amplitudes(params.root_order, exponents, scales))
         rows.append(out)
     return np.array(rows)
+
+
+def pair_families() -> dict:
+    """Families whose JSON pairs are worth checking bit for bit: name -> (params, table).
+
+    Exact Gaussian-rational scales on mixed dimensions, a float scale, and
+    a standard table with its first row copied over its last.
+    """
+    from fractions import Fraction
+
+    from gesforge.construct import GaussianRational, exponent_table, make_params
+
+    exact = (
+        (GaussianRational(1), GaussianRational(Fraction(3, 4), Fraction(-1, 2))),
+        (GaussianRational(1), GaussianRational(2), GaussianRational(Fraction(0), Fraction(5, 7))),
+    )
+    families = {
+        "gaussian-rational-scale": make_params(dims=(2, 3), num_vectors=4, scales=exact),
+        "float-scale": make_params(n=3, d=2, num_vectors=5, scales=((1, 0.5j), (1, 1.3 - 0.7j), (1, 2.0))),
+        "copied-row": make_params(n=3, d=2, num_vectors=5),
+    }
+    out = {name: (params, exponent_table(params)) for name, params in families.items()}
+    out["copied-row"][1][-1] = out["copied-row"][1][0]
+    return out
+
+
+def loop_pairs(values) -> list:
+    """A complex vector as [re, im] pairs, one entry at a time."""
+    return [[z.real, z.imag] for z in values]
+
+
+def float_bits(node):
+    """Nested lists with every float as its hex form, so that equal trees
+    are equal bit for bit (0.0 and -0.0 differ)."""
+    if isinstance(node, list):
+        return [float_bits(v) for v in node]
+    return float.hex(node)

@@ -298,14 +298,17 @@ sys.exit(main(["report", "--dims", "2,2", "--k", "3"]))
     ],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch, argv, target):
     # an output path that cannot be opened is bad input (exit 2, one error
     # line), not a failed certification or scan (exit 1), and it is refused
-    # before any exact, numeric or scan work starts
-    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    # before any exact, numeric or scan work starts; an empty path is one
+    # too, not a request for the default file or for no file
+    out = {"missing-directory": tmp_path / "missing" / "out.json", "directory": tmp_path,
+           "empty": ""}[target]
     assert run(["construct", "--dims", "2,2", "--k", "3"], tmp_path) == EXIT_OK
     capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
@@ -313,7 +316,9 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch, argv, ta
     for name in ("verify_all_bipartitions", "certify_ges_numeric", "chebotarev_scan", "rank_full"):
         monkeypatch.setattr(cli, name, no_work)
     assert run([*argv, "--out", str(out)], tmp_path) == EXIT_INVALID
-    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    shown = "''" if target == "empty" else out
+    assert capsys.readouterr().err.startswith(f"error: cannot write {shown}: ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 def test_chebotarev_composite_witnesses(tmp_path, capsys):
@@ -556,6 +561,55 @@ def test_wrong_schema_rejected(tmp_path):
 
 def test_unknown_command_exit_code(tmp_path, capsys):
     assert run(["frobnicate"], tmp_path) == EXIT_INVALID
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def without_elapsed(node):
+    """A document with every elapsed_seconds key dropped, the one field a rerun may change."""
+    if isinstance(node, dict):
+        return {k: without_elapsed(v) for k, v in node.items() if k != "elapsed_seconds"}
+    if isinstance(node, list):
+        return [without_elapsed(v) for v in node]
+    return node
+
+
+def test_calls_in_one_interpreter_match_fresh_processes(tmp_path, capsys):
+    # the one parser serves every call of a process, after a usage error and
+    # --version as well; each call must act as in a fresh interpreter, and
+    # every artifact is one line of JSON
+    calls = [
+        (["report", "--frobnicate"], None),
+        (["--version"], None),
+        (["construct", "--dims", "2,2", "--k", "3", "--out", "vectors.json"], "vectors.json"),
+        (["report", "--dims", "2,3", "--k", "4", "--restarts", "2", "--seed", "3",
+          "--out", "report.json"], "report.json"),
+        (["verify", "--in", "vectors.json", "--restarts", "2", "--out", "verify.json"],
+         "verify.json"),
+        (["chebotarev", "--p", "4", "--max-size", "2", "--out", "scan.json"], "scan.json"),
+        (["basis", "--in", "vectors.json", "--out", "basis.json"], "basis.json"),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    path = [str(Path(gesforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv, artifact in calls:
+        code = run(argv, here)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gesforge", *argv], cwd=fresh, capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        if artifact is None:
+            continue
+        text = (here / artifact).read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        fresh_doc = json.loads((fresh / artifact).read_text())
+        assert without_elapsed(json.loads(text)) == without_elapsed(fresh_doc)
 
 
 def test_verify_reruns_reproduce_verdict(tmp_path):

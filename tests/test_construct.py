@@ -1,5 +1,6 @@
 """Family construction: parameters, exponent tables, vectors, JSON forms."""
 
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -27,6 +28,8 @@ from gesforge.construct import (
     vectors_to_doc,
 )
 from gesforge.partition import build_nupb, enumerate_bipartitions
+
+from .oracles import float_bits, pair_families
 
 # the three-qubit family: party exponents (4i, 2i, i) modulo 11
 THREE_QUBIT_TABLE = [
@@ -258,6 +261,19 @@ def test_amplitudes_are_kron_of_locals():
         rows = build_nupb(p)
         for i, (first, second) in enumerate(doc_amplitudes(p)):
             np.testing.assert_allclose(rows[i], np.kron(first, second), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(pair_families()))
+def test_amplitude_pairs_match_the_entry_by_entry_loop_bit_for_bit(name):
+    params, table = pair_families()[name]
+    factors = [np.array([complex(s) for s in row]) for row in params.scales or ()]
+
+    def local_pairs(exponents, m):
+        amps = np.array([cmath.exp(2j * cmath.pi * e / params.root_order) for e in exponents])
+        return [[a.real, a.imag] for a in (amps * factors[m] if factors else amps)]
+
+    expected = [[local_pairs(loc, m) for m, loc in enumerate(row)] for row in table]
+    assert float_bits(vectors_to_doc(params, table)["amplitudes"]) == float_bits(expected)
 
 
 def test_build_is_deterministic():

@@ -42,6 +42,9 @@ from gesforge.numcert import (
 from gesforge.partition import Bipartition, build_nupb, coefficient_matrix, enumerate_bipartitions
 
 from .oracles import (
+    float_bits,
+    loop_pairs,
+    pair_families,
     alternating_extremum_reference,
     max_overlap_grid,
     min_biproduct_grid,
@@ -540,6 +543,20 @@ def test_basis_one_dimensional_complement():
     p = make_params(n=3, d=2, num_vectors=7)
     basis = ges_basis(build_nupb(p), p.dims, exact_rank=7)
     assert basis.dimension == 1
+
+
+@pytest.mark.parametrize("name", sorted(pair_families()))
+def test_witness_and_column_pairs_match_the_entry_by_entry_loop_bit_for_bit(name):
+    params, table = pair_families()[name]
+    rows = build_nupb(params, table)
+    certificate = certify_ges_numeric(rows, params.dims, OptimizerOptions(restarts=2, seed=1))
+    for outcome in certificate.outcomes:
+        assert float_bits(outcome.to_doc()["witness"]) == float_bits(loop_pairs(outcome.witness))
+    _, exact_rank, _ = rank_full(coefficient_matrix(params, table))
+    basis = ges_basis(rows, params.dims, exact_rank=exact_rank)
+    assert basis.dimension == params.total_dim - exact_rank
+    expected = [loop_pairs(basis.columns[:, c]) for c in range(basis.dimension)]
+    assert float_bits(basis.to_doc()["columns"]) == float_bits(expected)
 
 
 def test_basis_exact_rank_mismatch_is_pathology():

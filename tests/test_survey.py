@@ -19,7 +19,9 @@ def test_survey_prints_a_census_per_order_and_writes_every_scan(tmp_path, capsys
     assert survey.main(["--orders", "2-5", "--max-size", "3", "--out", str(out)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("order")] == ["2", "3", "4", "5"]
-    scans = json.loads(out.read_text())["scans"]
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    scans = json.loads(text)["scans"]
     assert [(s["order"], s["max_size"], s["clean"]) for s in scans] == [
         (2, 2, True), (3, 3, True), (4, 3, False), (5, 3, True)
     ]
@@ -59,6 +61,18 @@ def test_survey_checks_out_before_any_scan(tmp_path, monkeypatch, capsys):
     out = tmp_path / "missing" / "survey.json"
     assert survey.main(["--orders", "2-3", "--out", str(out)]) == EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: no directory")
+
+
+def test_survey_refuses_an_empty_out_before_any_scan(tmp_path, monkeypatch, capsys):
+    # an empty path is bad input, not a request for no file
+    def no_scan(*args):
+        raise AssertionError("a scan started before --out was checked")
+
+    monkeypatch.setattr(survey, "chebotarev_scan", no_scan)
+    monkeypatch.chdir(tmp_path)
+    assert survey.main(["--orders", "2-3", "--out", ""]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: cannot write '': the path is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_survey_exits_1_when_a_prime_order_reports_a_zero_minor(monkeypatch, capsys):
