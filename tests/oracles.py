@@ -9,7 +9,8 @@ chain of per-party amplitudes per vector, and complex arrays as JSON
 [re, im] pairs built entry by entry.  None of it shares code with the
 package, so agreement is meaningful evidence; the one exception is the
 cyclotomic reduction matrix that `power_counts_are_zero` reads, which
-`test_cyclo` checks against numeric roots of unity.
+`test_cyclo` checks against numeric roots of unity.  `pair_families`
+builds test inputs through the package and checks nothing itself.
 """
 
 from __future__ import annotations
@@ -274,7 +275,9 @@ def pair_families() -> dict:
     )
     families = {
         "gaussian-rational-scale": make_params(dims=(2, 3), num_vectors=4, scales=exact),
-        "float-scale": make_params(n=3, d=2, num_vectors=5, scales=((1, 0.5j), (1, 1.3 - 0.7j), (1, 2.0))),
+        "float-scale": make_params(
+            n=3, d=2, num_vectors=5, scales=((1, 0.5j), (1, 1.3 - 0.7j), (1, 2.0))
+        ),
         "copied-row": make_params(n=3, d=2, num_vectors=5),
     }
     out = {name: (params, exponent_table(params)) for name, params in families.items()}
