@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .construct import (
     ConstructionParams,
-    exponent_table,
     make_params,
     scales_from_json,
     validate_params,
@@ -41,7 +40,7 @@ class InputError(ValueError):
 
 
 def _run_config(args) -> dict:
-    """The run_config block; verify and report add the resolved seed."""
+    """The run_config block: the tool, its version and the echoed arguments."""
     return {
         "tool": "gesforge",
         "tool_version": __version__,
@@ -137,9 +136,20 @@ def _params_from_args(args) -> ConstructionParams:
 
 
 def _family_from_args(args):
-    """(params, table, provenance) from --in or inline parameters."""
+    """(params, table, provenance) from --in or inline parameters, not both.
+
+    The file holds the whole family, so an inline family flag beside --in
+    is refused.  Inline parameters give table None: the library builds the
+    standard recipe's exponents from the params alone.
+    """
     path = getattr(args, "infile", None)
     if path:
+        inline = [
+            "--" + dest.replace("_", "-") for dest in ("n", "d", "dims", "k", "p", "h_file")
+            if getattr(args, dest, None) is not None
+        ]
+        if inline:
+            raise InputError(f"--in cannot be combined with {', '.join(inline)}")
         doc = _load_json(path)
         try:
             params, table, provenance = vectors_from_doc(doc)
@@ -151,8 +161,7 @@ def _family_from_args(args):
         return params, table, provenance
     if args.k is None:
         raise InputError("give --in or inline parameters including --k")
-    params = _params_from_args(args)
-    return params, exponent_table(params), "standard-recipe"
+    return _params_from_args(args), None, "standard-recipe"
 
 
 def _options_from_args(args) -> OptimizerOptions:
@@ -202,7 +211,7 @@ def cmd_verify(args) -> int:
     doc = {
         "schema": "gesforge/report",
         "schema_version": SCHEMA_VERSION,
-        "run_config": {**_run_config(args), "seed": options.seed},
+        "run_config": _run_config(args),
         "provenance": provenance,
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),
@@ -302,7 +311,7 @@ def cmd_report(args) -> int:
     doc = {
         "schema": "gesforge/full-report",
         "schema_version": SCHEMA_VERSION,
-        "run_config": {**_run_config(args), "seed": options.seed},
+        "run_config": _run_config(args),
         "vectors": vectors_doc,
         "exact": exact.to_doc(),
         "numeric": numeric.to_doc(),

@@ -298,7 +298,7 @@ def is_standard_table(params: ConstructionParams, table) -> bool:
 # JSON document form.  Exponents and rational parts are serialized as
 # strings; floats appear only as [re, im] pairs and are advisory.
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def scale_to_json(value: Scale):

@@ -140,8 +140,8 @@ MAX_SCAN_MINORS = 2**27
 class SpanningCheck:
     """Outcome of the all-subsets rank check for one side of a cut.
 
-    `methods` maps the deciding method, "chebotarev" (Fourier form) or
-    "modular" (the scan), to the row subsets it decided.
+    `method` names what decided every row subset: "chebotarev" (Fourier
+    form) or "scan".
     """
 
     parties: tuple[int, ...]
@@ -150,7 +150,7 @@ class SpanningCheck:
     ok: bool
     witness: tuple[int, ...] | None = None
     failures: int = 0
-    methods: dict = field(default_factory=dict)
+    method: str = "chebotarev"
 
     def to_doc(self) -> dict:
         return {
@@ -160,7 +160,7 @@ class SpanningCheck:
             "ok": self.ok,
             "witness": list(self.witness) if self.witness is not None else None,
             "failures": self.failures,
-            "methods": dict(self.methods),
+            "method": self.method,
         }
 
 
@@ -236,9 +236,8 @@ class ExactReport:
     rank_method: str
     bipartitions: list = field(default_factory=list)
     elapsed: float = 0.0
-    # the exact stage always runs; these stay in the report schema
+    # the exact stage always runs; perfbench's answer checks still read the key
     skipped = False
-    skip_reason = None
 
     @property
     def passed(self) -> bool:
@@ -251,7 +250,6 @@ class ExactReport:
             "root_order": str(self.root_order),
             "scales_exact": self.scales_exact,
             "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
             "matrix_rank": self.matrix_rank,
             "full_rank": self.full_rank,
             "rank_method": self.rank_method,
@@ -367,7 +365,7 @@ def rank_full(flat: FlatMatrix) -> tuple[bool, int, str]:
     A matrix of Fourier form has rank min(k, D) by Chebotarev's theorem
     ("chebotarev").  Any other matrix gets `_proven_circuits`: a modular
     image of rank min(k, D) certifies that rank ("modular"), and otherwise
-    each proven circuit takes one row off the rank ("bordered").  Any
+    each proven circuit takes one row off the rank ("circuits").  Any
     root order will do: `minors` picks the fields and the proof bound for
     composite orders too.
     """
@@ -383,7 +381,7 @@ def _proven_rank(flat: FlatMatrix) -> tuple[bool, int, str]:
     circuits = _proven_circuits(flat.exponents, flat.root_order)[3]
     if not circuits:
         return k <= dim, min(k, dim), "modular"
-    return False, k - len(circuits), "bordered"
+    return False, k - len(circuits), "circuits"
 
 
 def _binomials(n: int, max_size: int) -> np.ndarray:
@@ -443,8 +441,12 @@ def _check_scan_reach(
     matrices, objects = 2 * rows * cols, 0
     if from_row_zero:
         # a composite order's reduction modulo Phi_n has n x phi(n)
-        # residues; 64 KiB covers the scan's Python objects and small arrays
-        matrices += 0 if is_prime(rows) else rows * cols
+        # residues; 64 KiB covers the scan's Python objects and small arrays.
+        # Primality goes by trial division, in sqrt(n) steps, so it is tested
+        # only once the two matrices fit: past order 5,792 they alone exceed
+        # MAX_SCAN_BYTES and size 1 is refused below
+        if 8 * matrices <= MAX_SCAN_BYTES and not is_prime(rows):
+            matrices += rows * cols
         objects = 2**16
     for size in range(1, max_size + 1):
         columns = math.comb(cols, size)
@@ -572,7 +574,7 @@ def spanning_property(flat: FlatMatrix) -> SpanningCheck:
     """Check that every dimension-sized row subset has full rank.
 
     A side of Fourier form passes by Chebotarev's theorem ("chebotarev");
-    every other side gets the scan of `_spanning_scan` ("modular").
+    every other side gets the scan of `_spanning_scan` ("scan").
 
     Raises when the row count is below the side dimension, where the
     spanning hypothesis cannot hold, and when the scan is out of reach
@@ -585,16 +587,15 @@ def spanning_property(flat: FlatMatrix) -> SpanningCheck:
         )
     if _fourier_form(flat):
         return _spanning_check(flat.parties, k, dim)
-    return _spanning_check(flat.parties, k, dim, *_spanning_scan(flat), method="modular")
+    return _spanning_check(flat.parties, k, dim, *_spanning_scan(flat), method="scan")
 
 
 def _spanning_check(
     parties, k: int, dim: int, failures: int = 0, witness=None, method: str = "chebotarev"
 ) -> SpanningCheck:
-    total = math.comb(k, dim)
     return SpanningCheck(
-        parties=tuple(parties), dimension=dim, subsets_total=total, ok=failures == 0,
-        witness=witness, failures=failures, methods={method: total},
+        parties=tuple(parties), dimension=dim, subsets_total=math.comb(k, dim),
+        ok=failures == 0, witness=witness, failures=failures, method=method,
     )
 
 

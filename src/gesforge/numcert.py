@@ -106,7 +106,6 @@ class OptimizerOptions:
             "restarts": self.restarts,
             "max_sweeps": MAX_SWEEPS,
             "tol": TOL,
-            "threshold": THRESHOLD,
             "seed": self.seed,
         }
 

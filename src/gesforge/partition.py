@@ -16,11 +16,20 @@ the rows.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construct import ConstructionParams, _recipe_blocks, ensure_valid
+
+# Traced with tracemalloc, the exact stage peaks at 48 bytes per entry of the
+# family's k x D matrix (24.1 MiB on 2^10 at k=513, 96.2 MiB on 2^11 at
+# k=1025) and `build_nupb` at 40.  At 48 bytes an entry, the scan's 2**29
+# bytes (`exactverify.MAX_SCAN_BYTES`) admit 11,184,810 entries: 2^12 at
+# k=2049 (8.4M) is in reach, 2^13 at k=4097 (33.6M) is not.  A larger matrix
+# is refused before it is built (`restricted_matrix`).
+MAX_MATRIX_ENTRIES = 2**29 // 48
 
 
 @dataclass(frozen=True, order=True)
@@ -111,8 +120,17 @@ def exponent_blocks(params: ConstructionParams, table=None) -> tuple[np.ndarray,
 
 
 def restricted_matrix(params: ConstructionParams, parties, blocks) -> FlatMatrix:
-    """The coefficient matrix of the given parties, from `exponent_blocks`."""
+    """The coefficient matrix of the given parties, from `exponent_blocks`.
+
+    Raises ValueError when it would hold more than MAX_MATRIX_ENTRIES.
+    """
     parties = tuple(parties)
+    cols = math.prod(params.dims[m] for m in parties)
+    if params.num_vectors * cols > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"a {params.num_vectors} x {cols} coefficient matrix has "
+            f"{params.num_vectors * cols} entries, above the supported {MAX_MATRIX_ENTRIES}"
+        )
     exps = np.zeros((params.num_vectors, 1), dtype=np.int64)
     for m in parties:
         exps = (exps[:, :, None] + blocks[m][:, None, :]).reshape(params.num_vectors, -1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gesforge
-from gesforge import cli
+from gesforge import cli, exactverify
 from gesforge.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "data" / "three_qubit_vectors.json"
@@ -43,7 +43,7 @@ def test_construct_standard(tmp_path, capsys):
     assert "complement dimension: 3" in out
     assert "maximal: true" in out
     doc = read_json(tmp_path / "vectors.json")
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["params"]["root_order"] == "11"
     assert doc["run_config"]["command"] == "construct"
     assert doc["exponent_table"][1] == [["0", "4"], ["0", "2"], ["0", "1"]]
@@ -151,7 +151,6 @@ def test_verify_float_scales_get_exact_verdict(tmp_path, capsys):
     doc = read_json(tmp_path / "r.json")
     assert doc["exact"]["scales_exact"] is False
     assert doc["exact"]["skipped"] is False
-    assert doc["exact"]["skip_reason"] is None
     assert doc["exact"]["passed"] is True
 
 
@@ -349,6 +348,24 @@ def test_chebotarev_huge_order_exits_invalid(tmp_path, capsys, flags):
     assert "above the supported" in capsys.readouterr().err
 
 
+def test_chebotarev_huge_order_exits_invalid_before_its_primality_test(tmp_path, monkeypatch, capsys):
+    # trial division of 10**18 + 3 takes hours; past order 5,792 the matrix
+    # and its image alone are out of reach, so no primality test is needed
+    real = exactverify.is_prime
+
+    def no_trial_division(n):
+        if n > 10**7:
+            raise AssertionError(f"the primality of {n} was tested")
+        return real(n)
+
+    monkeypatch.setattr(exactverify, "is_prime", no_trial_division)
+    order = 10**18 + 3
+    assert exactverify.largest_scan_size(order, 6) == 0
+    for flags in ([], ["--max-size", "1"]):
+        assert run(["chebotarev", "--p", str(order), *flags], tmp_path) == EXIT_INVALID
+        assert "above the supported" in capsys.readouterr().err
+
+
 def test_basis_outputs(tmp_path, capsys):
     assert run(["construct", "--n", "3", "--d", "2", "--k", "5"], tmp_path) == EXIT_OK
     code = run(["basis", "--in", "vectors.json"], tmp_path)
@@ -443,7 +460,55 @@ def test_verify_certifies_shapes_past_the_scan(tmp_path, capsys, dims, k):
     exact = read_json(tmp_path / "r.json")["exact"]
     assert exact["rank_method"] == "chebotarev" and exact["passed"] is True
     sides = [cut[s] for cut in exact["bipartitions"] for s in ("left", "right")]
-    assert all(side["methods"] == {"chebotarev": side["subsets_total"]} for side in sides)
+    assert all(side["method"] == "chebotarev" for side in sides)
+
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+def test_a_family_too_large_to_hold_exits_invalid_under_a_memory_cap(tmp_path, command):
+    # 2^16 at k=32769 would need about 100 GB; under a 3 GiB address-space
+    # cap it must be refused as input (exit 2), not end in a MemoryError
+    import resource
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    argv = [command, "--n", "16", "--d", "2", "--k", "32769", "--restarts", "2", "--seed", "1"]
+    path = [str(Path(gesforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gesforge", *argv], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        preexec_fn=cap_address_space, timeout=120,
+    )
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr.startswith("error: a 32769 x 65536 coefficient matrix")
+    assert proc.stderr.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+
+FAMILY_FLAGS = (("--n", "5"), ("--d", "5"), ("--dims", "5,5"), ("--k", "99"), ("--p", "4"),
+                ("--h-file", "h.json"))
+
+
+@pytest.mark.parametrize("command", ("verify", "report"))
+@pytest.mark.parametrize("flag, value", FAMILY_FLAGS, ids=[flag for flag, _ in FAMILY_FLAGS])
+def test_in_refuses_inline_family_flags(tmp_path, capsys, command, flag, value):
+    # the file holds the whole family; a flag beside it would be dropped
+    assert run(["construct", "--dims", "2,2", "--k", "3"], tmp_path) == EXIT_OK
+    capsys.readouterr()
+    argv = [command, "--in", "vectors.json", flag, value, "--restarts", "2", "--out", "r.json"]
+    assert run(argv, tmp_path) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --in cannot be combined with {flag}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_in_names_every_inline_family_flag(tmp_path, capsys):
+    assert run(["construct", "--dims", "2,2", "--k", "3"], tmp_path) == EXIT_OK
+    capsys.readouterr()
+    argv = ["verify", "--in", "vectors.json", "--k", "99", "--dims", "5,5", "--p", "4"]
+    assert run(argv, tmp_path) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: --in cannot be combined with --dims, --k, --p\n"
 
 
 def spy_on_exponent_table(monkeypatch) -> list:
@@ -461,13 +526,14 @@ def spy_on_exponent_table(monkeypatch) -> list:
         if name.split(".")[0] == "gesforge" and getattr(module, "exponent_table", None) is real:
             monkeypatch.setattr(module, "exponent_table", spy)
             holders.append(name)
-    assert {"gesforge", "gesforge.construct", "gesforge.cli"} <= set(holders)
+    assert {"gesforge", "gesforge.construct"} <= set(holders)
     return calls
 
 
 def test_exponent_table_runs_once_per_command(tmp_path, monkeypatch):
-    # the library builds its exponents as int blocks from the params; a
-    # command builds the nested table once, for the vectors document
+    # the library builds its exponents as int blocks from the params, and
+    # so do the commands on inline parameters; only report builds the
+    # nested table, once, for its vectors document
     from gesforge import build_nupb, coefficient_matrix, factor_matrices, make_params
     from gesforge import verify_all_bipartitions
     from gesforge.partition import Bipartition
@@ -479,10 +545,10 @@ def test_exponent_table_runs_once_per_command(tmp_path, monkeypatch):
     coefficient_matrix(params)
     build_nupb(params)
     assert calls == []
-    for command in ("verify", "report"):
+    for command, expected in (("verify", []), ("report", [params])):
         argv = [command, "--n", "3", "--d", "2", "--k", "5", "--restarts", "2", "--out", "r.json"]
         assert run(argv, tmp_path) == EXIT_OK
-        assert calls == [params], command
+        assert calls == expected, command
         calls.clear()
 
 
@@ -493,11 +559,12 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GESFORGE_SEED", "42")
     assert run(VERIFY_SMALL, tmp_path) == EXIT_OK
     doc = read_json(tmp_path / "r.json")
-    assert doc["run_config"]["seed"] == doc["numeric"]["options"]["seed"] == 42
+    # the resolved seed is recorded once, with the optimizer options
+    assert doc["numeric"]["options"]["seed"] == 42 and "seed" not in doc["run_config"]
     # explicit flag wins over the environment
     assert run(VERIFY_SMALL + ["--seed", "7"], tmp_path) == EXIT_OK
     doc = read_json(tmp_path / "r.json")
-    assert doc["run_config"]["seed"] == doc["numeric"]["options"]["seed"] == 7
+    assert doc["numeric"]["options"]["seed"] == 7 and "seed" not in doc["run_config"]
 
 
 def test_bad_seed_environment(tmp_path, monkeypatch, capsys):
@@ -702,15 +769,14 @@ def key_paths(doc, prefix=""):
     return set()
 
 
-SIDE_KEYS = ("dimension", "failures", "methods", "methods.chebotarev", "ok", "parties",
-             "subsets_total", "witness")
+SIDE_KEYS = ("dimension", "failures", "method", "ok", "parties", "subsets_total", "witness")
 REPORT_KEYS = {
     "schema", "schema_version", "passed",
-    "run_config", "run_config.arguments", "run_config.command", "run_config.seed",
+    "run_config", "run_config.arguments", "run_config.command",
     "run_config.tool", "run_config.tool_version",
     "exact", "exact.dims", "exact.elapsed_seconds", "exact.full_rank", "exact.matrix_rank",
     "exact.num_vectors", "exact.passed", "exact.rank_method", "exact.root_order",
-    "exact.scales_exact", "exact.skip_reason", "exact.skipped",
+    "exact.scales_exact", "exact.skipped",
     "exact.bipartitions", "exact.bipartitions[].complement", "exact.bipartitions[].count_ok",
     "exact.bipartitions[].members", "exact.bipartitions[].ok",
     "exact.bipartitions[].required_vectors",
@@ -719,7 +785,7 @@ REPORT_KEYS = {
     "numeric", "numeric.dims", "numeric.elapsed_seconds", "numeric.min_value",
     "numeric.num_vectors", "numeric.passed", "numeric.threshold",
     "numeric.options", "numeric.options.max_sweeps", "numeric.options.restarts",
-    "numeric.options.seed", "numeric.options.threshold", "numeric.options.tol",
+    "numeric.options.seed", "numeric.options.tol",
     "numeric.bipartitions", "numeric.bipartitions[].complement",
     "numeric.bipartitions[].converged", "numeric.bipartitions[].members",
     "numeric.bipartitions[].min_biproduct_value", "numeric.bipartitions[].restarts_agreeing",

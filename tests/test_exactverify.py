@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesforge import exactverify, minors
+from gesforge import exactverify, minors, partition
 from gesforge.construct import (
     ConstructionParams,
     GaussianRational,
@@ -68,7 +68,7 @@ def test_rank_deficiency_settled_exactly():
     ok, rank, method = rank_full(flat)
     assert not ok
     assert rank == 4
-    assert method == "bordered"
+    assert method == "circuits"
 
 
 def test_rank_full_with_exact_scales():
@@ -83,12 +83,12 @@ def test_rank_full_with_exact_scales():
 
 
 def test_rank_full_matches_field_elimination_past_size_fourteen():
-    # rank 14 needs bordered minors of size 15, past the subset expansion limit
+    # a copied row among 15: rank 14, where a proof by minors would need size 15
     p = make_params(dims=(2, 2, 2, 2), num_vectors=15)
     table = [[list(loc) for loc in row] for row in exponent_table(p)]
     table[14] = [list(loc) for loc in table[0]]
     flat = coefficient_matrix(p, table)
-    assert rank_full(flat) == (False, 14, "bordered")
+    assert rank_full(flat) == (False, 14, "circuits")
     assert svd_ranks(flat.to_complex()) == 14
 
 
@@ -101,7 +101,7 @@ def test_rank_full_matches_field_elimination_on_scaled_tampered_table():
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
     table = duplicated_table(p)
     ok, rank, method = rank_full(coefficient_matrix(p, table))
-    assert (ok, method) == (False, "bordered")
+    assert (ok, method) == (False, "circuits")
     # the scaled family's own amplitudes carry the scales the exact rank ignores
     assert rank == svd_ranks(build_nupb(p, table)) == 4
 
@@ -140,7 +140,7 @@ def test_rank_full_moves_on_when_a_circuit_is_dependent_only_mod_q(small_fields,
     circuits = spy_on_circuit_proofs(monkeypatch)
     echelons = spy_on_echelons(monkeypatch)
     flat = FlatMatrix(order, (0,), (5,), exps)
-    assert rank_full(flat) == (False, rank_by_minors(exps, order), "bordered") == (False, 4, "bordered")
+    assert rank_full(flat) == (False, rank_by_minors(exps, order), "circuits") == (False, 4, "circuits")
     assert (exps[:4].tolist(), False) in circuits
     assert circuits[-1] == ([exps[0].tolist(), exps[4].tolist()], True)
     # the refuted candidate sends the transpose's echelon form to a later field
@@ -173,7 +173,7 @@ def test_spanning_holds_on_standard_factors():
             assert check.ok
             assert check.failures == 0
             assert check.witness is None
-            assert check.methods == {"chebotarev": check.subsets_total}
+            assert check.method == "chebotarev"
             assert _spanning_scan(side) == (0, None)
 
 
@@ -266,9 +266,7 @@ def test_spanning_matches_leibniz_on_planted_dependent_rows(case):
     assert check.ok == (check.failures == 0)
     assert (check.failures, check.witness) == leibniz_spanning(side)
     # a planted table can still have Fourier form, and then nothing fails
-    (method,) = check.methods
-    assert check.methods == {method: check.subsets_total}
-    assert method == "modular" or check.failures == 0
+    assert check.method == "scan" or check.failures == 0
 
 
 def spurious_block(order, size=4):
@@ -403,7 +401,7 @@ def test_composite_order_sides_get_a_proven_verdict():
     side = FlatMatrix(8, (0,), (2,), [[0, 0], [1, 1], [2, 2]])
     check = spanning_property(side)
     assert (check.failures, check.witness) == leibniz_spanning(side) == (3, (0, 1))
-    assert rank_full(side) == (False, rank_by_minors(side.exponents, 8), "bordered") == (False, 1, "bordered")
+    assert rank_full(side) == (False, rank_by_minors(side.exponents, 8), "circuits") == (False, 1, "circuits")
     rng = np.random.default_rng(5)
     for order in (4, 6, 8, 9, 10, 12):
         for dim, planted in itertools.product((2, 3), (False, True)):
@@ -432,8 +430,7 @@ def test_scan_agrees_with_the_theorem_on_the_exact_grid(d, n):
         assert len(_modular_echelon(ctx.power_table()[flat.exponents], ctx.modulus)[0]) == k
         for cut in enumerate_bipartitions(n):
             for side in factor_matrices(params, cut):
-                total = math.comb(k, side.dimension)
-                assert spanning_property(side).methods == {"chebotarev": total}
+                assert spanning_property(side).method == "chebotarev"
                 assert _spanning_scan(side) == (0, None)
 
 
@@ -468,7 +465,7 @@ def test_fourier_form_recognises_relabelled_recipes(flat):
     assert rank_full(flat) == (k <= dim, min(k, dim), "chebotarev")
     if k >= dim:
         check = spanning_property(flat)
-        assert check.ok and check.methods == {"chebotarev": check.subsets_total}
+        assert check.ok and check.method == "chebotarev"
     size = min(k, dim)
     if size <= 5 and math.comb(max(k, dim), size) <= 200:
         # every maximal minor is nonzero by the Leibniz oracle, and the scan agrees
@@ -505,7 +502,7 @@ def test_fourier_form_rejects_and_the_scan_decides(case):
     if case != "composite order":
         assert rank_full(flat)[2] != "chebotarev"
     check = spanning_property(flat)
-    assert check.methods == {"modular": check.subsets_total}
+    assert check.method == "scan"
     assert (check.failures, check.witness) == _spanning_scan(flat) == leibniz_spanning(flat)
     if case.startswith("copied"):
         assert check.failures > 0
@@ -610,12 +607,12 @@ def test_float_scales_get_exact_verdict():
     scales = ((1 + 0j, 0.3 + 0.4j), (1 + 0j, 1 + 0j), (1 + 0j, 1 + 0j))
     p = make_params(n=3, d=2, num_vectors=5, scales=scales)
     report = verify_all_bipartitions(p)
-    assert not report.skipped and report.skip_reason is None
+    assert not report.skipped
     assert report.passed is True
     assert report.matrix_rank == 5 and len(report.bipartitions) == 3
     tampered = verify_all_bipartitions(p, duplicated_table(p))
     assert tampered.passed is False
-    assert (tampered.matrix_rank, tampered.rank_method) == (4, "bordered")
+    assert (tampered.matrix_rank, tampered.rank_method) == (4, "circuits")
 
 
 def test_non_finite_scales_rejected():
@@ -651,7 +648,6 @@ def per_side_doc(params, table=None) -> dict:
         "root_order": str(params.root_order),
         "scales_exact": params.scales_exact,
         "skipped": False,
-        "skip_reason": None,
         "matrix_rank": rank,
         "full_rank": full_rank,
         "rank_method": method,
@@ -666,9 +662,9 @@ def family_doc(params, table=None) -> dict:
     return doc
 
 
-def side_methods(doc) -> list[tuple[tuple[int, ...], list[str]]]:
+def side_methods(doc) -> list[tuple[tuple[int, ...], str]]:
     return [
-        (tuple(cut[side]["parties"]), list(cut[side]["methods"]))
+        (tuple(cut[side]["parties"]), cut[side]["method"])
         for cut in doc["bipartitions"] for side in ("left", "right")
     ]
 
@@ -684,7 +680,7 @@ def test_one_form_check_matches_the_per_side_path_up_the_ladder(dims):
         doc = family_doc(params)
         assert doc == per_side_doc(params)
         assert doc["rank_method"] == "chebotarev"
-        assert all(methods == ["chebotarev"] for _, methods in side_methods(doc))
+        assert all(method == "chebotarev" for _, method in side_methods(doc))
 
 
 @pytest.mark.parametrize("kind", ("exact", "float"))
@@ -746,7 +742,7 @@ def test_one_form_check_matches_the_per_side_path_on_relabelled_tables(case):
     doc = family_doc(params, table)
     assert doc == per_side_doc(params, table)
     assert doc["rank_method"] == "chebotarev"
-    assert all(methods == ["chebotarev"] for _, methods in side_methods(doc))
+    assert all(method == "chebotarev" for _, method in side_methods(doc))
 
 
 @pytest.mark.parametrize(
@@ -764,8 +760,8 @@ def test_a_repeated_level_fails_the_full_check_but_not_the_sides_without_it(dims
     doc = family_doc(params, table)
     assert doc == per_side_doc(params, table)
     assert doc["rank_method"] != "chebotarev" and not doc["passed"]
-    for parties, methods in side_methods(doc):
-        assert methods == (["modular"] if party in parties else ["chebotarev"])
+    for parties, method in side_methods(doc):
+        assert method == ("scan" if party in parties else "chebotarev")
 
 
 def svd_ranks(matrices: np.ndarray) -> np.ndarray:
@@ -856,7 +852,7 @@ def test_rank_proof_of_a_large_tampered_table_sends_only_small_minors(monkeypatc
     # its two rows, not through the whole 40-row table
     params = make_params(dims=(4, 4, 4), num_vectors=40)
     shapes = count_zero_proofs(monkeypatch)
-    assert rank_full(coefficient_matrix(params, tampered_table(params))) == (False, 39, "bordered")
+    assert rank_full(coefficient_matrix(params, tampered_table(params))) == (False, 39, "circuits")
     assert shapes == [(2, 64)]
 
 
@@ -1256,3 +1252,23 @@ def test_largest_scan_size_is_the_edge_of_reach(order, max_size, size):
     if size < min(order, max_size):
         with pytest.raises(ValueError, match="above the supported"):
             exactverify._check_scan_reach("", order, order, size + 1, from_row_zero=True)
+
+
+def test_a_family_too_large_to_hold_is_refused_before_its_matrix():
+    # 2^16 at k=32769: 2.1G entries, about 100 GB at the exact stage's 48
+    # bytes an entry; validation admits it, the matrix bound does not
+    params = make_params(n=16, d=2, num_vectors=32769)
+    for build in (verify_all_bipartitions, build_nupb):
+        with pytest.raises(ValueError, match="2147549184 entries, above the supported 11184810"):
+            build(params)
+    # every shape CI and the README run stays in reach, up to 2^12 at k=2049
+    assert 513 * 2**10 < 2049 * 2**12 <= partition.MAX_MATRIX_ENTRIES < 4097 * 2**13
+
+
+def test_the_matrix_bound_counts_the_entries(monkeypatch):
+    params = make_params(n=3, d=2, num_vectors=5)
+    monkeypatch.setattr(partition, "MAX_MATRIX_ENTRIES", 40)
+    assert verify_all_bipartitions(params).passed
+    monkeypatch.setattr(partition, "MAX_MATRIX_ENTRIES", 39)
+    with pytest.raises(ValueError, match="a 5 x 8 coefficient matrix has 40 entries"):
+        verify_all_bipartitions(params)

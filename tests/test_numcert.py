@@ -78,7 +78,8 @@ def test_options_defaults():
     assert opts.seed == 0
     doc = opts.to_doc()
     assert doc["tol"] == TOL == 1e-12
-    assert doc["threshold"] == THRESHOLD == 1e-6
+    # the threshold is no optimizer option; the certificate's own key holds it
+    assert "threshold" not in doc and THRESHOLD == 1e-6
     assert MAX_SWEEPS == doc["max_sweeps"] == 500
 
 

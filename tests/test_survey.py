@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gesforge import exactverify
 from gesforge.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "chebotarev_survey.py"
@@ -51,6 +52,22 @@ def test_survey_refuses_bad_input_before_any_scan(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_survey_refuses_a_huge_order_before_its_primality_test(monkeypatch, capsys):
+    # trial division of 10**18 + 3 takes hours; the order is out of reach
+    # at size 1 by its matrix and image alone
+    real = exactverify.is_prime
+
+    def no_trial_division(n):
+        if n > 10**7:
+            raise AssertionError(f"the primality of {n} was tested")
+        return real(n)
+
+    monkeypatch.setattr(exactverify, "is_prime", no_trial_division)
+    assert survey.main(["--orders", str(10**18 + 3)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == f"error: no scan of order {10**18 + 3} is in reach of the limits, not even to size 1\n"
 
 
 def test_survey_checks_out_before_any_scan(tmp_path, monkeypatch, capsys):
